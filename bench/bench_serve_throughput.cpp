@@ -12,8 +12,8 @@
  *     through the batch kernels. Gate: batched sync >= 3x naive.
  *
  *  2. Execution-path comparison (PR 2's experiment): points/s of the
- *     per-point reference sweep vs. the register-tiled blocked host kernels
- *     vs. the device predict kernels, per kernel type and batch size.
+ *     per-point reference sweep vs. the register-tiled blocked host kernels,
+ *     per kernel type and batch size.
  *     Gates: blocked >= 2x reference for RBF at batch 256, and blocked
  *     beats reference for every non-linear kernel at batch >= 64 (the
  *     linear "blocked" path is the same w-dot sweep as the reference).
@@ -198,7 +198,6 @@ struct path_result {
     std::size_t batch;
     double reference_pps;
     double blocked_pps;
-    double device_pps;
     double blocked_speedup;
     std::string dispatched_path;
 };
@@ -415,8 +414,8 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
     std::fprintf(f, "  ],\n  \"paths\": [\n");
     for (std::size_t i = 0; i < paths.size(); ++i) {
         const path_result &r = paths[i];
-        std::fprintf(f, "    { \"kernel\": \"%s\", \"batch\": %zu, \"reference_pps\": %.1f, \"blocked_pps\": %.1f, \"device_pps\": %.1f, \"blocked_speedup\": %.2f, \"dispatched_path\": \"%s\" }%s\n",
-                     r.kernel.c_str(), r.batch, r.reference_pps, r.blocked_pps, r.device_pps, r.blocked_speedup,
+        std::fprintf(f, "    { \"kernel\": \"%s\", \"batch\": %zu, \"reference_pps\": %.1f, \"blocked_pps\": %.1f, \"blocked_speedup\": %.2f, \"dispatched_path\": \"%s\" }%s\n",
+                     r.kernel.c_str(), r.batch, r.reference_pps, r.blocked_pps, r.blocked_speedup,
                      r.dispatched_path.c_str(), i + 1 < paths.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"sparse\": [\n");
@@ -494,7 +493,7 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
 
 int main(int argc, char **argv) {
     const auto options = plssvm::bench::bench_options::parse(argc, argv,
-        "Serving throughput: engine vs. naive loop, and blocked vs. reference vs. device execution paths.");
+        "Serving throughput: engine vs. naive loop, and blocked vs. reference execution paths.");
 
     const auto num_sv = static_cast<std::size_t>(512 * options.scale);
     const auto dim = static_cast<std::size_t>(64 * options.scale);
@@ -572,10 +571,10 @@ int main(int argc, char **argv) {
     engine_table.print();
 
     // ------------------------------------------------------------------
-    // experiment 2: reference vs. blocked vs. device execution paths
+    // experiment 2: reference vs. blocked execution paths
     // ------------------------------------------------------------------
-    std::printf("\nexecution paths (points/s; serial host, single simulated device):\n\n");
-    plssvm::bench::table_printer path_table{ { "kernel", "batch", "reference pts/s", "blocked pts/s", "device pts/s", "blocked speedup", "dispatch" } };
+    std::printf("\nexecution paths (points/s; serial host):\n\n");
+    plssvm::bench::table_printer path_table{ { "kernel", "batch", "reference pts/s", "blocked pts/s", "blocked speedup", "dispatch" } };
     std::vector<path_result> path_results;
     const plssvm::serve::predict_dispatcher default_dispatcher{};
 
@@ -620,7 +619,6 @@ int main(int argc, char **argv) {
 
             const auto reference = time_path([&]() { compiled.decision_values_reference_into(queries, 0, batch, out.data()); });
             const auto blocked = time_path([&]() { compiled.decision_values_into(queries, 0, batch, out.data()); });
-            const auto device = time_path([&]() { compiled.decision_values_device_into(queries, 0, batch, out.data()); });
 
             const double points = static_cast<double>(batch * inner);
             const double speedup = reference.min / blocked.min;
@@ -637,13 +635,11 @@ int main(int argc, char **argv) {
             }
 
             path_results.push_back(path_result{ std::string{ plssvm::kernel_type_to_string(kernel) }, batch,
-                                                points / reference.min, points / blocked.min, points / device.min,
-                                                speedup, std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
+                                                points / reference.min, points / blocked.min, speedup, std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
             path_table.add_row({ std::string{ plssvm::kernel_type_to_string(kernel) },
                                  std::to_string(batch),
                                  plssvm::bench::format_double(points / reference.min, 0),
                                  plssvm::bench::format_double(points / blocked.min, 0),
-                                 plssvm::bench::format_double(points / device.min, 0),
                                  plssvm::bench::format_double(speedup, 2) + "x",
                                  std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
         }
@@ -1219,8 +1215,7 @@ int main(int argc, char **argv) {
         {
             auto trip_inject = std::make_shared<svf::injector>(options.seed + 2);
             for (const plssvm::serve::predict_path path : { plssvm::serve::predict_path::host_blocked,
-                                                            plssvm::serve::predict_path::host_sparse,
-                                                            plssvm::serve::predict_path::device }) {
+                                                            plssvm::serve::predict_path::host_sparse }) {
                 trip_inject->add_rule({ .site = svf::fault_site::batch_kernel, .kind = svf::fault_kind::kernel_throw, .path = path });
             }
             plssvm::serve::engine_config config = make_config(trip_inject, 64);

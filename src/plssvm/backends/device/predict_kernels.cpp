@@ -65,27 +65,9 @@ void kernel_predict(const T *sv, const T *alpha, const std::size_t num_sv, const
     }
 }
 
-template <typename T>
-void kernel_predict_linear(const T *w, const std::size_t dim,
-                           const T *points, const std::size_t num_points, const std::size_t padded_points,
-                           T *out) {
-    (void) num_points;  // zero padding contributes zero to every dot product
-    std::fill(out, out + padded_points, T{ 0 });
-    for (std::size_t f = 0; f < dim; ++f) {
-        const T wf = w[f];
-        const T *column = points + f * padded_points;
-        #pragma omp simd
-        for (std::size_t p = 0; p < padded_points; ++p) {
-            out[p] += wf * column[p];
-        }
-    }
-}
-
 template void kernel_w<float>(const float *, const float *, std::size_t, std::size_t, std::size_t, float *);
 template void kernel_w<double>(const double *, const double *, std::size_t, std::size_t, std::size_t, double *);
 template void kernel_predict<float>(const float *, const float *, std::size_t, std::size_t, const float *, std::size_t, std::size_t, std::size_t, const kernel_params<float> &, float *);
 template void kernel_predict<double>(const double *, const double *, std::size_t, std::size_t, const double *, std::size_t, std::size_t, std::size_t, const kernel_params<double> &, double *);
-template void kernel_predict_linear<float>(const float *, std::size_t, const float *, std::size_t, std::size_t, float *);
-template void kernel_predict_linear<double>(const double *, std::size_t, const double *, std::size_t, std::size_t, double *);
 
 }  // namespace plssvm::backend::device

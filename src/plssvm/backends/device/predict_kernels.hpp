@@ -49,25 +49,6 @@ void kernel_predict(const T *sv, const T *alpha, std::size_t num_sv, std::size_t
                     const T *points, std::size_t num_points, std::size_t padded_points,
                     std::size_t dim, const kernel_params<T> &kp, T *out);
 
-/**
- * @brief Batch entry point of the linear serving path:
- *        `out_p = <w, x_p>` over the padded SoA query batch.
- *
- * The serving layer collapses the support vectors into `w` once at model
- * compile time (host) or via `kernel_w` (device); at request time the linear
- * prediction is a single GEMV over the query batch. Feature-major layout:
- * the inner loop sweeps contiguously over the point dimension (coalesced on
- * a real device, vectorized here).
- *
- * @param w collapsed normal vector (@p dim entries)
- * @param points feature-major prediction points (padded rows: padded_points)
- * @param out output vector (padded_points entries; padding entries zeroed)
- */
-template <typename T>
-void kernel_predict_linear(const T *w, std::size_t dim,
-                           const T *points, std::size_t num_points, std::size_t padded_points,
-                           T *out);
-
 }  // namespace plssvm::backend::device
 
 #endif  // PLSSVM_BACKENDS_DEVICE_PREDICT_KERNELS_HPP_

@@ -2,11 +2,12 @@
  * @file
  * @brief Host-profile calibration for the predict dispatcher.
  *
- * `serve::predict_dispatcher` compares `sim::cost_model` rooflines of the
- * host and the device to route each batch; the host side of that comparison
- * (`sim::host_profile`) shipped with hard-coded commodity-core defaults, so
- * the host/device crossover could land far from where this machine actually
- * crosses over. Calibration replaces the defaults with measured numbers:
+ * `serve::predict_dispatcher` compares `sim::cost_model` host rooflines of
+ * the execution paths to route each batch and feeds the same estimates to
+ * the batch tuner; the host model (`sim::host_profile`) shipped with
+ * hard-coded commodity-core defaults, so those estimates could land far from
+ * what this machine actually sustains. Calibration replaces the defaults
+ * with measured numbers:
  *
  *  1. if a `BENCH_serve.json` written by `bench_serve_throughput` is present
  *     in the working directory, its recorded `host_profile` section is used

@@ -25,9 +25,9 @@
  * sparse kernels of `serve/batch_kernels` (CSR-query x CSR-SV merge-join
  * row pairs, dense-query x transposed-CSR accumulation) instead of
  * re-streaming mostly-zero dense panels. The dense SoA copy is kept
- * alongside so the per-point reference sweep and the device path stay
- * available as parity baselines; the dispatcher decides per batch which
- * execution wins (`predict_path::host_sparse`).
+ * alongside so the per-point reference sweep stays available as the parity
+ * baseline; the dispatcher decides per batch which execution wins
+ * (`predict_path::host_sparse`).
  *
  * The batch entry point is deliberately split into a serial range method
  * (`decision_values_into`) and a parallel convenience wrapper so that the
@@ -38,14 +38,13 @@
  * `serve::predict_path`): the blocked host kernels of `serve/batch_kernels`
  * (`decision_values_into`, the default), the per-point scalar sweep
  * (`decision_values_reference_into`, parity baseline and tiny batches), and
- * the device predict kernels (`decision_values_device_into`). The
+ * the sparse O(nnz) sweeps (`decision_values_sparse_into`). The
  * `predict_dispatcher` picks between them per batch.
  */
 
 #ifndef PLSSVM_SERVE_COMPILED_MODEL_HPP_
 #define PLSSVM_SERVE_COMPILED_MODEL_HPP_
 
-#include "plssvm/backends/device/predict_kernels.hpp"
 #include "plssvm/core/kernel_functions.hpp"
 #include "plssvm/core/matrix.hpp"
 #include "plssvm/core/model.hpp"
@@ -62,9 +61,8 @@
 
 namespace plssvm::serve {
 
-/// Padding multiple of the SoA support-vector copy; matches the cache-line
-/// friendly blocking of the device layer and keeps the inner simd loop free
-/// of remainder handling.
+/// Padding multiple of the SoA support-vector copy; cache-line friendly, and
+/// keeps the inner simd loop free of remainder handling.
 inline constexpr std::size_t compiled_model_row_padding = 64;
 
 /// Knobs of the model compile step (overridable per engine via
@@ -241,63 +239,6 @@ class compiled_model {
         std::vector<T> acc(accumulator_size());
         for (std::size_t p = row_begin; p < row_end; ++p) {
             out[p - row_begin] = decide_one(points.row_data(p), acc);
-        }
-    }
-
-    /**
-     * @brief Evaluate rows [@p row_begin, @p row_end) through the blocked
-     *        *device* predict kernels: pack the range into the padded SoA
-     *        device layout, run `kernel_predict_linear` / `kernel_predict`,
-     *        apply the bias.
-     *
-     * On this simulation-backed build the kernels execute numerically on the
-     * host; the RBF core accumulates squared differences (not the cached-norm
-     * form), so results are tolerance-equal (~1e-12 rel.) to the host paths.
-     */
-    void decision_values_device_into(const aos_matrix<T> &points, const std::size_t row_begin, const std::size_t row_end, T *out) const {
-        validate_features(points.num_cols());
-        const std::size_t num_points = row_end - row_begin;
-        if (num_points == 0) {
-            return;
-        }
-        // "upload": pack the queries into the padded SoA device layout (the
-        // canonical transform for full batches, a row-range copy otherwise)
-        const soa_matrix<T> batch_soa = [&]() {
-            if (row_begin == 0 && row_end == points.num_rows()) {
-                return transform_to_soa(points, compiled_model_row_padding);
-            }
-            soa_matrix<T> soa{ num_points, dim_, compiled_model_row_padding };
-            for (std::size_t p = 0; p < num_points; ++p) {
-                const T *row = points.row_data(row_begin + p);
-                for (std::size_t f = 0; f < dim_; ++f) {
-                    soa(p, f) = row[f];
-                }
-            }
-            return soa;
-        }();
-        decision_values_device_into(batch_soa, out);
-    }
-
-    /// Device-path evaluation of an already-packed SoA query batch. Lets
-    /// callers that evaluate several models against one batch (the
-    /// one-vs-all multi-class engine) pay the SoA pack once.
-    void decision_values_device_into(const soa_matrix<T> &packed, T *out) const {
-        validate_features(packed.num_cols());
-        const std::size_t num_points = packed.num_rows();
-        if (num_points == 0) {
-            return;
-        }
-        std::vector<T> padded_out(packed.padded_rows());
-        if (params_.kernel == kernel_type::linear) {
-            backend::device::kernel_predict_linear(w_.data(), dim_, packed.data().data(),
-                                                   num_points, packed.padded_rows(), padded_out.data());
-        } else {
-            backend::device::kernel_predict(sv_soa_.data().data(), alpha_.data(), num_sv_, sv_soa_.padded_rows(),
-                                            packed.data().data(), num_points, packed.padded_rows(),
-                                            dim_, params_, padded_out.data());
-        }
-        for (std::size_t p = 0; p < num_points; ++p) {
-            out[p] = padded_out[p] + bias_;
         }
     }
 

@@ -5,8 +5,8 @@
  *
  * Until now a throwing batch kernel poisoned its entire micro-batch, a hung
  * drain thread left promises unfulfilled forever, and a persistently failing
- * dispatch path (e.g. the opt-in device backend) was retried blindly. This
- * header adds the failure story a production serving node needs:
+ * dispatch path was retried blindly. This header adds the failure story a
+ * production serving node needs:
  *
  *  - **typed per-request outcomes** (`request_failed_exception` with a
  *    `failure_kind`): every promise an engine accepts is settled exactly
@@ -23,7 +23,7 @@
  *    backoff + deterministic jitter; each `predict_path` carries an
  *    error-rate-windowed breaker (closed -> open -> half-open) and the
  *    dispatcher only chooses among non-tripped paths, demoting
- *    device -> host_blocked/host_sparse -> reference. `reference` is the
+ *    host_blocked/host_sparse -> reference. `reference` is the
  *    unconditional last resort and never masked.
  *  - a **health state machine** (`health_monitor`): healthy / degraded /
  *    critical per engine, driven by breaker state, shed rate, deadline
@@ -472,7 +472,7 @@ class circuit_breaker {
 
 /// Which dispatch paths are currently allowed (indexed by `predict_path`).
 struct path_mask {
-    std::array<bool, 4> allowed{ true, true, true, true };
+    std::array<bool, 3> allowed{ true, true, true };
 
     [[nodiscard]] bool allows(const predict_path path) const noexcept {
         return allowed[static_cast<std::size_t>(path)];
@@ -481,7 +481,7 @@ struct path_mask {
     [[nodiscard]] static path_mask all() noexcept { return path_mask{}; }
 };
 
-/// One breaker per dispatch path; the fallback ladder device ->
+/// One breaker per dispatch path; the fallback ladder
 /// host_blocked/host_sparse -> reference emerges from masking tripped paths
 /// out of the dispatcher's cost comparison. `reference` is never masked —
 /// it is the last resort, and with every other path open it still serves.
@@ -490,7 +490,7 @@ class path_ladder {
     using clock = circuit_breaker::clock;
 
     explicit path_ladder(const breaker_config config = {}) :
-        breakers_{ circuit_breaker{ config }, circuit_breaker{ config }, circuit_breaker{ config }, circuit_breaker{ config } } {}
+        breakers_{ circuit_breaker{ config }, circuit_breaker{ config }, circuit_breaker{ config } } {}
 
     /// Mask of paths the dispatcher may choose right now.
     [[nodiscard]] path_mask allowed(const clock::time_point now) {
@@ -498,7 +498,6 @@ class path_ladder {
         mask.allowed[static_cast<std::size_t>(predict_path::reference)] = true;
         mask.allowed[static_cast<std::size_t>(predict_path::host_blocked)] = breakers_[1].allow(now);
         mask.allowed[static_cast<std::size_t>(predict_path::host_sparse)] = breakers_[2].allow(now);
-        mask.allowed[static_cast<std::size_t>(predict_path::device)] = breakers_[3].allow(now);
         return mask;
     }
 
@@ -527,7 +526,7 @@ class path_ladder {
     }
 
   private:
-    std::array<circuit_breaker, 4> breakers_;
+    std::array<circuit_breaker, 3> breakers_;
 };
 
 // ---------------------------------------------------------------------------

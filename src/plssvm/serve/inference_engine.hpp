@@ -1,11 +1,19 @@
 /**
  * @file
- * @brief Inference engine over an immutable model snapshot, executing on a
- *        shared `serve::executor` lane.
+ * @brief The serving engine: binary models and one-vs-all ensembles over an
+ *        immutable snapshot of compiled heads, executing on a shared
+ *        `serve::executor` lane.
+ *
+ * One engine type serves both model kinds. A snapshot holds N compiled
+ * heads (see `snapshot.hpp`): a binary model is one head labelled by
+ * `label_from_decision`, a one-vs-all ensemble is k oriented heads scored by
+ * argmax, first class on ties — exactly `ext::one_vs_all::predict`. Every
+ * batch evaluates all heads along one dispatched execution path.
  *
  * The engine exposes the two serving entry points:
- *  - `predict(points)` / `decision_values(points)`: synchronous batch
- *    evaluation, partitioned across the engine's executor lane;
+ *  - `predict(points)` / `decision_values(points)` / `decision_matrix(points)`:
+ *    synchronous batch evaluation, partitioned across the engine's executor
+ *    lane;
  *  - `submit(point[, options]) -> std::future<label>`: asynchronous
  *    single-point requests, coalesced into batches by the `micro_batcher`
  *    and evaluated by a dedicated drain thread. Requests carry a
@@ -20,15 +28,16 @@
  * instance) and submit through a per-engine lane whose quota
  * (`engine_config::num_threads`) bounds how many workers the engine may
  * occupy at once — eight resident engines on a four-core host run on four
- * worker threads, not thirty-two.
+ * worker threads, not thirty-two. NUMA replicas of one model are a
+ * placement of `model_registry::load_sharded`: one engine per domain.
  *
  * Model state is NOT mutable in place: every batch evaluates against the
- * `engine_snapshot` current at its start (see `snapshot.hpp`), and
- * `reload()` publishes a freshly compiled snapshot with one atomic swap —
- * in-flight batches finish on the old snapshot, p99 stays flat, and no
- * request ever observes a half-built model. Snapshots optionally carry an
- * `io::scaling` input transform applied inside the batch path, so clients
- * send raw features and the transform is versioned with the model.
+ * `engine_snapshot` current at its start, and `reload()` publishes a freshly
+ * compiled snapshot with one atomic swap — in-flight batches finish on the
+ * old snapshot, p99 stays flat, and no request ever observes a half-built
+ * model. Snapshots optionally carry an `io::scaling` input transform applied
+ * inside the batch path, so clients send raw features and the transform is
+ * versioned with the model.
  *
  * Every engine records latency/throughput statistics (`stats()`, including
  * lane queue depth / steal counters and the snapshot version) and can
@@ -43,6 +52,7 @@
 #include "plssvm/core/sparse_matrix.hpp"
 #include "plssvm/detail/tracker.hpp"
 #include "plssvm/exceptions.hpp"
+#include "plssvm/ext/multiclass.hpp"
 #include "plssvm/serve/admission.hpp"
 #include "plssvm/serve/calibration.hpp"
 #include "plssvm/serve/compiled_model.hpp"
@@ -57,6 +67,7 @@
 #include "plssvm/serve/snapshot.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -93,8 +104,8 @@ struct engine_config {
     std::size_t lane_weight{ 1 };
     /// NUMA domain this engine's lane (and drain thread) should live on, so
     /// batches execute next to the snapshot's first-touch SV panels. Default:
-    /// no preference — placement behaves exactly like before. Used by
-    /// `sharded_engine` to spread per-domain replicas.
+    /// no preference — placement behaves exactly like before. Set by
+    /// `model_registry::load_sharded` to spread per-domain replicas.
     std::size_t home_domain{ any_numa_domain };
     /// QoS control plane: per-class admission limits (token bucket + queue
     /// depth shedding) and load-adaptive batch sizing. The defaults never
@@ -114,326 +125,6 @@ struct engine_config {
     slo_config slo{};
 };
 
-namespace detail {
-
-/**
- * @brief Consumer loop shared by the binary and multi-class engines: pull
- *        coalesced class-homogeneous batches, assemble the batch matrix,
- *        evaluate with retry/bisection under the fault plane, fulfil every
- *        promise exactly once (value or typed error), record per-class
- *        metrics and lifecycle traces, then let the engine retune its
- *        adaptive batch policies.
- *
- * Failure isolation: an evaluation attempt covers a contiguous request range
- * and may throw (organically or via an injected fault). The full batch is
- * retried up to `retry_config::max_attempts` with jittered exponential
- * backoff; if it still fails, the range is bisected — each half evaluated
- * without further whole-range retries — until the poisoned request is
- * isolated at range size 1 and quarantined with a typed
- * `request_failed_exception` (`fault::quarantine_error`). Every other request
- * of the batch completes normally. Each attempt records success/failure into
- * the per-path circuit breakers, and each attempt re-chooses its path among
- * the non-tripped ones (@p choose_path takes the live `path_mask`), so a
- * persistently failing path demotes traffic down the ladder mid-batch.
- *
- * Watchdog protocol: before evaluating, the batch's promises are wrapped in
- * a settle-once `fault::inflight_batch` and published to @p supervisor with
- * a deadline (when the watchdog is enabled). A stalled evaluation leads the
- * watchdog to fail the unsettled promises and bump the lane generation; this
- * loop re-checks `supervisor.generation()` at every loop head and before the
- * post-batch retune, exiting promptly once abandoned. All settles funnel
- * through the inflight wrapper, so the racing drain thread and watchdog can
- * never double-settle a promise.
- *
- * @p choose_path maps (range size, allowed-path mask) to the dispatch path of
- * one attempt; @p evaluate maps the assembled sub-matrix plus that path to
- * one label per row. The sub-matrix is assembled *fresh per attempt* from the
- * queued request points because @p evaluate may scale it in place — reusing
- * it across attempts would double-apply the snapshot's input scaling.
- * @p estimate_batch_seconds supplies the cost model's per-batch latency
- * estimate (calibration accounting, trace attribution, watchdog budget).
- * @p post_batch runs after every batch with the batch's mean queue wait and
- * its service time — the engines feed their executor-lane telemetry plus
- * this wait/service split into the `batch_tuner` there, then refresh their
- * health state machine.
- */
-template <typename T, typename ChoosePath, typename Evaluate, typename PostBatch, typename Estimate>
-void drain_requests(micro_batcher<T> &batcher, serve_metrics &metrics, obs::flight_recorder &recorder,
-                    const std::size_t num_features, fault::fault_plane &plane, fault::drain_supervisor<T> &supervisor,
-                    const std::uint64_t generation, ChoosePath &&choose_path, Evaluate &&evaluate,
-                    PostBatch &&post_batch, Estimate &&estimate_batch_seconds) {
-    while (supervisor.generation() == generation) {
-        typename micro_batcher<T>::class_batch batch = batcher.next_batch();
-        if (batch.empty()) {
-            return;  // shut down and drained
-        }
-        const std::size_t batch_size = batch.size();
-        // wrap the promises settle-once *before* any fallible work: from here
-        // on every exit path settles every slot exactly once
-        std::shared_ptr<fault::inflight_batch<T>> inflight;
-        try {
-            std::vector<std::promise<T>> promises;
-            promises.reserve(batch_size);
-            for (typename micro_batcher<T>::request &req : batch.requests) {
-                promises.push_back(std::move(req.result));
-            }
-            inflight = std::make_shared<fault::inflight_batch<T>>(std::move(promises), batch.cls);
-        } catch (...) {
-            for (typename micro_batcher<T>::request &req : batch.requests) {
-                req.result.set_exception(std::current_exception());
-            }
-            continue;
-        }
-        double mean_queue_wait_seconds = 0.0;
-        double service_seconds = 0.0;
-        try {
-            const double estimated_seconds = estimate_batch_seconds(batch_size);
-            const fault::watchdog_config &wd = plane.config().watchdog;
-            if (wd.stall_timeout.count() > 0) {
-                const auto estimate_budget = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::duration<double>(wd.estimate_factor * estimated_seconds));
-                supervisor.publish(inflight, std::chrono::steady_clock::now() + std::max(wd.stall_timeout, estimate_budget), generation);
-            }
-
-            std::vector<T> labels(batch_size);
-            std::vector<std::exception_ptr> errors(batch_size);
-            predict_path batch_path = predict_path::reference;
-
-            // one evaluation attempt series over requests [begin, end):
-            // retry-with-backoff while allowed, each attempt on a freshly
-            // chosen (breaker-masked) path; returns the final error or null
-            const auto eval_range = [&](const std::size_t begin, const std::size_t end, const bool allow_retry) -> std::exception_ptr {
-                const fault::retry_config &rc = plane.config().retry;
-                const std::size_t max_attempts = allow_retry ? std::max<std::size_t>(1, rc.max_attempts) : 1;
-                std::size_t attempt = 0;
-                while (true) {
-                    predict_path path = predict_path::reference;
-                    bool chosen = false;
-                    try {
-                        fault::hook_dispatch(plane.inject());
-                        path = choose_path(end - begin, plane.ladder().allowed(std::chrono::steady_clock::now()));
-                        chosen = true;
-                        fault::hook_allocation(plane.inject());
-                        // fresh sub-matrix per attempt: evaluate may apply the
-                        // snapshot's input scaling in place
-                        aos_matrix<T> points{ end - begin, num_features };
-                        for (std::size_t i = begin; i < end; ++i) {
-                            std::copy(batch.requests[i].point.begin(), batch.requests[i].point.end(), points.row_data(i - begin));
-                        }
-                        const fault::kernel_hook_result injected = fault::hook_batch_kernel(
-                            plane.inject(), path, static_cast<std::ptrdiff_t>(begin), static_cast<std::ptrdiff_t>(end));
-                        std::vector<T> values = evaluate(points, path);
-                        if (injected.wrong_result && !values.empty()) {
-                            values.front() = -values.front() + T{ 1 };  // deterministic corruption
-                        }
-                        std::copy(values.begin(), values.end(), labels.begin() + static_cast<std::ptrdiff_t>(begin));
-                        plane.ladder().record(path, true, std::chrono::steady_clock::now());
-                        batch_path = path;
-                        return nullptr;
-                    } catch (...) {
-                        if (chosen) {
-                            plane.ladder().record(path, false, std::chrono::steady_clock::now());
-                        }
-                        ++attempt;
-                        if (attempt >= max_attempts) {
-                            return std::current_exception();
-                        }
-                        metrics.record_batch_retry();
-                        std::this_thread::sleep_for(plane.backoff(attempt));
-                    }
-                }
-            };
-
-            // bisection: a range that exhausts its retries splits in half
-            // (halves evaluated attempt-once — the transient budget is spent)
-            // until the poisoned request is isolated and quarantined
-            const auto resolve = [&](const auto &self, const std::size_t begin, const std::size_t end, const bool allow_retry) -> void {
-                const std::exception_ptr error = eval_range(begin, end, allow_retry);
-                if (error == nullptr) {
-                    return;
-                }
-                if (end - begin == 1) {
-                    errors[begin] = fault::quarantine_error(error, batch.cls);
-                    metrics.record_quarantine();
-                    return;
-                }
-                metrics.record_batch_bisection();
-                const std::size_t mid = begin + (end - begin) / 2;
-                self(self, begin, mid, false);
-                self(self, mid, end, false);
-            };
-
-            const auto dispatch_start = std::chrono::steady_clock::now();
-            resolve(resolve, 0, batch_size, true);
-            const auto end = std::chrono::steady_clock::now();
-            supervisor.clear(generation);
-            service_seconds = std::chrono::duration<double>(end - dispatch_start).count();
-            metrics.record_batch(batch_size, service_seconds);
-            metrics.record_class_batch(batch.cls);
-            metrics.record_path(batch_path);
-            metrics.record_batch_estimate(estimated_seconds, service_seconds);
-            const bool abandoned = inflight->abandoned();
-            for (std::size_t i = 0; i < batch_size; ++i) {
-                typename micro_batcher<T>::request &req = batch.requests[i];
-                if (errors[i] != nullptr) {
-                    inflight->set_exception(i, errors[i]);
-                    continue;
-                }
-                if (abandoned) {
-                    // the watchdog failed this batch mid-evaluation: don't
-                    // record completions for requests whose futures already
-                    // hold a stall error (late set_value is a no-op anyway)
-                    inflight->set_value(i, labels[i]);
-                    continue;
-                }
-                const bool deadline_missed = req.deadline != no_deadline && end > req.deadline;
-                obs::stage_seconds stages{};
-                stages[obs::stage_index(obs::trace_stage::admission)] = std::chrono::duration<double>(req.enqueued - req.admitted).count();
-                stages[obs::stage_index(obs::trace_stage::queue_wait)] = std::chrono::duration<double>(batch.sealed - req.enqueued).count();
-                stages[obs::stage_index(obs::trace_stage::dispatch)] = std::chrono::duration<double>(dispatch_start - batch.sealed).count();
-                stages[obs::stage_index(obs::trace_stage::service)] = service_seconds;
-                mean_queue_wait_seconds += stages[obs::stage_index(obs::trace_stage::queue_wait)];
-                metrics.record_request_trace(batch.cls, stages, std::chrono::duration<double>(end - req.admitted).count(), deadline_missed);
-                if (req.traced) {
-                    obs::request_trace trace{};
-                    trace.id = req.trace_id;
-                    trace.cls = batch.cls;
-                    trace.path = batch_path;
-                    trace.deadline_missed = deadline_missed;
-                    trace.batch_size = batch_size;
-                    trace.estimated_batch_seconds = estimated_seconds;
-                    trace.t_admit_ns = recorder.to_ns(req.admitted);
-                    trace.t_enqueue_ns = recorder.to_ns(req.enqueued);
-                    trace.t_seal_ns = recorder.to_ns(batch.sealed);
-                    trace.t_dispatch_ns = recorder.to_ns(dispatch_start);
-                    trace.t_complete_ns = recorder.to_ns(end);
-                    if (req.wire != nullptr) {
-                        // wire-traced: convert the head net stamps into the
-                        // recorder's epoch, park the partial trace in the
-                        // context, and let the net completion path publish it
-                        // once the response is flushed (the tail stamps don't
-                        // exist yet)
-                        trace.t_net_accepted_ns = recorder.to_ns(req.wire->accepted);
-                        trace.t_net_read_ns = recorder.to_ns(req.wire->read_done);
-                        trace.t_net_decoded_ns = recorder.to_ns(req.wire->decoded);
-                        trace.t_net_dispatch_ns = recorder.to_ns(req.wire->dispatched);
-                        req.wire->trace = trace;
-                        req.wire->engine_filled.store(true, std::memory_order_release);
-                    } else {
-                        recorder.record_complete(trace);
-                    }
-                }
-                // settle LAST: a caller waking from future.get() must already
-                // see this request in the metrics (tests and scrapers read
-                // stats() right after get() returns)
-                inflight->set_value(i, labels[i]);
-            }
-            mean_queue_wait_seconds /= static_cast<double>(batch_size);
-        } catch (...) {
-            // out-of-band failure (e.g. allocation of the bookkeeping vectors):
-            // settle whatever is still pending with the raw cause
-            supervisor.clear(generation);
-            inflight->fail_unsettled(std::current_exception());
-        }
-        if (supervisor.generation() != generation) {
-            return;  // abandoned by the watchdog mid-batch: a fresh lane took over
-        }
-        post_batch(mean_queue_wait_seconds, service_seconds);
-    }
-}
-
-/// Shared admission gate of the async submit paths: consult the controller,
-/// record the decision (metrics counter + flight-recorder shed event), and
-/// fail the shed request fast with the typed error.
-/// @return the admission instant — trace stamp 1 of the admitted request
-template <typename T>
-std::chrono::steady_clock::time_point admit_or_shed(admission_controller &admission, serve_metrics &metrics,
-                                                    obs::flight_recorder &recorder, const micro_batcher<T> &batcher,
-                                                    const request_class cls) {
-    const auto now = std::chrono::steady_clock::now();
-    const admission_decision decision = admission.try_admit(cls, batcher.pending(cls), now);
-    metrics.record_admission(cls, decision);
-    if (decision != admission_decision::admitted) {
-        recorder.record_shed(cls, decision);
-        // rate-limited sheds carry a structured retry-after hint from the
-        // token bucket's refill rate; backlog sheds clear on drain progress,
-        // not on a predictable schedule, so they carry none
-        const std::chrono::microseconds retry_after = decision == admission_decision::shed_rate_limited
-                                                          ? admission.retry_after(cls, now)
-                                                          : std::chrono::microseconds{ 0 };
-        throw request_shed_exception{ cls, decision, retry_after };
-    }
-    return now;
-}
-
-/// The deadline budget a request is enqueued with: its own, else the class
-/// default from the QoS config (0 = none either way). Shared by the engines.
-[[nodiscard]] inline std::chrono::microseconds effective_deadline(const admission_controller &admission, const request_options &options) {
-    return options.deadline.count() > 0 ? options.deadline : admission.config(options.cls).deadline_budget;
-}
-
-/// Drain-thread-local state + shared body of the adaptive-batching feedback
-/// loop (both engines retune identically after every drained batch): feed
-/// the lane telemetry and batcher backlog into the tuner, publish the
-/// recomputed per-class policies. The executor-wide scan (a lock-free sweep
-/// over every lane's atomic counters since the work-stealing rewrite) is
-/// still refreshed only every 8th batch — cross-tenant pressure moves
-/// slowly, and the full lane walk per batch would be pointless cache
-/// traffic even without a lock to contend on.
-struct qos_feedback {
-    std::size_t retune_counter{ 0 };
-    std::size_t cached_cross_lane{ 0 };
-
-    template <typename T>
-    void retune(executor &exec, const executor::lane &lane_handle, batch_tuner &tuner, micro_batcher<T> &batcher,
-                const double queue_wait_seconds = 0.0, const double service_seconds = 0.0) {
-        const lane_stats lane = lane_handle.stats();
-        if (retune_counter++ % 8 == 0) {
-            const executor_stats exec_stats = exec.stats();
-            cached_cross_lane = exec_stats.queued >= lane.queue_depth ? exec_stats.queued - lane.queue_depth : 0;
-        }
-        tuner.observe(batcher.pending(), lane.queue_depth, lane.stolen, cached_cross_lane, queue_wait_seconds, service_seconds);
-        batcher.set_class_policies(tuner.policies());
-    }
-};
-
-/// Copy the live QoS state (flush wakeups, saturation, per-class adaptive
-/// targets, retry-after hints) into @p stats — the shared tail of both
-/// engines' `stats()`.
-template <typename T>
-void fill_qos_stats(serve_stats &stats, const micro_batcher<T> &batcher, const batch_tuner &tuner,
-                    const admission_controller &admission) {
-    stats.flush_timer_wakeups = batcher.timer_wakeups();
-    stats.batch_saturation = tuner.saturation();
-    const per_class<class_batch_policy> policies = batcher.class_policies();
-    for (const request_class cls : all_request_classes) {
-        stats.classes[class_index(cls)].target_batch_size = policies[class_index(cls)].target_batch_size;
-        stats.classes[class_index(cls)].flush_delay_seconds = std::chrono::duration<double>(policies[class_index(cls)].flush_delay).count();
-        // static per-token spacing of the class's token bucket — the steady
-        // retry-after a rate-limited client of this class should expect
-        const double rate = admission.config(cls).rate_limit;
-        stats.classes[class_index(cls)].retry_after_hint_seconds = rate > 0.0 ? 1.0 / rate : 0.0;
-    }
-}
-
-/// Copy the live fault-plane state (health, breaker states/trips, stall
-/// restarts) into @p stats — shared by both engines' `stats()`. The counter
-/// fields (quarantines, retries, bisections, stall/shutdown failures) are
-/// filled by `serve_metrics::snapshot()` already.
-inline void fill_fault_stats(serve_stats &stats, fault::fault_plane &plane, const fault::health_monitor &health,
-                             const std::size_t stall_restarts) {
-    const auto now = std::chrono::steady_clock::now();
-    stats.fault.health = health.state();
-    stats.fault.health_transitions = health.transitions();
-    stats.fault.stall_restarts = stall_restarts;
-    stats.fault.breaker_trips = plane.ladder().trips();
-    for (const predict_path path : { predict_path::reference, predict_path::host_blocked, predict_path::host_sparse, predict_path::device }) {
-        stats.fault.breaker_states[static_cast<std::size_t>(path)] = plane.ladder().state(path, now);
-    }
-}
-
-}  // namespace detail
-
 /// Resolve the "auto" parts of @p params against the engine's actual lane
 /// concurrency and element type so the cost estimates match the host that
 /// will run the batch. A default host profile is replaced with calibrated
@@ -452,9 +143,9 @@ inline void fill_fault_stats(serve_stats &stats, fault::fault_plane &plane, cons
 }
 
 /// Partition @p num_rows of @p points across @p lane and run the serial range
-/// kernel @p serial (`serial(points, begin, end, out + begin)`) per chunk.
-/// Shared by the binary and multi-class engines, for dense (`aos_matrix`) and
-/// sparse (`csr_matrix`) batches along every host execution path.
+/// kernel @p serial (`serial(points, begin, end, out + begin)`) per chunk,
+/// for dense (`aos_matrix`) and sparse (`csr_matrix`) batches along every
+/// host execution path.
 template <typename T, typename Matrix, typename Serial>
 void pooled_evaluate(executor::lane &lane, const Matrix &points, T *out, Serial &&serial) {
     const std::size_t num_rows = points.num_rows();
@@ -498,18 +189,12 @@ void pooled_decision_values(const compiled_model<T> &cm, executor::lane &lane, c
     });
 }
 
-/**
- * @brief Evaluate one batch along an already-chosen execution path.
- *
- * Reference batches run serially (they are tiny by construction), blocked
- * host batches are partitioned across @p lane, device batches run as one
- * launch on the (simulated, single) device. @p packed must be the SoA-packed
- * batch when @p path is `device` (callers evaluating several models against
- * one batch pack once), and may be nullptr otherwise.
- */
+/// Evaluate one dense batch along an already-chosen execution path:
+/// reference batches run serially (they are tiny by construction), the
+/// blocked and sparse host sweeps are partitioned across @p lane.
 template <typename T>
 void decision_values_via_path(const compiled_model<T> &cm, const predict_path path, executor::lane &lane,
-                              const aos_matrix<T> &points, const soa_matrix<T> *packed, T *out) {
+                              const aos_matrix<T> &points, T *out) {
     switch (path) {
         case predict_path::reference:
             cm.decision_values_reference_into(points, 0, points.num_rows(), out);
@@ -522,36 +207,7 @@ void decision_values_via_path(const compiled_model<T> &cm, const predict_path pa
                 cm.decision_values_sparse_into(pts, begin, end, o);
             });
             break;
-        case predict_path::device:
-            cm.decision_values_device_into(*packed, out);
-            break;
     }
-}
-
-/// The dispatch shape of one dense query batch against @p cm (the sparse SV
-/// sweeps only compete when the model compiled the sparse form).
-template <typename T>
-[[nodiscard]] predict_shape dense_batch_shape(const compiled_model<T> &cm, const std::size_t batch_size) {
-    return predict_shape{ batch_size, cm.num_support_vectors(), cm.num_features(), cm.params().kernel,
-                          cm.sparse_sv() ? cm.sv_nnz() : 0 };
-}
-
-/**
- * @brief Evaluate one batch through the execution path the dispatcher picks
- *        for its shape. Shared by the binary and multi-class engines.
- * @return the chosen path, for `serve_metrics::record_path`
- */
-template <typename T>
-predict_path dispatched_decision_values(const compiled_model<T> &cm, const predict_dispatcher &dispatcher,
-                                        executor::lane &lane, const aos_matrix<T> &points, T *out) {
-    const predict_path path = dispatcher.choose(dense_batch_shape(cm, points.num_rows()));
-    if (path == predict_path::device) {
-        const soa_matrix<T> packed = transform_to_soa(points, compiled_model_row_padding);
-        decision_values_via_path(cm, path, lane, points, &packed, out);
-    } else {
-        decision_values_via_path<T>(cm, path, lane, points, nullptr, out);
-    }
-    return path;
 }
 
 template <typename T>
@@ -568,30 +224,14 @@ class inference_engine {
     explicit inference_engine(const model<T> &trained, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
         inference_engine{ compiled_model<T>{ trained, config.compile }, config, std::move(input_scaling) } {}
 
-    /// Take ownership of an already-compiled model and start the engine.
+    /// Take ownership of an already-compiled binary model and start the engine.
     explicit inference_engine(compiled_model<T> compiled, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
-        config_{ config },
-        exec_{ config.exec != nullptr ? config.exec : &executor::process_wide() },
-        lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads, .weight = config.lane_weight, .home_domain = config.home_domain }) },
-        num_features_{ compiled.num_features() },
-        snapshot_{ std::make_shared<const snapshot_type>(snapshot_type{ std::move(compiled), std::move(input_scaling), 1 }) },
-        dispatcher_{ resolved_dispatch(config.dispatch, lane_.max_concurrency(), sizeof(T)) },
-        admission_{ config.qos },
-        tuner_{ config.qos, batch_policy{ config.max_batch_size, config.batch_delay },
-                [this](const std::size_t batch_size) { return estimated_batch_seconds(batch_size); } },
-        batcher_{ batch_policy{ config.max_batch_size, config.batch_delay } },
-        recorder_{ config.obs },
-        fault_plane_{ config.fault },
-        slo_{ config.slo } {
-        batcher_.set_class_policies(tuner_.policies());
-        supervisor_.start(
-            config_.fault.watchdog,
-            [this](const std::uint64_t generation) { drain_loop(generation); },
-            [this](const std::size_t, const std::size_t failed_requests) {
-                metrics_.record_stall_failures(failed_requests);
-                update_health();
-            });
-    }
+        inference_engine{ snapshot_type{ std::move(compiled), std::move(input_scaling) }, config } {}
+
+    /// Compile every binary head of the one-vs-all @p ensemble and start the
+    /// engine.
+    explicit inference_engine(const ext::multiclass_model<T> &ensemble, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
+        inference_engine{ snapshot_type{ ensemble, config.compile, std::move(input_scaling) }, config } {}
 
     inference_engine(const inference_engine &) = delete;
     inference_engine &operator=(const inference_engine &) = delete;
@@ -615,12 +255,18 @@ class inference_engine {
     [[nodiscard]] const predict_dispatcher &dispatcher() const noexcept { return dispatcher_; }
     [[nodiscard]] executor &shared_executor() const noexcept { return *exec_; }
     [[nodiscard]] std::size_t num_features() const noexcept { return num_features_; }
+    /// Whether the engine serves a one-vs-all ensemble (fixed for its lifetime).
+    [[nodiscard]] bool ensemble() const noexcept { return ensemble_; }
+    /// Compiled heads per snapshot: 1 for a binary model, k for a k-class ensemble.
+    [[nodiscard]] std::size_t num_heads() const noexcept { return num_heads_; }
+    /// The ensemble's class labels in head order (empty for a binary model).
+    [[nodiscard]] std::vector<T> class_labels() const { return snapshot_.load()->class_labels; }
     /// Effective parallelism: the lane quota clamped to the executor size.
     [[nodiscard]] std::size_t num_threads() const noexcept { return lane_.max_concurrency(); }
     /// NUMA domain the engine's lane is homed on (0 on single-node hosts).
     [[nodiscard]] std::size_t home_domain() const noexcept { return lane_.home_domain(); }
     /// Async requests accepted but not yet drained — the load signal the
-    /// sharded submit router balances replicas by.
+    /// registry balances replicas by.
     [[nodiscard]] std::size_t pending_requests() const { return batcher_.pending(); }
     /// Version tag of the currently served snapshot (starts at 1).
     [[nodiscard]] std::uint64_t snapshot_version() const { return snapshot_.load()->version; }
@@ -638,34 +284,46 @@ class inference_engine {
      * model between the dense and sparse compiled forms purely based on the
      * replacement's SV density — with zero downtime either way.
      *
-     * @throws plssvm::invalid_data_exception if the feature count differs
+     * @throws plssvm::invalid_data_exception if the engine serves an
+     *         ensemble or the feature count differs (checked before the
+     *         compile, so a doomed reload fails fast)
      */
     void reload(const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
-        install(compiled_model<T>{ trained, config_.compile }, std::move(input_scaling));
+        check_replacement(false, 1, trained.num_features());
+        publish(snapshot_type{ compiled_model<T>{ trained, config_.compile }, std::move(input_scaling) });
     }
 
-    /// Swap in an already-compiled replacement model (same feature count).
+    /// Zero-downtime ensemble replacement (same contract as the binary
+    /// overload).
+    /// @throws plssvm::invalid_data_exception if the engine serves a binary
+    ///         model or the class or feature count differs
+    void reload(const ext::multiclass_model<T> &ensemble, scaling_ptr<T> input_scaling = nullptr) {
+        const std::vector<model<T>> &heads = ensemble.binary_models();
+        check_replacement(true, ensemble.num_classes(), heads.empty() ? 0 : heads.front().num_features());
+        publish(snapshot_type{ ensemble, config_.compile, std::move(input_scaling) });
+    }
+
+    /// Swap in an already-compiled binary replacement (same feature count).
     void install(compiled_model<T> fresh, scaling_ptr<T> input_scaling = nullptr) {
-        if (fresh.num_features() != num_features_) {
-            throw invalid_data_exception{ "Reload feature count mismatch: engine serves " + std::to_string(num_features_) + " features but the replacement model has " + std::to_string(fresh.num_features()) + "!" };
-        }
-        // version assignment and publication under one lock: concurrent
-        // installs must not publish out of version order (a reader could
-        // otherwise see the version counter regress)
-        const std::lock_guard lock{ install_mutex_ };
-        snapshot_.store(std::make_shared<const snapshot_type>(snapshot_type{ std::move(fresh), std::move(input_scaling), ++last_version_ }));
-        metrics_.record_reload();
+        check_replacement(false, 1, fresh.num_features());
+        publish(snapshot_type{ std::move(fresh), std::move(input_scaling) });
     }
 
-    /// Synchronous batched decision values through the dispatched execution
-    /// path (host batches partitioned across the engine's lane). @p points
-    /// are raw client features; a snapshot-attached scaling is applied here.
+    /// Synchronous batched decision values of a binary model through the
+    /// dispatched execution path (host batches partitioned across the
+    /// engine's lane). @p points are raw client features; a snapshot-attached
+    /// scaling is applied here.
+    /// @throws plssvm::invalid_parameter_exception for an ensemble (see
+    ///         `decision_matrix`)
     [[nodiscard]] std::vector<T> decision_values(const aos_matrix<T> &points) {
-        return decision_values_on(snapshot_.load(), points);
+        require_binary();
+        aos_matrix<T> scores = scores_on(*snapshot_.load(), points);
+        return std::move(scores.data());  // one column: the storage is the value vector
     }
 
     /**
-     * @brief Synchronous batched decision values over sparse CSR queries.
+     * @brief Synchronous batched decision values of a binary model over
+     *        sparse CSR queries.
      *
      * Linear models take the O(nnz)-per-row sparse dot fast path of
      * `compiled_model` (the merge-join against the sparse `w` when the
@@ -674,13 +332,14 @@ class inference_engine {
      * densify tiles internally and run the blocked kernels. The dispatcher
      * decides per batch between serial (`reference`, tiny batches) and the
      * pooled host paths (`host_blocked` / `host_sparse`) from the nnz-aware
-     * cost terms; the device has no sparse kernels and never serves CSR
-     * batches. A snapshot-attached scaling densifies the batch (explicit
+     * cost terms. A snapshot-attached scaling densifies the batch (explicit
      * zeros scale to non-zero values) and takes the dense path.
      */
     [[nodiscard]] std::vector<T> decision_values(const csr_matrix<T> &points) {
+        require_binary();
         const snapshot_ptr snap = snapshot_.load();
-        snap->compiled.validate_features(points.num_cols());
+        const compiled_model<T> &compiled = snap->heads.front();
+        compiled.validate_features(points.num_cols());
         if (snap->input_scaling != nullptr) {
             // min-max scaling maps explicit zeros to non-zero values, so the
             // sparse fast paths cannot apply: take the dense batch path
@@ -692,17 +351,17 @@ class inference_engine {
             return values;
         }
         const auto start = std::chrono::steady_clock::now();
-        predict_shape shape = dense_batch_shape(snap->compiled, num_rows);
+        predict_shape shape = batch_shape(*snap, num_rows);
         shape.sparse_query = true;
         shape.query_nnz = points.num_nonzeros();
         predict_path path = dispatcher_.choose(shape);
         if (path == predict_path::reference) {
             // too small to be worth the lane round trip: run on this thread
-            snap->compiled.decision_values_into(points, 0, num_rows, values.data());
+            compiled.decision_values_into(points, 0, num_rows, values.data());
         } else if (path == predict_path::host_sparse) {
             // the CSR serial kernel: the sparse merge-join/row-pair sweeps
             // (or the O(nnz) linear fast path) over lane-partitioned chunks
-            pooled_decision_values(snap->compiled, lane_, points, values.data());
+            pooled_decision_values(compiled, lane_, points, values.data());
         } else {
             // the nnz-aware cost terms prefer the dense blocked sweep for
             // this shape (dense-ish batch, or merge-join-hostile panel):
@@ -710,26 +369,29 @@ class inference_engine {
             // the tiled kernels
             path = predict_path::host_blocked;
             pooled_evaluate(lane_, points, values.data(),
-                            [&compiled = snap->compiled](const csr_matrix<T> &pts, const std::size_t begin, const std::size_t end, T *o) {
+                            [&compiled](const csr_matrix<T> &pts, const std::size_t begin, const std::size_t end, T *o) {
                                 compiled.decision_values_densified_into(pts, begin, end, o);
                             });
         }
-        const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        metrics_.record_batch(num_rows, elapsed);
-        metrics_.record_path(path);
-        metrics_.record_request_latency(elapsed);
+        record_sync_batch(num_rows, path, start);
         return values;
     }
 
-    /// Synchronous batched label prediction (values and label mapping come
-    /// from one snapshot, even if a reload lands mid-call).
+    /// Per-head scores: entry (point, head) is head `head`'s decision value,
+    /// oriented toward its class for an ensemble (one column for a binary
+    /// model). @p points are raw client features; a snapshot-attached
+    /// scaling is applied here.
+    [[nodiscard]] aos_matrix<T> decision_matrix(const aos_matrix<T> &points) {
+        return scores_on(*snapshot_.load(), points);
+    }
+
+    /// Synchronous batched label prediction: `label_from_decision` for a
+    /// binary model, the argmax over oriented scores for an ensemble. Scores
+    /// and label mapping come from one snapshot, even if a reload lands
+    /// mid-call.
     [[nodiscard]] std::vector<T> predict(const aos_matrix<T> &points) {
         const snapshot_ptr snap = snapshot_.load();
-        std::vector<T> values = decision_values_on(snap, points);
-        for (T &v : values) {
-            v = snap->compiled.label_from_decision(v);
-        }
-        return values;
+        return labels_of(*snap, scores_on(*snap, points));
     }
 
     /**
@@ -768,8 +430,8 @@ class inference_engine {
     [[nodiscard]] std::future<T> submit(std::vector<T> point, const request_options &options,
                                         std::shared_ptr<obs::wire_trace_context> wire) {
         compiled_model<T>::validate_feature_count(num_features_, point.size());
-        const auto admitted = detail::admit_or_shed(admission_, metrics_, recorder_, batcher_, options.cls);
-        const std::chrono::microseconds deadline = detail::effective_deadline(admission_, options);
+        const auto admitted = admit_or_shed(options.cls);
+        const std::chrono::microseconds deadline = options.deadline.count() > 0 ? options.deadline : admission_.config(options.cls).deadline_budget;
         std::uint64_t trace_id = 0;
         if (wire != nullptr && wire->client_supplied) {
             trace_id = wire->trace_id != 0 ? wire->trace_id : recorder_.next_trace_id();
@@ -791,13 +453,14 @@ class inference_engine {
      * The point is densified at submit time — the micro-batcher assembles
      * dense batch matrices — so sparse clients skip sending explicit zeros
      * over the wire but share the batched execution paths (including
-     * admission control and per-class accounting).
+     * admission control, per-class accounting and wire tracing).
      * @throws plssvm::invalid_data_exception if any feature index is out of
      *         range for the model
      * @throws plssvm::serve::request_shed_exception if admission control
      *         sheds the request
      */
-    [[nodiscard]] std::future<T> submit(const std::vector<typename csr_matrix<T>::entry> &sparse_point, const request_options &options = {}) {
+    [[nodiscard]] std::future<T> submit(const std::vector<typename csr_matrix<T>::entry> &sparse_point, const request_options &options = {},
+                                        std::shared_ptr<obs::wire_trace_context> wire = nullptr) {
         std::vector<T> dense(num_features_, T{ 0 });
         for (const auto &e : sparse_point) {
             if (e.index >= num_features_) {
@@ -805,15 +468,13 @@ class inference_engine {
             }
             dense[e.index] = e.value;
         }
-        const auto admitted = detail::admit_or_shed(admission_, metrics_, recorder_, batcher_, options.cls);
-        const std::chrono::microseconds deadline = detail::effective_deadline(admission_, options);
-        const std::uint64_t trace_id = recorder_.should_trace(options.cls, deadline.count() > 0) ? recorder_.next_trace_id() : 0;
-        return batcher_.enqueue(std::move(dense), options.cls, deadline, admitted, trace_id);
+        return submit(std::move(dense), options, std::move(wire));
     }
 
     /// Current latency/throughput aggregates, including the engine's lane
-    /// counters on the shared executor, the served snapshot version, and the
-    /// live per-class QoS state (admission counters, adaptive batch targets).
+    /// counters on the shared executor, the served snapshot version, the
+    /// live per-class QoS state (admission counters, adaptive batch targets)
+    /// and the fault plane (health, breaker states/trips, stall restarts).
     [[nodiscard]] serve_stats stats() const {
         serve_stats stats = metrics_.snapshot();
         const lane_stats lane = lane_.stats();
@@ -823,8 +484,28 @@ class inference_engine {
         stats.executor_threads = exec_->size();
         stats.home_domain = lane_.home_domain();
         stats.snapshot_version = snapshot_.load()->version;
-        detail::fill_qos_stats(stats, batcher_, tuner_, admission_);
-        detail::fill_fault_stats(stats, fault_plane_, health_, supervisor_.stall_restarts());
+        stats.flush_timer_wakeups = batcher_.timer_wakeups();
+        stats.batch_saturation = tuner_.saturation();
+        const per_class<class_batch_policy> policies = batcher_.class_policies();
+        for (const request_class cls : all_request_classes) {
+            class_serve_stats &c = stats.classes[class_index(cls)];
+            c.target_batch_size = policies[class_index(cls)].target_batch_size;
+            c.flush_delay_seconds = std::chrono::duration<double>(policies[class_index(cls)].flush_delay).count();
+            // static per-token spacing of the class's token bucket — the
+            // steady retry-after a rate-limited client of this class should
+            // expect
+            const double rate = admission_.config(cls).rate_limit;
+            c.retry_after_hint_seconds = rate > 0.0 ? 1.0 / rate : 0.0;
+        }
+        // the counter fields of `stats.fault` come from the metrics snapshot
+        const auto now = std::chrono::steady_clock::now();
+        stats.fault.health = health_.state();
+        stats.fault.health_transitions = health_.transitions();
+        stats.fault.stall_restarts = supervisor_.stall_restarts();
+        stats.fault.breaker_trips = fault_plane_.ladder().trips();
+        for (const predict_path path : { predict_path::reference, predict_path::host_blocked, predict_path::host_sparse }) {
+            stats.fault.breaker_states[static_cast<std::size_t>(path)] = fault_plane_.ladder().state(path, now);
+        }
         return stats;
     }
 
@@ -927,74 +608,396 @@ class inference_engine {
     }
 
   private:
-    /// Shared body of `decision_values` / `predict`: evaluate the whole
-    /// batch against the one snapshot the caller loaded.
-    [[nodiscard]] std::vector<T> decision_values_on(const snapshot_ptr &snap, const aos_matrix<T> &points) {
-        snap->compiled.validate_features(points.num_cols());
-        std::vector<T> values(points.num_rows());
-        if (values.empty()) {
-            return values;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        predict_path path{};
-        if (snap->input_scaling != nullptr) {
-            aos_matrix<T> scaled = points;  // never mutate the caller's batch
-            snap->input_scaling->transform(scaled);
-            path = dispatched_decision_values(snap->compiled, dispatcher_, lane_, scaled, values.data());
-        } else {
-            path = dispatched_decision_values(snap->compiled, dispatcher_, lane_, points, values.data());
-        }
-        const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        metrics_.record_batch(points.num_rows(), elapsed);
-        metrics_.record_path(path);
-        metrics_.record_request_latency(elapsed);
-        return values;
+    /// Start serving @p initial (published as version 1).
+    inference_engine(snapshot_type initial, const engine_config &config) :
+        config_{ config },
+        exec_{ config.exec != nullptr ? config.exec : &executor::process_wide() },
+        lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads, .weight = config.lane_weight, .home_domain = config.home_domain }) },
+        num_features_{ initial.heads.front().num_features() },
+        num_heads_{ initial.heads.size() },
+        ensemble_{ initial.ensemble() },
+        snapshot_{ versioned(std::move(initial), 1) },
+        // the dispatcher must be resolved BEFORE the tuner: the tuner's
+        // constructor already evaluates the latency estimator, which reads it
+        dispatcher_{ resolved_dispatch(config.dispatch, lane_.max_concurrency(), sizeof(T)) },
+        admission_{ config.qos },
+        tuner_{ config.qos, batch_policy{ config.max_batch_size, config.batch_delay },
+                [this](const std::size_t batch_size) { return estimated_batch_seconds(batch_size); } },
+        batcher_{ batch_policy{ config.max_batch_size, config.batch_delay } },
+        recorder_{ config.obs },
+        fault_plane_{ config.fault },
+        slo_{ config.slo } {
+        batcher_.set_class_policies(tuner_.policies());
+        supervisor_.start(
+            config_.fault.watchdog,
+            [this](const std::uint64_t generation) { drain_loop(generation); },
+            [this](const std::size_t, const std::size_t failed_requests) {
+                metrics_.record_stall_failures(failed_requests);
+                update_health();
+            });
     }
 
+    [[nodiscard]] static snapshot_ptr versioned(snapshot_type snap, const std::uint64_t version) {
+        snap.version = version;
+        return std::make_shared<const snapshot_type>(std::move(snap));
+    }
+
+    /// @throws plssvm::invalid_data_exception if a replacement of the given
+    ///         kind and shape cannot take over this engine's traffic
+    void check_replacement(const bool ensemble, const std::size_t heads, const std::size_t features) const {
+        if (ensemble != ensemble_) {
+            throw invalid_data_exception{ std::string{ "Reload type mismatch: engine serves a " } + (ensemble_ ? "one-vs-all ensemble" : "binary model") + " but the replacement is a " + (ensemble ? "one-vs-all ensemble" : "binary model") + "!" };
+        }
+        if (heads != num_heads_) {
+            throw invalid_data_exception{ "Reload class count mismatch: engine serves " + std::to_string(num_heads_) + " classes but the replacement has " + std::to_string(heads) + "!" };
+        }
+        if (features != num_features_) {
+            throw invalid_data_exception{ "Reload feature count mismatch: engine serves " + std::to_string(num_features_) + " features but the replacement model has " + std::to_string(features) + "!" };
+        }
+    }
+
+    /// Version assignment and publication under one lock: concurrent
+    /// installs must not publish out of version order (a reader could
+    /// otherwise see the version counter regress).
+    void publish(snapshot_type fresh) {
+        const std::lock_guard lock{ install_mutex_ };
+        snapshot_.store(versioned(std::move(fresh), ++last_version_));
+        metrics_.record_reload();
+    }
+
+    void require_binary() const {
+        if (ensemble_) {
+            throw invalid_parameter_exception{ "decision_values serves binary models; use decision_matrix for a one-vs-all ensemble!" };
+        }
+    }
+
+    /// The dispatch shape of one dense batch. Every head shares (batch,
+    /// num_sv, dim, kernel), but the sparse compiled form is decided *per
+    /// head* by its own density — so the sparse path is only on offer when
+    /// EVERY head has it, and the cost term covers the densest head's panel
+    /// (all heads run the same chosen path).
+    [[nodiscard]] static predict_shape batch_shape(const snapshot_type &snap, const std::size_t batch_size) {
+        const compiled_model<T> &front = snap.heads.front();
+        predict_shape shape{ batch_size, front.num_support_vectors(), front.num_features(), front.params().kernel };
+        if (snap.sparse_sv()) {
+            for (const compiled_model<T> &head : snap.heads) {
+                shape.sv_nnz = std::max(shape.sv_nnz, head.sv_nnz());
+            }
+        }
+        return shape;
+    }
+
+    /// Oriented per-head scores of @p points along @p path into @p scores
+    /// (one column per head). Every head runs the same path, which the
+    /// caller chose for this very snapshot.
+    void score_along(const snapshot_type &snap, const predict_path path, const aos_matrix<T> &points, aos_matrix<T> &scores) {
+        const std::size_t num_points = points.num_rows();
+        std::vector<T> values(num_points);
+        for (std::size_t h = 0; h < snap.heads.size(); ++h) {
+            decision_values_via_path(snap.heads[h], path, lane_, points, values.data());
+            for (std::size_t p = 0; p < num_points; ++p) {
+                scores(p, h) = snap.orientation[h] * values[p];
+            }
+        }
+    }
+
+    /// Labels of every row of @p scores.
+    [[nodiscard]] static std::vector<T> labels_of(const snapshot_type &snap, const aos_matrix<T> &scores) {
+        std::vector<T> labels(scores.num_rows());
+        for (std::size_t p = 0; p < labels.size(); ++p) {
+            labels[p] = snap.label(scores.row_data(p));
+        }
+        return labels;
+    }
+
+    /// Shared body of the synchronous dense entry points: score the whole
+    /// batch against the one snapshot the caller loaded, along the
+    /// dispatched path.
+    [[nodiscard]] aos_matrix<T> scores_on(const snapshot_type &snap, const aos_matrix<T> &points) {
+        snap.heads.front().validate_features(points.num_cols());
+        aos_matrix<T> scores{ points.num_rows(), snap.heads.size() };
+        if (points.num_rows() == 0) {
+            return scores;
+        }
+        const auto start = std::chrono::steady_clock::now();
+        const predict_path path = dispatcher_.choose(batch_shape(snap, points.num_rows()));
+        if (snap.input_scaling != nullptr) {
+            aos_matrix<T> scaled = points;  // never mutate the caller's batch
+            snap.input_scaling->transform(scaled);
+            score_along(snap, path, scaled, scores);
+        } else {
+            score_along(snap, path, points, scores);
+        }
+        record_sync_batch(points.num_rows(), path, start);
+        return scores;
+    }
+
+    void record_sync_batch(const std::size_t num_points, const predict_path path, const std::chrono::steady_clock::time_point start) {
+        const double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+        metrics_.record_batch(num_points, elapsed);
+        metrics_.record_path(path);
+        metrics_.record_request_latency(elapsed);
+    }
+
+    /// Admission gate of the async submit path: consult the controller,
+    /// record the decision (metrics counter + flight-recorder shed event),
+    /// and fail the shed request fast with the typed error.
+    /// @return the admission instant — trace stamp 1 of the admitted request
+    [[nodiscard]] std::chrono::steady_clock::time_point admit_or_shed(const request_class cls) {
+        const auto now = std::chrono::steady_clock::now();
+        const admission_decision decision = admission_.try_admit(cls, batcher_.pending(cls), now);
+        metrics_.record_admission(cls, decision);
+        if (decision != admission_decision::admitted) {
+            recorder_.record_shed(cls, decision);
+            // rate-limited sheds carry a structured retry-after hint from the
+            // token bucket's refill rate; backlog sheds clear on drain
+            // progress, not on a predictable schedule, so they carry none
+            const std::chrono::microseconds retry_after = decision == admission_decision::shed_rate_limited
+                                                              ? admission_.retry_after(cls, now)
+                                                              : std::chrono::microseconds{ 0 };
+            throw request_shed_exception{ cls, decision, retry_after };
+        }
+        return now;
+    }
+
+    /**
+     * @brief Consumer loop of the drain thread: pull coalesced
+     *        class-homogeneous batches, assemble the batch matrix, evaluate
+     *        with retry/bisection under the fault plane, fulfil every promise
+     *        exactly once (value or typed error), record per-class metrics
+     *        and lifecycle traces, then retune the adaptive batch policies.
+     *
+     * Failure isolation: an evaluation attempt covers a contiguous request
+     * range and may throw (organically or via an injected fault). The full
+     * batch is retried up to `retry_config::max_attempts` with jittered
+     * exponential backoff; if it still fails, the range is bisected — each
+     * half evaluated without further whole-range retries — until the
+     * poisoned request is isolated at range size 1 and quarantined with a
+     * typed `request_failed_exception` (`fault::quarantine_error`). Every
+     * other request of the batch completes normally. Each attempt records
+     * success/failure into the per-path circuit breakers, and each attempt
+     * re-chooses its path among the non-tripped ones, so a persistently
+     * failing path demotes traffic down the ladder mid-batch.
+     *
+     * Watchdog protocol: before evaluating, the batch's promises are wrapped
+     * in a settle-once `fault::inflight_batch` and published to the
+     * supervisor with a deadline (when the watchdog is enabled). A stalled
+     * evaluation leads the watchdog to fail the unsettled promises and bump
+     * the lane generation; this loop re-checks `supervisor_.generation()` at
+     * every loop head and before the post-batch retune, exiting promptly
+     * once abandoned. All settles funnel through the inflight wrapper, so the
+     * racing drain thread and watchdog can never double-settle a promise.
+     */
     void drain_loop(const std::uint64_t generation) {
         // batches assembled and (for small rows) evaluated on this thread:
         // keep it on the CPUs whose memory holds the engine's SV panels
         (void) exec_->pin_current_thread_to_domain(lane_.home_domain());
-        detail::drain_requests(
-            batcher_, metrics_, recorder_, num_features_, fault_plane_, supervisor_, generation,
-            [this](const std::size_t range_size, const fault::path_mask &allowed) {
-                const snapshot_ptr snap = snapshot_.load();
-                return dispatcher_.choose(dense_batch_shape(snap->compiled, range_size), allowed);
-            },
-            [this](aos_matrix<T> &points, const predict_path path) {
-                // one snapshot for the whole attempt: scaling and model always match
-                const snapshot_ptr snap = snapshot_.load();
-                if (snap->input_scaling != nullptr) {
-                    snap->input_scaling->transform(points);  // attempt-owned matrix
+        while (supervisor_.generation() == generation) {
+            typename micro_batcher<T>::class_batch batch = batcher_.next_batch();
+            if (batch.empty()) {
+                return;  // shut down and drained
+            }
+            const std::size_t batch_size = batch.size();
+            // wrap the promises settle-once *before* any fallible work: from
+            // here on every exit path settles every slot exactly once
+            std::shared_ptr<fault::inflight_batch<T>> inflight;
+            try {
+                std::vector<std::promise<T>> promises;
+                promises.reserve(batch_size);
+                for (typename micro_batcher<T>::request &req : batch.requests) {
+                    promises.push_back(std::move(req.result));
                 }
-                std::vector<T> values(points.num_rows());
-                evaluate_on_path(snap->compiled, path, points, values.data());
-                for (T &v : values) {
-                    v = snap->compiled.label_from_decision(v);
+                inflight = std::make_shared<fault::inflight_batch<T>>(std::move(promises), batch.cls);
+            } catch (...) {
+                for (typename micro_batcher<T>::request &req : batch.requests) {
+                    req.result.set_exception(std::current_exception());
                 }
-                return values;
-            },
-            [this](const double queue_wait_seconds, const double service_seconds) {
-                feedback_.retune(*exec_, lane_, tuner_, batcher_, queue_wait_seconds, service_seconds);
-                update_health();
-            },
-            [this](const std::size_t batch_size) { return estimated_batch_seconds(batch_size); });
+                continue;
+            }
+            double mean_queue_wait_seconds = 0.0;
+            double service_seconds = 0.0;
+            try {
+                const double estimated_seconds = estimated_batch_seconds(batch_size);
+                const fault::watchdog_config &wd = fault_plane_.config().watchdog;
+                if (wd.stall_timeout.count() > 0) {
+                    const auto estimate_budget = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::duration<double>(wd.estimate_factor * estimated_seconds));
+                    supervisor_.publish(inflight, std::chrono::steady_clock::now() + std::max(wd.stall_timeout, estimate_budget), generation);
+                }
+
+                std::vector<T> labels(batch_size);
+                std::vector<std::exception_ptr> errors(batch_size);
+                predict_path batch_path = predict_path::reference;
+
+                // one evaluation attempt series over requests [begin, end):
+                // retry-with-backoff while allowed, each attempt on a freshly
+                // chosen (breaker-masked) path; returns the final error or null
+                const auto eval_range = [&](const std::size_t begin, const std::size_t end, const bool allow_retry) -> std::exception_ptr {
+                    const fault::retry_config &rc = fault_plane_.config().retry;
+                    const std::size_t max_attempts = allow_retry ? std::max<std::size_t>(1, rc.max_attempts) : 1;
+                    std::size_t attempt = 0;
+                    while (true) {
+                        predict_path path = predict_path::reference;
+                        bool chosen = false;
+                        try {
+                            fault::hook_dispatch(fault_plane_.inject());
+                            // one snapshot for the whole attempt: heads,
+                            // orientation, labels and scaling always belong
+                            // together
+                            const snapshot_ptr snap = snapshot_.load();
+                            path = dispatcher_.choose(batch_shape(*snap, end - begin), fault_plane_.ladder().allowed(std::chrono::steady_clock::now()));
+                            chosen = true;
+                            fault::hook_allocation(fault_plane_.inject());
+                            // fresh sub-matrix per attempt: the snapshot's
+                            // input scaling is applied to it in place
+                            aos_matrix<T> points{ end - begin, num_features_ };
+                            for (std::size_t i = begin; i < end; ++i) {
+                                std::copy(batch.requests[i].point.begin(), batch.requests[i].point.end(), points.row_data(i - begin));
+                            }
+                            const fault::kernel_hook_result injected = fault::hook_batch_kernel(
+                                fault_plane_.inject(), path, static_cast<std::ptrdiff_t>(begin), static_cast<std::ptrdiff_t>(end));
+                            if (snap->input_scaling != nullptr) {
+                                snap->input_scaling->transform(points);
+                            }
+                            aos_matrix<T> scores{ end - begin, snap->heads.size() };
+                            score_along(*snap, path, points, scores);
+                            std::vector<T> values = labels_of(*snap, scores);
+                            if (injected.wrong_result && !values.empty()) {
+                                values.front() = -values.front() + T{ 1 };  // deterministic corruption
+                            }
+                            std::copy(values.begin(), values.end(), labels.begin() + static_cast<std::ptrdiff_t>(begin));
+                            fault_plane_.ladder().record(path, true, std::chrono::steady_clock::now());
+                            batch_path = path;
+                            return nullptr;
+                        } catch (...) {
+                            if (chosen) {
+                                fault_plane_.ladder().record(path, false, std::chrono::steady_clock::now());
+                            }
+                            ++attempt;
+                            if (attempt >= max_attempts) {
+                                return std::current_exception();
+                            }
+                            metrics_.record_batch_retry();
+                            std::this_thread::sleep_for(fault_plane_.backoff(attempt));
+                        }
+                    }
+                };
+
+                // bisection: a range that exhausts its retries splits in half
+                // (halves evaluated attempt-once — the transient budget is
+                // spent) until the poisoned request is isolated and quarantined
+                const auto resolve = [&](const auto &self, const std::size_t begin, const std::size_t end, const bool allow_retry) -> void {
+                    const std::exception_ptr error = eval_range(begin, end, allow_retry);
+                    if (error == nullptr) {
+                        return;
+                    }
+                    if (end - begin == 1) {
+                        errors[begin] = fault::quarantine_error(error, batch.cls);
+                        metrics_.record_quarantine();
+                        return;
+                    }
+                    metrics_.record_batch_bisection();
+                    const std::size_t mid = begin + (end - begin) / 2;
+                    self(self, begin, mid, false);
+                    self(self, mid, end, false);
+                };
+
+                const auto dispatch_start = std::chrono::steady_clock::now();
+                resolve(resolve, 0, batch_size, true);
+                const auto end = std::chrono::steady_clock::now();
+                supervisor_.clear(generation);
+                service_seconds = std::chrono::duration<double>(end - dispatch_start).count();
+                metrics_.record_batch(batch_size, service_seconds);
+                metrics_.record_class_batch(batch.cls);
+                metrics_.record_path(batch_path);
+                metrics_.record_batch_estimate(estimated_seconds, service_seconds);
+                const bool abandoned = inflight->abandoned();
+                for (std::size_t i = 0; i < batch_size; ++i) {
+                    typename micro_batcher<T>::request &req = batch.requests[i];
+                    if (errors[i] != nullptr) {
+                        inflight->set_exception(i, errors[i]);
+                        continue;
+                    }
+                    if (abandoned) {
+                        // the watchdog failed this batch mid-evaluation: don't
+                        // record completions for requests whose futures
+                        // already hold a stall error (late set_value is a
+                        // no-op anyway)
+                        inflight->set_value(i, labels[i]);
+                        continue;
+                    }
+                    const bool deadline_missed = req.deadline != no_deadline && end > req.deadline;
+                    obs::stage_seconds stages{};
+                    stages[obs::stage_index(obs::trace_stage::admission)] = std::chrono::duration<double>(req.enqueued - req.admitted).count();
+                    stages[obs::stage_index(obs::trace_stage::queue_wait)] = std::chrono::duration<double>(batch.sealed - req.enqueued).count();
+                    stages[obs::stage_index(obs::trace_stage::dispatch)] = std::chrono::duration<double>(dispatch_start - batch.sealed).count();
+                    stages[obs::stage_index(obs::trace_stage::service)] = service_seconds;
+                    mean_queue_wait_seconds += stages[obs::stage_index(obs::trace_stage::queue_wait)];
+                    metrics_.record_request_trace(batch.cls, stages, std::chrono::duration<double>(end - req.admitted).count(), deadline_missed);
+                    if (req.traced) {
+                        obs::request_trace trace{};
+                        trace.id = req.trace_id;
+                        trace.cls = batch.cls;
+                        trace.path = batch_path;
+                        trace.deadline_missed = deadline_missed;
+                        trace.batch_size = batch_size;
+                        trace.estimated_batch_seconds = estimated_seconds;
+                        trace.t_admit_ns = recorder_.to_ns(req.admitted);
+                        trace.t_enqueue_ns = recorder_.to_ns(req.enqueued);
+                        trace.t_seal_ns = recorder_.to_ns(batch.sealed);
+                        trace.t_dispatch_ns = recorder_.to_ns(dispatch_start);
+                        trace.t_complete_ns = recorder_.to_ns(end);
+                        if (req.wire != nullptr) {
+                            // wire-traced: convert the head net stamps into
+                            // the recorder's epoch, park the partial trace in
+                            // the context, and let the net completion path
+                            // publish it once the response is flushed (the
+                            // tail stamps don't exist yet)
+                            trace.t_net_accepted_ns = recorder_.to_ns(req.wire->accepted);
+                            trace.t_net_read_ns = recorder_.to_ns(req.wire->read_done);
+                            trace.t_net_decoded_ns = recorder_.to_ns(req.wire->decoded);
+                            trace.t_net_dispatch_ns = recorder_.to_ns(req.wire->dispatched);
+                            req.wire->trace = trace;
+                            req.wire->engine_filled.store(true, std::memory_order_release);
+                        } else {
+                            recorder_.record_complete(trace);
+                        }
+                    }
+                    // settle LAST: a caller waking from future.get() must
+                    // already see this request in the metrics (tests and
+                    // scrapers read stats() right after get() returns)
+                    inflight->set_value(i, labels[i]);
+                }
+                mean_queue_wait_seconds /= static_cast<double>(batch_size);
+            } catch (...) {
+                // out-of-band failure (e.g. allocation of the bookkeeping
+                // vectors): settle whatever is still pending with the raw cause
+                supervisor_.clear(generation);
+                inflight->fail_unsettled(std::current_exception());
+            }
+            if (supervisor_.generation() != generation) {
+                return;  // abandoned by the watchdog mid-batch: a fresh lane took over
+            }
+            retune(mean_queue_wait_seconds, service_seconds);
+            update_health();
+        }
     }
 
-    /// Evaluate one dense batch along an already-chosen path, tolerating a
-    /// snapshot swap between the path choice and the evaluation: a reload may
-    /// have dropped the sparse compiled form, in which case the sparse sweep
-    /// demotes to the blocked dense path.
-    void evaluate_on_path(const compiled_model<T> &cm, predict_path path, const aos_matrix<T> &points, T *out) {
-        if (path == predict_path::host_sparse && !cm.sparse_sv()) {
-            path = predict_path::host_blocked;
+    /// Adaptive-batching feedback after every drained batch: feed the lane
+    /// telemetry, the batcher backlog and the batch's wait/service split into
+    /// the tuner, then publish the recomputed per-class policies. The
+    /// executor-wide scan (a lock-free sweep over every lane's atomic
+    /// counters) is refreshed only every 8th batch — cross-tenant pressure
+    /// moves slowly, and the full lane walk per batch would be pointless
+    /// cache traffic. Drain thread only.
+    void retune(const double queue_wait_seconds, const double service_seconds) {
+        const lane_stats lane = lane_.stats();
+        if (retune_counter_++ % 8 == 0) {
+            const executor_stats exec_stats = exec_->stats();
+            cached_cross_lane_ = exec_stats.queued >= lane.queue_depth ? exec_stats.queued - lane.queue_depth : 0;
         }
-        if (path == predict_path::device) {
-            const soa_matrix<T> packed = transform_to_soa(points, compiled_model_row_padding);
-            decision_values_via_path(cm, path, lane_, points, &packed, out);
-        } else {
-            decision_values_via_path<T>(cm, path, lane_, points, nullptr, out);
-        }
+        tuner_.observe(batcher_.pending(), lane.queue_depth, lane.stolen, cached_cross_lane_, queue_wait_seconds, service_seconds);
+        batcher_.set_class_policies(tuner_.policies());
     }
 
     /// Re-evaluate the health state machine from the live breaker states and
@@ -1004,7 +1007,7 @@ class inference_engine {
     void update_health() {
         const auto now = std::chrono::steady_clock::now();
         fault::health_inputs inputs;
-        for (const predict_path path : { predict_path::host_blocked, predict_path::host_sparse, predict_path::device }) {
+        for (const predict_path path : { predict_path::host_blocked, predict_path::host_sparse }) {
             const fault::breaker_state state = fault_plane_.ladder().state(path, now);
             inputs.breaker_open = inputs.breaker_open || state == fault::breaker_state::open;
             inputs.breaker_half_open = inputs.breaker_half_open || state == fault::breaker_state::half_open;
@@ -1039,16 +1042,20 @@ class inference_engine {
     }
 
     /// Cost-model estimate of one batch of @p batch_size against the current
-    /// snapshot, along the path the dispatcher would pick (tuner input).
+    /// snapshot, along the path the dispatcher would pick: every head runs
+    /// that path over the same batch, so one head's estimate times the head
+    /// count (tuner input, trace attribution, watchdog budget).
     [[nodiscard]] double estimated_batch_seconds(const std::size_t batch_size) const {
         const snapshot_ptr snap = snapshot_.load();
-        return dispatcher_.estimated_seconds(dense_batch_shape(snap->compiled, batch_size));
+        return static_cast<double>(snap->heads.size()) * dispatcher_.estimated_seconds(batch_shape(*snap, batch_size));
     }
 
     engine_config config_;
     executor *exec_;
     executor::lane lane_;
     std::size_t num_features_;
+    std::size_t num_heads_;
+    bool ensemble_;
     snapshot_handle<snapshot_type> snapshot_;
     std::mutex install_mutex_;         ///< serializes version bump + publication
     std::uint64_t last_version_{ 1 };  ///< guarded by install_mutex_
@@ -1063,7 +1070,8 @@ class inference_engine {
     fault::health_monitor health_;              ///< engine health state machine
     std::atomic<std::size_t> last_stall_seen_{ 0 };  ///< stall count at the last health observation
     std::atomic<int> last_slo_worst_{ 0 };      ///< SLO alert severity at the last health observation
-    detail::qos_feedback feedback_;             ///< drain-thread only
+    std::size_t retune_counter_{ 0 };           ///< drain-thread only
+    std::size_t cached_cross_lane_{ 0 };        ///< drain-thread only
     fault::drain_supervisor<T> supervisor_;     ///< declared last: its threads use every other member
 };
 

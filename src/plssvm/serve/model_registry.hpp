@@ -3,12 +3,20 @@
  * @brief Multi-tenant registry of named, ready-to-serve models.
  *
  * A serving process typically hosts many models (per customer, per A/B arm,
- * per label subset). The registry owns one engine per registered name —
- * binary `inference_engine`s or `multiclass_engine`s for one-vs-all
- * ensembles — hands out shared pointers so in-flight users keep an evicted
- * engine alive, and applies least-recently-used eviction once `capacity()`
- * engines are resident (compiled models pin the full SV matrix in memory,
- * so residency must be bounded).
+ * per label subset). The registry owns the engines of every registered name
+ * — binary models and one-vs-all ensembles alike are `inference_engine`s —
+ * hands out shared pointers so in-flight users keep an evicted engine alive,
+ * and applies least-recently-used eviction once `capacity()` names are
+ * resident (compiled models pin the full SV matrix in memory, so residency
+ * must be bounded).
+ *
+ * Placement is a registry policy: a name is served by one engine (`load`) or
+ * by one replica per NUMA domain of the shared executor (`load_sharded`).
+ * Each replica's lane and drain thread are homed on its domain and its
+ * snapshot is compiled there, so the SV panels are first-touched and then
+ * always scanned by domain-local cores. `find` hands out the less-loaded of
+ * two replicas ("power of two choices" over pending requests, the first
+ * candidate rotating round-robin), and `reload` swaps every replica.
  *
  * All engines of a registry share one `serve::executor`
  * (`default_config.exec`, defaulting to the process-wide instance): eight
@@ -33,11 +41,10 @@
 #include "plssvm/ext/multiclass.hpp"
 #include "plssvm/serve/executor.hpp"
 #include "plssvm/serve/inference_engine.hpp"
-#include "plssvm/serve/multiclass_engine.hpp"
-#include "plssvm/serve/sharded_engine.hpp"
 #include "plssvm/serve/snapshot.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -46,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,7 +62,9 @@ namespace plssvm::serve {
 template <typename T>
 class model_registry {
   public:
-    /// @param capacity maximum resident engines (>= 1) before LRU eviction
+    using engine_ptr = std::shared_ptr<inference_engine<T>>;
+
+    /// @param capacity maximum resident names (>= 1) before LRU eviction
     /// @param default_config engine configuration applied when a load call
     ///        does not pass its own; its `exec` (nullptr = the process-wide
     ///        executor) becomes the shared executor of every engine
@@ -77,173 +87,106 @@ class model_registry {
     /// Register a binary model under @p name (replacing any previous entry).
     /// An optional @p input_scaling makes the engine accept raw client
     /// features (applied server-side, versioned with the model snapshot).
-    std::shared_ptr<inference_engine<T>> load(const std::string &name, const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
+    engine_ptr load(const std::string &name, const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
         return load(name, trained, default_config_, std::move(input_scaling));
     }
 
-    std::shared_ptr<inference_engine<T>> load(const std::string &name, const model<T> &trained, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
-        if (config.exec == nullptr) {
-            config.exec = exec_;
-        }
-        auto engine = std::make_shared<inference_engine<T>>(trained, config, std::move(input_scaling));
-        insert(name, entry{ engine, nullptr, nullptr, 0 });
-        return engine;
+    engine_ptr load(const std::string &name, const model<T> &trained, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
+        return load_one(name, trained, config, std::move(input_scaling));
     }
 
     /// Register a one-vs-all ensemble under @p name (replacing any previous entry).
-    std::shared_ptr<multiclass_engine<T>> load(const std::string &name, const ext::multiclass_model<T> &ensemble, scaling_ptr<T> input_scaling = nullptr) {
+    engine_ptr load(const std::string &name, const ext::multiclass_model<T> &ensemble, scaling_ptr<T> input_scaling = nullptr) {
         return load(name, ensemble, default_config_, std::move(input_scaling));
     }
 
-    std::shared_ptr<multiclass_engine<T>> load(const std::string &name, const ext::multiclass_model<T> &ensemble, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
-        if (config.exec == nullptr) {
-            config.exec = exec_;
-        }
-        auto engine = std::make_shared<multiclass_engine<T>>(ensemble, config, std::move(input_scaling));
-        insert(name, entry{ nullptr, engine, nullptr, 0 });
-        return engine;
+    engine_ptr load(const std::string &name, const ext::multiclass_model<T> &ensemble, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
+        return load_one(name, ensemble, config, std::move(input_scaling));
     }
 
     /// Load a LIBSVM model file and register it under @p name.
-    std::shared_ptr<inference_engine<T>> load_file(const std::string &name, const std::string &filename) {
+    engine_ptr load_file(const std::string &name, const std::string &filename) {
         return load(name, model<T>::load(filename));
     }
 
-    /// Register @p name as a NUMA-sharded engine: one replica per memory
-    /// domain of the shared executor (exactly one — i.e. a plain engine plus
-    /// routing — on single-node hosts), submits balanced least-loaded across
-    /// the replicas. Replaces any previous entry under the name.
-    std::shared_ptr<sharded_engine<T>> load_sharded(const std::string &name, const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
+    /**
+     * @brief Register @p name with one replica per NUMA domain of the shared
+     *        executor (exactly one on single-node hosts), replacing any
+     *        previous entry.
+     *
+     * Each replica's lane and drain thread are homed on its domain, and its
+     * snapshot is compiled on that domain so the SV panels are first-touch
+     * allocated in domain-local memory. A replica's `num_threads` defaults
+     * to the workers of its home domain, so the replicas partition the pool
+     * instead of all contending for it.
+     * @return the replicas, in domain order
+     */
+    std::vector<engine_ptr> load_sharded(const std::string &name, const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
         return load_sharded(name, trained, default_config_, std::move(input_scaling));
     }
 
-    std::shared_ptr<sharded_engine<T>> load_sharded(const std::string &name, const model<T> &trained, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
+    std::vector<engine_ptr> load_sharded(const std::string &name, const model<T> &trained, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
         if (config.exec == nullptr) {
             config.exec = exec_;
         }
-        auto engine = std::make_shared<sharded_engine<T>>(trained, config, std::move(input_scaling));
-        insert(name, entry{ nullptr, nullptr, engine, 0 });
-        return engine;
-    }
-
-    /// Sharded engine registered under @p name, or nullptr (also for names
-    /// holding a plain binary or multi-class engine). Refreshes the LRU age
-    /// only on a hit.
-    [[nodiscard]] std::shared_ptr<sharded_engine<T>> find_sharded(const std::string &name) {
-        const std::lock_guard lock{ mutex_ };
-        const auto it = entries_.find(name);
-        if (it == entries_.end() || it->second.sharded == nullptr) {
-            return nullptr;
+        executor &exec = *config.exec;
+        const std::size_t domains = std::max<std::size_t>(std::size_t{ 1 }, exec.num_domains());
+        std::vector<engine_ptr> replicas;
+        replicas.reserve(domains);
+        for (std::size_t domain = 0; domain < domains; ++domain) {
+            engine_config replica_config = config;
+            replica_config.home_domain = domain;
+            if (replica_config.num_threads == 0 && exec.pinning_active()) {
+                replica_config.num_threads = std::max<std::size_t>(std::size_t{ 1 }, exec.workers_in_domain(domain));
+            }
+            replicas.push_back(std::make_shared<inference_engine<T>>(compile_on_domain(exec, trained, replica_config), replica_config, input_scaling));
         }
-        it->second.last_used = ++clock_;
-        return it->second.sharded;
+        insert(name, entry{ replicas });
+        return replicas;
     }
 
     /**
      * @brief Zero-downtime replacement of the model served under @p name.
      *
      * The replacement is compiled on the registry's background lane of the
-     * shared executor (shadow load) and atomically swapped into the resident
-     * engine when ready; requests keep flowing against the old snapshot in
-     * the meantime and the engine pointer held by clients stays the same.
-     * If @p name is not resident, this degenerates to a synchronous `load`.
+     * shared executor (shadow load) and atomically swapped into every
+     * resident replica when ready; requests keep flowing against the old
+     * snapshot in the meantime and the engine pointers held by clients stay
+     * the same. If @p name is not resident, this degenerates to a
+     * synchronous `load`.
      *
      * @return future resolving when the new snapshot is live (holds a
      *         compile error if the swap failed, e.g. feature-count mismatch)
      * @throws plssvm::invalid_parameter_exception if @p name currently
-     *         serves a multi-class ensemble (type cannot change via reload)
+     *         serves a one-vs-all ensemble (the kind cannot change via reload)
      */
     std::future<void> reload(const std::string &name, model<T> trained, scaling_ptr<T> input_scaling = nullptr) {
-        std::shared_ptr<inference_engine<T>> engine;
-        std::shared_ptr<sharded_engine<T>> sharded;
-        {
-            const std::lock_guard lock{ mutex_ };
-            const auto it = entries_.find(name);
-            if (it != entries_.end()) {
-                if (it->second.binary == nullptr && it->second.sharded == nullptr) {
-                    throw invalid_parameter_exception{ "reload type mismatch: '" + name + "' serves a multi-class ensemble!" };
-                }
-                engine = it->second.binary;
-                sharded = it->second.sharded;
-                it->second.last_used = ++clock_;  // a reload is a use
-            }
-        }
-        if (sharded != nullptr) {
-            // every replica shadow-compiles and swaps on the background lane,
-            // same zero-downtime contract as the single-engine path
-            return reload_lane_.enqueue([this, name, sharded = std::move(sharded), trained = std::move(trained), input_scaling = std::move(input_scaling)]() mutable {
-                sharded->reload(trained, std::move(input_scaling));
-                touch(name);
-            });
-        }
-        if (engine == nullptr) {
-            (void) load(name, trained, std::move(input_scaling));
-            return resolved_future();
-        }
-        // shadow-compile off the serving path; the captured shared_ptr keeps
-        // the engine alive even if it gets evicted mid-compile
-        return reload_lane_.enqueue([this, name, engine = std::move(engine), trained = std::move(trained), input_scaling = std::move(input_scaling)]() mutable {
-            engine->reload(trained, std::move(input_scaling));
-            touch(name);
-        });
+        return reload_entry(name, std::move(trained), std::move(input_scaling));
     }
 
     /// Zero-downtime replacement of the one-vs-all ensemble under @p name
-    /// (same contract as the binary overload).
+    /// (same contract as the binary overload; class-count mismatches surface
+    /// through the future).
+    /// @throws plssvm::invalid_parameter_exception if @p name currently
+    ///         serves a binary model
     std::future<void> reload(const std::string &name, ext::multiclass_model<T> ensemble, scaling_ptr<T> input_scaling = nullptr) {
-        std::shared_ptr<multiclass_engine<T>> engine;
-        {
-            const std::lock_guard lock{ mutex_ };
-            const auto it = entries_.find(name);
-            if (it != entries_.end()) {
-                if (it->second.multiclass == nullptr) {
-                    throw invalid_parameter_exception{ "reload type mismatch: '" + name + "' serves a binary model!" };
-                }
-                engine = it->second.multiclass;
-                it->second.last_used = ++clock_;
-            }
-        }
-        if (engine == nullptr) {
-            (void) load(name, ensemble, std::move(input_scaling));
-            return resolved_future();
-        }
-        return reload_lane_.enqueue([this, name, engine = std::move(engine), ensemble = std::move(ensemble), input_scaling = std::move(input_scaling)]() mutable {
-            engine->reload(ensemble, std::move(input_scaling));
-            touch(name);
-        });
+        return reload_entry(name, std::move(ensemble), std::move(input_scaling));
     }
 
-    /// Binary engine registered under @p name, or nullptr (also for names
-    /// holding a multi-class engine). Refreshes the LRU age only on a hit, so
-    /// type-mismatched probes neither protect nor penalise an entry.
-    [[nodiscard]] std::shared_ptr<inference_engine<T>> find(const std::string &name) {
-        const std::lock_guard lock{ mutex_ };
-        const auto it = entries_.find(name);
-        if (it == entries_.end() || it->second.binary == nullptr) {
-            return nullptr;
-        }
-        it->second.last_used = ++clock_;
-        return it->second.binary;
-    }
+    /// The engine serving @p name — for a sharded name the less-loaded of
+    /// two replicas — or nullptr. Refreshes the LRU age only on a hit.
+    [[nodiscard]] engine_ptr find(const std::string &name) { return lookup(name, false); }
 
-    /// Multi-class engine registered under @p name, or nullptr (also for
-    /// names holding a binary engine). Refreshes the LRU age only on a hit.
-    [[nodiscard]] std::shared_ptr<multiclass_engine<T>> find_multiclass(const std::string &name) {
-        const std::lock_guard lock{ mutex_ };
-        const auto it = entries_.find(name);
-        if (it == entries_.end() || it->second.multiclass == nullptr) {
-            return nullptr;
-        }
-        it->second.last_used = ++clock_;
-        return it->second.multiclass;
-    }
+    /// `find` restricted to one-vs-all ensembles: nullptr for a binary
+    /// entry, whose LRU age then stays untouched.
+    [[nodiscard]] engine_ptr find_multiclass(const std::string &name) { return lookup(name, true); }
 
     [[nodiscard]] bool contains(const std::string &name) const {
         const std::lock_guard lock{ mutex_ };
         return entries_.count(name) > 0;
     }
 
-    /// Remove @p name; in-flight shared pointers keep the engine alive.
+    /// Remove @p name; in-flight shared pointers keep the engines alive.
     bool evict(const std::string &name) {
         entry displaced;  // engine teardown (if last owner) happens after unlock
         const std::lock_guard lock{ mutex_ };
@@ -264,64 +207,44 @@ class model_registry {
     /// Registry-wide health: the worst (max-severity) health state over every
     /// resident engine. An empty registry is healthy.
     [[nodiscard]] health_state health() const {
-        std::vector<std::pair<std::string, entry>> resident;
-        {
-            const std::lock_guard lock{ mutex_ };
-            resident.assign(entries_.begin(), entries_.end());
-        }
         health_state worst = health_state::healthy;
-        for (const auto &[name, e] : resident) {
-            worst = std::max(worst, entry_health(e));
+        for (const auto &[name, e] : resident()) {
+            worst = std::max(worst, e.health());
         }
         return worst;
     }
 
     /**
-     * @brief One scrapeable JSON object over every resident engine:
+     * @brief One scrapeable JSON object over every resident name:
      *        `{"health": "<registry health>", "models":
      *        {"<name>": <serve_stats json>, ...}}`, names in registry (map)
-     *        order. The top-level health is the max severity over the
-     *        engines' health states.
+     *        order. A name served by several replicas renders as
+     *        `{"shards": N, "replicas": [<serve_stats json>, ...]}`. The
+     *        top-level health is the max severity over the engines' health
+     *        states.
      *
      * Engines are pinned under the registry mutex but their stats are
      * collected outside it, so a slow engine cannot stall loads/evictions.
      * Does not refresh LRU ages (scraping must not protect idle models).
      */
     [[nodiscard]] std::string stats_json() const {
-        // pin the engines under the lock, stringify outside it
-        std::vector<std::pair<std::string, entry>> resident;
-        {
-            const std::lock_guard lock{ mutex_ };
-            resident.assign(entries_.begin(), entries_.end());
-        }
+        const std::vector<std::pair<std::string, entry>> pinned = resident();
         health_state worst = health_state::healthy;
-        for (const auto &[name, e] : resident) {
-            worst = std::max(worst, entry_health(e));
+        for (const auto &[name, e] : pinned) {
+            worst = std::max(worst, e.health());
         }
         std::string json = "{\"health\": \"";
         json += health_state_to_string(worst);
         json += "\", \"models\": {";
-        bool first = true;
-        for (const auto &[name, e] : resident) {
-            if (!std::exchange(first, false)) {
-                json += ", ";
-            }
-            append_escaped_name(json, name);
-            if (e.binary != nullptr) {
-                json += e.binary->stats_json();
-            } else if (e.multiclass != nullptr) {
-                json += e.multiclass->stats_json();
-            } else {
-                json += e.sharded->stats_json();
-            }
-        }
+        append_per_model(json, pinned, [](const inference_engine<T> &engine) { return engine.stats_json(); });
         json += "}}";
         return json;
     }
 
     /**
      * @brief Every resident engine's metric families in the Prometheus text
-     *        exposition format, each labelled with `model="<name>"`, plus the
+     *        exposition format, each labelled with `model="<name>"` (plus
+     *        `shard="<i>"` for a name served by several replicas), plus the
      *        shared executor's per-lane queue-depth/steal gauges.
      *
      * Same pinning discipline as `stats_json()`: engines are pinned under
@@ -329,23 +252,17 @@ class model_registry {
      * refreshed (scraping must not protect idle models).
      */
     [[nodiscard]] std::string metrics_text() const {
-        std::vector<std::pair<std::string, entry>> resident;
-        {
-            const std::lock_guard lock{ mutex_ };
-            resident.assign(entries_.begin(), entries_.end());
-        }
         obs::prometheus_builder builder;
         health_state worst = health_state::healthy;
-        for (const auto &[name, e] : resident) {
-            const obs::label_set labels{ { "model", name } };
-            if (e.binary != nullptr) {
-                e.binary->collect_metrics(builder, labels);
-            } else if (e.multiclass != nullptr) {
-                e.multiclass->collect_metrics(builder, labels);
-            } else {
-                e.sharded->collect_metrics(builder, labels);
+        for (const auto &[name, e] : resident()) {
+            for (std::size_t shard = 0; shard < e.replicas.size(); ++shard) {
+                obs::label_set labels{ { "model", name } };
+                if (e.replicas.size() > 1) {
+                    labels.emplace_back("shard", std::to_string(shard));
+                }
+                e.replicas[shard]->collect_metrics(builder, labels);
             }
-            worst = std::max(worst, entry_health(e));
+            worst = std::max(worst, e.health());
         }
         builder.add_gauge("plssvm_serve_registry_health", "Registry-wide health: worst engine state (0 healthy, 1 degraded, 2 critical)",
                           {}, static_cast<double>(static_cast<std::uint8_t>(worst)));
@@ -363,32 +280,15 @@ class model_registry {
 
     /**
      * @brief Retained wire-to-wire traces of every resident engine:
-     *        `{"models": {"<name>": <dump json>, ...}}`. Backs the `trace`
-     *        wire op. Same pinning discipline as `stats_json()` — engines are
-     *        pinned under the registry mutex, dumped outside it, and LRU ages
-     *        are not refreshed.
+     *        `{"models": {"<name>": <dump json>, ...}}` (the `shards` /
+     *        `replicas` form for a name served by several replicas). Backs
+     *        the `trace` wire op. Same pinning discipline as `stats_json()` —
+     *        engines are pinned under the registry mutex, dumped outside it,
+     *        and LRU ages are not refreshed.
      */
     [[nodiscard]] std::string trace_json() const {
-        std::vector<std::pair<std::string, entry>> resident;
-        {
-            const std::lock_guard lock{ mutex_ };
-            resident.assign(entries_.begin(), entries_.end());
-        }
         std::string json = "{\"models\": {";
-        bool first = true;
-        for (const auto &[name, e] : resident) {
-            if (!std::exchange(first, false)) {
-                json += ", ";
-            }
-            append_escaped_name(json, name);
-            if (e.binary != nullptr) {
-                json += e.binary->dump_traces();
-            } else if (e.multiclass != nullptr) {
-                json += e.multiclass->dump_traces();
-            } else {
-                json += e.sharded->dump_traces();
-            }
-        }
+        append_per_model(json, resident(), [](const inference_engine<T> &engine) { return engine.dump_traces(); });
         json += "}}";
         return json;
     }
@@ -412,11 +312,136 @@ class model_registry {
 
   private:
     struct entry {
-        std::shared_ptr<inference_engine<T>> binary;
-        std::shared_ptr<multiclass_engine<T>> multiclass;
-        std::shared_ptr<sharded_engine<T>> sharded;
+        std::vector<engine_ptr> replicas;  ///< one engine, or one per NUMA domain
         std::uint64_t last_used{ 0 };
+
+        /// Whether the name serves a one-vs-all ensemble.
+        [[nodiscard]] bool ensemble() const { return replicas.front()->ensemble(); }
+
+        /// Worst replica health (a degraded shard degrades the model).
+        [[nodiscard]] health_state health() const {
+            health_state worst = health_state::healthy;
+            for (const engine_ptr &replica : replicas) {
+                worst = std::max(worst, replica->health());
+            }
+            return worst;
+        }
     };
+
+    template <typename Source>
+    engine_ptr load_one(const std::string &name, const Source &source, engine_config config, scaling_ptr<T> input_scaling) {
+        if (config.exec == nullptr) {
+            config.exec = exec_;
+        }
+        auto engine = std::make_shared<inference_engine<T>>(source, config, std::move(input_scaling));
+        insert(name, entry{ { engine } });
+        return engine;
+    }
+
+    /// Shared body of both `reload` overloads: the kind check is synchronous,
+    /// the compile and swap of every replica run on the reload lane.
+    template <typename Source>
+    std::future<void> reload_entry(const std::string &name, Source source, scaling_ptr<T> input_scaling) {
+        constexpr bool ensemble = std::is_same_v<Source, ext::multiclass_model<T>>;
+        std::vector<engine_ptr> replicas;
+        {
+            const std::lock_guard lock{ mutex_ };
+            const auto it = entries_.find(name);
+            if (it != entries_.end()) {
+                if (it->second.ensemble() != ensemble) {
+                    throw invalid_parameter_exception{ "reload type mismatch: '" + name + "' serves a " + (ensemble ? "binary model" : "multi-class ensemble") + "!" };
+                }
+                replicas = it->second.replicas;
+                it->second.last_used = ++clock_;  // a reload is a use
+            }
+        }
+        if (replicas.empty()) {
+            (void) load(name, source, std::move(input_scaling));
+            return resolved_future();
+        }
+        // shadow-compile off the serving path; the captured shared_ptrs keep
+        // the engines alive even if they get evicted mid-compile
+        return reload_lane_.enqueue([this, name, replicas = std::move(replicas), source = std::move(source), input_scaling = std::move(input_scaling)]() {
+            for (const engine_ptr &replica : replicas) {
+                replica->reload(source, input_scaling);
+            }
+            touch(name);
+        });
+    }
+
+    /// Shared body of `find` / `find_multiclass`.
+    [[nodiscard]] engine_ptr lookup(const std::string &name, const bool ensembles_only) {
+        engine_ptr first;
+        engine_ptr second;
+        {
+            const std::lock_guard lock{ mutex_ };
+            const auto it = entries_.find(name);
+            if (it == entries_.end() || (ensembles_only && !it->second.ensemble())) {
+                return nullptr;
+            }
+            it->second.last_used = ++clock_;
+            const std::vector<engine_ptr> &replicas = it->second.replicas;
+            if (replicas.size() == 1) {
+                return replicas.front();
+            }
+            // the first candidate rotates round-robin so an idle service
+            // still spreads requests evenly
+            const std::size_t pick = rotation_++ % replicas.size();
+            first = replicas[pick];
+            second = replicas[(pick + 1) % replicas.size()];
+        }
+        return second->pending_requests() < first->pending_requests() ? second : first;
+    }
+
+    /// Compile the replica's model *on its home domain* so the SV panels are
+    /// first-touch allocated in domain-local memory. Only worth a hop when
+    /// pinning is active; single-node hosts (and callers already on a
+    /// worker, which must never block on their own pool) compile inline.
+    [[nodiscard]] static compiled_model<T> compile_on_domain(executor &exec, const model<T> &trained, const engine_config &replica_config) {
+        if (!exec.pinning_active() || exec.on_worker_thread()) {
+            return compiled_model<T>{ trained, replica_config.compile };
+        }
+        executor::lane compile_lane = exec.create_lane(lane_options{
+            .name = "shard-compile", .quota = 1, .home_domain = replica_config.home_domain });
+        std::future<compiled_model<T>> compiled = compile_lane.enqueue(
+            [&trained, &replica_config]() { return compiled_model<T>{ trained, replica_config.compile }; });
+        while (compiled.wait_for(std::chrono::milliseconds{ 1 }) != std::future_status::ready) {
+            (void) compile_lane.try_run_one();  // help while waiting, never deadlock
+        }
+        return compiled.get();
+    }
+
+    /// Every resident entry, pinned under the lock (scrapes then read the
+    /// engines outside it).
+    [[nodiscard]] std::vector<std::pair<std::string, entry>> resident() const {
+        const std::lock_guard lock{ mutex_ };
+        return { entries_.begin(), entries_.end() };
+    }
+
+    /// Append `"<name>": <render(engine)>` per entry to @p json, with the
+    /// `{"shards": N, "replicas": [...]}` form for several replicas.
+    template <typename Render>
+    static void append_per_model(std::string &json, const std::vector<std::pair<std::string, entry>> &pinned, Render &&render) {
+        bool first = true;
+        for (const auto &[name, e] : pinned) {
+            if (!std::exchange(first, false)) {
+                json += ", ";
+            }
+            append_escaped_name(json, name);
+            if (e.replicas.size() == 1) {
+                json += render(*e.replicas.front());
+                continue;
+            }
+            json += "{\"shards\": " + std::to_string(e.replicas.size()) + ", \"replicas\": [";
+            for (std::size_t shard = 0; shard < e.replicas.size(); ++shard) {
+                if (shard != 0) {
+                    json += ", ";
+                }
+                json += render(*e.replicas[shard]);
+            }
+            json += "]}";
+        }
+    }
 
     /// Append `"<name>": ` to @p json with the name JSON-escaped — model
     /// names are arbitrary user strings: one quote in a name would otherwise
@@ -436,17 +461,6 @@ class model_registry {
             }
         }
         json += "\": ";
-    }
-
-    /// Health of whichever engine kind @p e holds.
-    [[nodiscard]] static health_state entry_health(const entry &e) {
-        if (e.binary != nullptr) {
-            return e.binary->health();
-        }
-        if (e.multiclass != nullptr) {
-            return e.multiclass->health();
-        }
-        return e.sharded->health();
     }
 
     [[nodiscard]] static std::future<void> resolved_future() {
@@ -496,6 +510,7 @@ class model_registry {
     mutable std::mutex mutex_;
     std::map<std::string, entry> entries_;
     std::uint64_t clock_{ 0 };
+    std::size_t rotation_{ 0 };  ///< replica round-robin of `lookup`, guarded by mutex_
     /// Background shadow-compile lane; declared last so its destructor runs
     /// first and drains pending reload tasks (which capture `this`) before
     /// any other member dies.

@@ -121,8 +121,8 @@ class model_dispatcher {
     [[nodiscard]] virtual std::string trace_json() const { return "{}"; }
 };
 
-/// `model_dispatcher` over a `model_registry<T>`: resolves the model name
-/// against binary, sharded, and multi-class engines (in that order).
+/// `model_dispatcher` over a `model_registry<T>`: one registry lookup per
+/// request, binary models and one-vs-all ensembles alike.
 template <typename T>
 class registry_dispatcher final : public model_dispatcher {
   public:
@@ -134,56 +134,39 @@ class registry_dispatcher final : public model_dispatcher {
     }
 
     /**
-     * @brief Wire-traced submit. The context's `finish` hook is pointed at
-     *        the engine that will fill the trace, via a `weak_ptr`: the
-     *        context travels through the engine's own batcher queue, so a
-     *        strong reference would form a cycle (engine -> queued request
+     * @brief Wire-traced submit, dense or sparse. The context's `finish` hook
+     *        is pointed at the engine that will fill the trace (for a
+     *        sharded name, the replica `find` handed out), via a `weak_ptr`:
+     *        the context travels through the engine's own batcher queue, so
+     *        a strong reference would form a cycle (engine -> queued request
      *        -> context -> closure -> engine) whose last reference can drop
      *        on the engine's drain thread — destroying the engine there
      *        self-joins the thread. With the weak hook a trace completing
-     *        after an LRU eviction is simply dropped (diagnostic data).
-     *        Sparse and multi-class submits are served untraced (the dense
-     *        binary path is the wire-traced one); the engine still applies
-     *        its own sampling decision.
+     *        after an LRU eviction is simply dropped (diagnostic data). The
+     *        engine still applies its own sampling decision.
      */
     [[nodiscard]] std::future<double> submit(const net_request &req, const std::shared_ptr<obs::wire_trace_context> &wire) override {
-        const request_options options{ req.cls, req.deadline };
-        if (const auto engine = registry_.find(req.model); engine != nullptr) {
-            if (wire != nullptr && !req.sparse) {
-                wire->finish = [weak = std::weak_ptr<inference_engine<T>>{ engine }](obs::wire_trace_context &ctx) {
-                    if (const auto locked = weak.lock()) {
-                        locked->publish_wire_trace(ctx);
-                    }
-                };
-                return wrap(engine->submit(to_point(req), options, wire));
-            }
-            return wrap(submit_to(*engine, req, options));
+        const std::shared_ptr<inference_engine<T>> engine = registry_.find(req.model);
+        if (engine == nullptr) {
+            throw model_not_found_error{ req.model };
         }
-        if (const auto sharded = registry_.find_sharded(req.model); sharded != nullptr) {
-            if (wire != nullptr && !req.sparse) {
-                // the sharded submit points `finish` at the routed replica
-                // (raw reference); re-wrap it so the replica is only touched
-                // while the owning sharded engine is provably alive
-                std::future<T> f = sharded->submit(to_point(req), options, wire);
-                if (wire->finish) {
-                    wire->finish = [weak = std::weak_ptr<sharded_engine<T>>{ sharded },
-                                    inner = std::move(wire->finish)](obs::wire_trace_context &ctx) {
-                        if (const auto locked = weak.lock()) {
-                            inner(ctx);
-                        }
-                    };
+        if (wire != nullptr) {
+            wire->finish = [weak = std::weak_ptr<inference_engine<T>>{ engine }](obs::wire_trace_context &ctx) {
+                if (const auto locked = weak.lock()) {
+                    locked->publish_wire_trace(ctx);
                 }
-                return wrap(std::move(f));
-            }
-            return wrap(submit_to(*sharded, req, options));
+            };
         }
-        if (const auto multiclass = registry_.find_multiclass(req.model); multiclass != nullptr) {
-            if (req.sparse) {
-                throw invalid_data_exception{ "sparse submit is not supported for multi-class models" };
+        const request_options options{ req.cls, req.deadline };
+        if (req.sparse) {
+            std::vector<typename csr_matrix<T>::entry> entries;
+            entries.reserve(req.sparse_entries.size());
+            for (const auto &[index, value] : req.sparse_entries) {
+                entries.push_back(typename csr_matrix<T>::entry{ index, static_cast<T>(value) });
             }
-            return wrap(multiclass->submit(to_point(req), options));
+            return wrap(engine->submit(entries, options, wire));
         }
-        throw model_not_found_error{ req.model };
+        return wrap(engine->submit(std::vector<T>(req.dense.begin(), req.dense.end()), options, wire));
     }
 
     [[nodiscard]] health_state health() const override { return registry_.health(); }
@@ -195,23 +178,6 @@ class registry_dispatcher final : public model_dispatcher {
     [[nodiscard]] std::string trace_json() const override { return registry_.trace_json(); }
 
   private:
-    [[nodiscard]] static std::vector<T> to_point(const net_request &req) {
-        return std::vector<T>(req.dense.begin(), req.dense.end());
-    }
-
-    template <typename Engine>
-    [[nodiscard]] static std::future<T> submit_to(Engine &engine, const net_request &req, const request_options &options) {
-        if (req.sparse) {
-            std::vector<typename csr_matrix<T>::entry> entries;
-            entries.reserve(req.sparse_entries.size());
-            for (const auto &[index, value] : req.sparse_entries) {
-                entries.push_back(typename csr_matrix<T>::entry{ index, static_cast<T>(value) });
-            }
-            return engine.submit(entries, options);
-        }
-        return engine.submit(to_point(req), options);
-    }
-
     /// Adapt the engine's `future<T>` to the dispatcher's `future<double>`.
     /// `launch::deferred` runs the cast inline in the completion worker's
     /// `get()` — no extra thread, and exceptions still propagate.

@@ -63,8 +63,6 @@ enum class predict_path {
     /// Sparse host sweeps (`serve/batch_kernels` CSR kernels): CSR-query or
     /// CSR-compiled SV panels evaluated in O(nnz) instead of O(dim)/O(sv*dim).
     host_sparse,
-    /// Blocked device predict kernels (`backends/device/predict_kernels`).
-    device,
 };
 
 [[nodiscard]] constexpr std::string_view predict_path_to_string(const predict_path path) noexcept {
@@ -75,8 +73,6 @@ enum class predict_path {
             return "host_blocked";
         case predict_path::host_sparse:
             return "host_sparse";
-        case predict_path::device:
-            return "device";
     }
     return "unknown";
 }

@@ -20,16 +20,6 @@ double predict_dispatcher::host_sparse_seconds(const predict_shape &shape) const
     return sim::host_roofline_seconds(params_.host, cost);
 }
 
-double predict_dispatcher::device_seconds(const std::size_t batch_size, const std::size_t num_sv, const std::size_t dim, const kernel_type kernel) const {
-    const sim::kernel_cost cost = sim::serve_predict_cost(batch_size, num_sv, dim, kernel, params_.real_bytes);
-    const double kernel_time = sim::roofline_seconds(params_.device, params_.profile, cost);
-    const double upload = sim::transfer_seconds(params_.device, params_.profile,
-                                                static_cast<double>(batch_size * dim * params_.real_bytes));
-    const double download = sim::transfer_seconds(params_.device, params_.profile,
-                                                  static_cast<double>(batch_size * params_.real_bytes));
-    return kernel_time + upload + download;
-}
-
 predict_path predict_dispatcher::choose(const std::size_t batch_size, const std::size_t num_sv, const std::size_t dim, const kernel_type kernel) const {
     return choose(predict_shape{ batch_size, num_sv, dim, kernel });
 }
@@ -54,19 +44,9 @@ predict_path predict_dispatcher::choose(const predict_shape &shape, const fault:
         best_path = predict_path::host_blocked;
         best = host_seconds(shape.batch_size, shape.num_sv, shape.dim, shape.kernel);
     }
-    if (sparse_available && allowed.allows(predict_path::host_sparse)) {
-        const double sparse = host_sparse_seconds(shape);
-        if (best_path == predict_path::reference || sparse < best) {
-            best = sparse;
-            best_path = predict_path::host_sparse;
-        }
-    }
-    if (params_.allow_device && !shape.sparse_query && allowed.allows(predict_path::device)) {
-        const double device = device_seconds(shape.batch_size, shape.num_sv, shape.dim, shape.kernel);
-        if (best_path == predict_path::reference || device < best) {
-            best = device;
-            best_path = predict_path::device;
-        }
+    if (sparse_available && allowed.allows(predict_path::host_sparse)
+        && (best_path == predict_path::reference || host_sparse_seconds(shape) < best)) {
+        best_path = predict_path::host_sparse;
     }
     return best_path;
 }
@@ -76,14 +56,8 @@ double predict_dispatcher::estimated_seconds(const predict_shape &shape) const {
 }
 
 double predict_dispatcher::estimated_seconds(const predict_shape &shape, const predict_path path) const {
-    switch (path) {
-        case predict_path::device:
-            return device_seconds(shape.batch_size, shape.num_sv, shape.dim, shape.kernel);
-        case predict_path::host_sparse:
-            return host_sparse_seconds(shape);
-        case predict_path::reference:
-        case predict_path::host_blocked:
-            break;
+    if (path == predict_path::host_sparse) {
+        return host_sparse_seconds(shape);
     }
     return host_seconds(shape.batch_size, shape.num_sv, shape.dim, shape.kernel);
 }

@@ -1,28 +1,20 @@
 /**
  * @file
- * @brief Cost-model-driven host/device routing of prediction batches.
+ * @brief Cost-model-driven routing of prediction batches across the host
+ *        execution paths.
  *
  * The serving layer has three ways to evaluate a batch (see `predict_path`):
  * the per-point scalar reference sweep, the register/cache-tiled host batch
- * kernels, and the blocked device predict kernels of the `sim`-backed device
- * layer. Which one wins depends on the batch shape: the device amortizes a
- * fixed per-batch cost (kernel launch, point upload, result download) over
- * the batch, the host pays none of that but sustains far fewer FLOP/s, and
- * below a handful of points the blocked kernels cannot fill a register tile
- * and the reference sweep is just as fast.
+ * kernels, and the sparse O(nnz) sweeps. Which one wins depends on the batch
+ * shape: below a handful of points the blocked kernels cannot fill a
+ * register tile and the reference sweep is just as fast, and the sparse
+ * sweeps only pay off when queries or the SV panel are mostly zeros.
  *
- * `predict_dispatcher` makes that call per batch by consulting the same
- * `sim::cost_model` formulas the device layer charges at launch time
- * (`predict_kernel_cost` + roofline + transfer costs), so the crossover
- * moves correctly with batch size, #SV, feature count, and kernel type.
- * Every parameter is injectable (`dispatch_params`) for tests and for
- * calibration against measured hardware.
- *
- * The device path is **opt-in** (`allow_device`): on this simulation-backed
- * build the device kernels execute numerically on the host, and their RBF
- * core accumulates squared differences rather than the cached-norm form, so
- * results are only tolerance-equal (~1e-12 relative), not bit-equal, to the
- * host paths. Deployments with a real accelerator flip the flag.
+ * `predict_dispatcher` makes that call per batch from `sim::cost_model` host
+ * rooflines (`serve_predict_cost`, `serve_sparse_predict_cost`), so the
+ * choice moves correctly with batch size, #SV, feature count, sparsity, and
+ * kernel type. Every parameter is injectable (`dispatch_params`) for tests
+ * and for calibration against measured hardware.
  */
 
 #ifndef PLSSVM_SERVE_PREDICT_DISPATCHER_HPP_
@@ -31,8 +23,6 @@
 #include "plssvm/core/kernel_types.hpp"
 #include "plssvm/serve/serve_stats.hpp"
 #include "plssvm/sim/cost_model.hpp"
-#include "plssvm/sim/device_spec.hpp"
-#include "plssvm/sim/runtime_profile.hpp"
 
 #include <cstddef>
 
@@ -45,12 +35,6 @@ struct dispatch_params {
     std::size_t min_blocked_batch{ 8 };
     /// Host execution model of the blocked batch kernels.
     sim::host_profile host{};
-    /// Whether batches may be routed to the device predict kernels at all.
-    bool allow_device{ false };
-    /// Simulated device evaluated against the host (A100 = paper flagship).
-    sim::device_spec device{ sim::devices::nvidia_a100() };
-    /// Runtime profile charged for device launches and transfers.
-    sim::runtime_profile profile{};
     /// sizeof(real_type) of the served model; 0 means "auto" (the serving
     /// engines resolve it to their `sizeof(T)`, standalone dispatchers
     /// default to sizeof(double)).
@@ -103,10 +87,6 @@ class predict_dispatcher {
     /// per point tile).
     [[nodiscard]] double host_sparse_seconds(const predict_shape &shape) const;
 
-    /// Estimated device seconds: kernel roofline + launch overhead + the
-    /// per-batch point upload and result download (SVs are device-resident).
-    [[nodiscard]] double device_seconds(std::size_t batch_size, std::size_t num_sv, std::size_t dim, kernel_type kernel) const;
-
     /// Pick the execution path for one batch of the given shape (dense-model,
     /// dense-query convenience overload).
     [[nodiscard]] predict_path choose(std::size_t batch_size, std::size_t num_sv, std::size_t dim, kernel_type kernel) const;
@@ -129,9 +109,7 @@ class predict_dispatcher {
      * The sparse path competes when it exists for the shape: non-linear
      * kernels need the sparse compiled SV panel (`sv_nnz > 0`), the linear
      * kernel needs a CSR query batch (its dense path never touches the SV
-     * panel, so SV sparsity is irrelevant there). CSR query batches never
-     * route to the device (it has no sparse kernels; the engines would have
-     * to densify, forfeiting the point of the sparse client contract).
+     * panel, so SV sparsity is irrelevant there).
      */
     [[nodiscard]] predict_path choose(const predict_shape &shape) const;
 
@@ -141,8 +119,8 @@ class predict_dispatcher {
      *
      * Same cost comparison as `choose(shape)`, but a path whose circuit
      * breaker is open (masked out of @p allowed) never competes: dispatch
-     * demotes device -> host_blocked/host_sparse -> reference as breakers
-     * trip. `reference` is the unconditional last resort — it is chosen
+     * demotes host_blocked/host_sparse -> reference as breakers trip.
+     * `reference` is the unconditional last resort — it is chosen
      * whenever every competitive path is masked (or the batch is too small
      * to block), regardless of the mask's reference bit. With a full mask
      * this reduces exactly to `choose(shape)`.

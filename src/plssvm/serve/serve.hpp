@@ -25,14 +25,12 @@
 #include "plssvm/serve/predict_dispatcher.hpp"  // IWYU pragma: export
 #include "plssvm/serve/micro_batcher.hpp"       // IWYU pragma: export
 #include "plssvm/serve/model_registry.hpp"      // IWYU pragma: export
-#include "plssvm/serve/multiclass_engine.hpp"   // IWYU pragma: export
 #include "plssvm/serve/net/framing.hpp"         // IWYU pragma: export
 #include "plssvm/serve/net/protocol.hpp"        // IWYU pragma: export
 #include "plssvm/serve/net/server.hpp"          // IWYU pragma: export
 #include "plssvm/serve/obs.hpp"                 // IWYU pragma: export
 #include "plssvm/serve/qos.hpp"                 // IWYU pragma: export
 #include "plssvm/serve/serve_stats.hpp"         // IWYU pragma: export
-#include "plssvm/serve/sharded_engine.hpp"      // IWYU pragma: export
 #include "plssvm/serve/snapshot.hpp"            // IWYU pragma: export
 #include "plssvm/serve/topology.hpp"            // IWYU pragma: export
 #include "plssvm/serve/work_stealing_deque.hpp"  // IWYU pragma: export

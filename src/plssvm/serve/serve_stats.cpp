@@ -45,8 +45,7 @@ std::string to_json(const serve_stats &stats) {
     json += "\"paths\": { ";
     append_field(json, "reference", stats.reference_batches);
     append_field(json, "host_blocked", stats.host_blocked_batches);
-    append_field(json, "host_sparse", stats.host_sparse_batches);
-    append_field(json, "device", stats.device_batches, false);
+    append_field(json, "host_sparse", stats.host_sparse_batches, false);
     json += " }, ";
     json += "\"cost_model\": { ";
     append_field(json, "estimate_batches", stats.estimate_batches);
@@ -75,8 +74,8 @@ std::string to_json(const serve_stats &stats) {
     append_field(json, "stall_restarts", stats.fault.stall_restarts);
     append_field(json, "breaker_trips", stats.fault.breaker_trips);
     json += "\"breakers\": { ";
-    constexpr std::array<predict_path, 4> paths{ predict_path::reference, predict_path::host_blocked,
-                                                 predict_path::host_sparse, predict_path::device };
+    constexpr std::array<predict_path, 3> paths{ predict_path::reference, predict_path::host_blocked,
+                                                 predict_path::host_sparse };
     for (std::size_t p = 0; p < paths.size(); ++p) {
         json += "\"";
         json += predict_path_to_string(paths[p]);
@@ -197,7 +196,6 @@ void collect_serve_stats(obs::prometheus_builder &builder, const serve_stats &st
     builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "reference"), static_cast<double>(stats.reference_batches));
     builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "host_blocked"), static_cast<double>(stats.host_blocked_batches));
     builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "host_sparse"), static_cast<double>(stats.host_sparse_batches));
-    builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "device"), static_cast<double>(stats.device_batches));
     builder.add_counter("plssvm_serve_cost_estimate_batches_total", "Batches with a cost-model estimate recorded", labels, static_cast<double>(stats.estimate_batches));
     builder.add_gauge("plssvm_serve_cost_estimate_median_rel_error", "Median relative error of the cost-model batch latency estimate", labels, stats.estimate_median_rel_error);
     builder.add_gauge("plssvm_serve_queue_depth", "Tasks currently queued on the engine's executor lane", labels, static_cast<double>(stats.queue_depth));
@@ -219,8 +217,8 @@ void collect_serve_stats(obs::prometheus_builder &builder, const serve_stats &st
     builder.add_counter("plssvm_serve_stall_restarts_total", "Watchdog-triggered lane restarts", labels, static_cast<double>(stats.fault.stall_restarts));
     builder.add_counter("plssvm_serve_breaker_trips_total", "Circuit-breaker open transitions across all paths", labels, static_cast<double>(stats.fault.breaker_trips));
     {
-        constexpr std::array<predict_path, 4> paths{ predict_path::reference, predict_path::host_blocked,
-                                                     predict_path::host_sparse, predict_path::device };
+        constexpr std::array<predict_path, 3> paths{ predict_path::reference, predict_path::host_blocked,
+                                                     predict_path::host_sparse };
         for (std::size_t p = 0; p < paths.size(); ++p) {
             builder.add_gauge("plssvm_serve_breaker_state", "Per-path circuit-breaker state (0 = closed, 1 = open, 2 = half_open)",
                               with("path", predict_path_to_string(paths[p])),

@@ -94,7 +94,7 @@ struct fault_serve_stats {
     std::size_t stall_restarts{ 0 };                    ///< watchdog-triggered lane restarts
     std::size_t breaker_trips{ 0 };                     ///< circuit-breaker open transitions (all paths)
     /// Current breaker state per dispatch path, indexed like `predict_path`.
-    std::array<fault::breaker_state, 4> breaker_states{};
+    std::array<fault::breaker_state, 3> breaker_states{};
 };
 
 /// Aggregated serving statistics of one engine.
@@ -118,7 +118,6 @@ struct serve_stats {
     std::size_t reference_batches{ 0 };     ///< batches routed to the per-point reference path
     std::size_t host_blocked_batches{ 0 };  ///< batches routed to the tiled host kernels
     std::size_t host_sparse_batches{ 0 };   ///< batches routed to the sparse CSR sweeps
-    std::size_t device_batches{ 0 };        ///< batches routed to the device predict kernels
     // --- cost-model calibration (dispatcher estimate vs measured batch) ----
     std::size_t estimate_batches{ 0 };            ///< batches with an estimate recorded
     double estimate_median_rel_error{ 0.0 };      ///< median |est - measured| / measured
@@ -322,9 +321,6 @@ class serve_metrics {
             case predict_path::host_sparse:
                 ++host_sparse_batches_;
                 break;
-            case predict_path::device:
-                ++device_batches_;
-                break;
         }
     }
 
@@ -339,7 +335,6 @@ class serve_metrics {
         stats.reference_batches = reference_batches_;
         stats.host_blocked_batches = host_blocked_batches_;
         stats.host_sparse_batches = host_sparse_batches_;
-        stats.device_batches = device_batches_;
         stats.reloads = reloads_;
         stats.p50_latency_seconds = latency_.quantile(0.50);
         stats.p99_latency_seconds = latency_.quantile(0.99);
@@ -428,7 +423,6 @@ class serve_metrics {
         t.set_metric(p + "/reference_batches", static_cast<double>(stats.reference_batches));
         t.set_metric(p + "/host_blocked_batches", static_cast<double>(stats.host_blocked_batches));
         t.set_metric(p + "/host_sparse_batches", static_cast<double>(stats.host_sparse_batches));
-        t.set_metric(p + "/device_batches", static_cast<double>(stats.device_batches));
         t.set_metric(p + "/reloads", static_cast<double>(stats.reloads));
         t.set_metric(p + "/estimate_median_rel_error", stats.estimate_median_rel_error);
         for (const request_class cls : all_request_classes) {
@@ -474,7 +468,6 @@ class serve_metrics {
     std::size_t reference_batches_{ 0 };
     std::size_t host_blocked_batches_{ 0 };
     std::size_t host_sparse_batches_{ 0 };
-    std::size_t device_batches_{ 0 };
     std::size_t reloads_{ 0 };
     std::size_t quarantined_requests_{ 0 };
     std::size_t stall_failed_requests_{ 0 };

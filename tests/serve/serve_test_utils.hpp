@@ -15,6 +15,7 @@
 #include "plssvm/core/parameter.hpp"
 #include "plssvm/core/sparse_matrix.hpp"
 #include "plssvm/detail/rng.hpp"
+#include "plssvm/ext/multiclass.hpp"
 #include "plssvm/serve/compiled_model.hpp"
 
 #include <gtest/gtest.h>
@@ -59,6 +60,21 @@ namespace plssvm::test {
         a = detail::standard_normal<double>(engine);
     }
     return model<double>{ params, random_matrix(num_sv, dim, seed), std::move(alpha), /*rho=*/0.125, /*positive=*/1.0, /*negative=*/-1.0 };
+}
+
+/// Synthetic one-vs-all ensemble of @p num_classes random binary heads
+/// (labels 0, 1, ...), every head over @p dim features.
+[[nodiscard]] inline ext::multiclass_model<double> random_ensemble(const kernel_type kernel,
+                                                                   const std::size_t num_classes = 3,
+                                                                   const std::size_t dim = 11,
+                                                                   const std::uint64_t seed = 42) {
+    std::vector<double> labels;
+    std::vector<model<double>> heads;
+    for (std::size_t c = 0; c < num_classes; ++c) {
+        labels.push_back(static_cast<double>(c));
+        heads.push_back(random_model(kernel, 37, dim, seed + 7 * c));
+    }
+    return ext::multiclass_model<double>{ std::move(labels), std::move(heads) };
 }
 
 /// All kernel types the library ships.

@@ -1,8 +1,8 @@
 /**
  * @file
  * @brief Parity tests of the batch-prediction kernels against the per-point
- *        scalar reference sweep: the tiled host path and the device batch
- *        path across deliberately awkward shapes (batch/SV counts that are
+ *        scalar reference sweep: the tiled host path across deliberately
+ *        awkward shapes (batch/SV counts that are
  *        not tile multiples, single-point batches, dim = 1, fewer SVs than
  *        one tile), and the randomized sparse-parity harness sweeping
  *        (density x shape x kernel) grids over every sparse execution path
@@ -69,26 +69,6 @@ TEST_P(BatchKernelsAllKernels, BlockedMatchesReferenceAcrossAwkwardShapes) {
     }
 }
 
-TEST_P(BatchKernelsAllKernels, DevicePathMatchesReferenceAcrossAwkwardShapes) {
-    const kernel_type kernel = GetParam();
-    for (const batch_shape &shape : awkward_shapes()) {
-        const compiled_model<double> compiled{ test::random_model(kernel, shape.num_sv, shape.dim) };
-        const aos_matrix<double> points = test::random_matrix(shape.num_points, shape.dim, 17);
-
-        std::vector<double> reference(shape.num_points);
-        std::vector<double> device(shape.num_points);
-        compiled.decision_values_reference_into(points, 0, shape.num_points, reference.data());
-        compiled.decision_values_device_into(points, 0, shape.num_points, device.data());
-
-        // the device RBF core accumulates squared differences instead of the
-        // cached-norm form -> tolerance-equal only
-        for (std::size_t p = 0; p < shape.num_points; ++p) {
-            EXPECT_NEAR(device[p], reference[p], 1e-9 * (1.0 + std::abs(reference[p])))
-                << "shape=(" << shape.num_points << ", " << shape.num_sv << ", " << shape.dim << ") point=" << p;
-        }
-    }
-}
-
 TEST_P(BatchKernelsAllKernels, SubRangeEvaluationIsConsistentWithFullBatch) {
     // evaluating [7, 23) of a larger batch must equal the same rows of the
     // full-batch evaluation, for every path (tile boundaries shift)
@@ -127,7 +107,7 @@ TEST(BatchKernels, EmptyRangeIsANoOp) {
     const aos_matrix<double> points = test::random_matrix(5, 11, 29);
     double sentinel = 42.0;
     compiled.decision_values_into(points, 2, 2, &sentinel);
-    compiled.decision_values_device_into(points, 2, 2, &sentinel);
+    compiled.decision_values_reference_into(points, 2, 2, &sentinel);
     EXPECT_DOUBLE_EQ(sentinel, 42.0);
 }
 

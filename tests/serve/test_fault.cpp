@@ -21,7 +21,6 @@
 #include "plssvm/serve/inference_engine.hpp"
 #include "plssvm/serve/micro_batcher.hpp"
 #include "plssvm/serve/model_registry.hpp"
-#include "plssvm/serve/multiclass_engine.hpp"
 #include "plssvm/serve/predict_dispatcher.hpp"
 #include "plssvm/serve/qos.hpp"
 
@@ -46,7 +45,6 @@ using plssvm::serve::failure_kind;
 using plssvm::serve::health_state;
 using plssvm::serve::inference_engine;
 using plssvm::serve::micro_batcher;
-using plssvm::serve::multiclass_engine;
 using plssvm::serve::predict_path;
 using plssvm::serve::request_class;
 using plssvm::serve::request_failed_exception;
@@ -139,7 +137,7 @@ TEST(FaultInjector, PathFilterRestrictsARuleToOneDispatchPath) {
     fault::injector inj;
     inj.add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .path = predict_path::host_blocked });
     EXPECT_EQ(inj.evaluate(fault::fault_site::batch_kernel, predict_path::reference).kind, fault::fault_kind::none);
-    EXPECT_EQ(inj.evaluate(fault::fault_site::batch_kernel, predict_path::device).kind, fault::fault_kind::none);
+    EXPECT_EQ(inj.evaluate(fault::fault_site::batch_kernel, predict_path::host_sparse).kind, fault::fault_kind::none);
     EXPECT_EQ(inj.evaluate(fault::fault_site::batch_kernel, predict_path::host_blocked).kind, fault::fault_kind::kernel_throw);
 }
 
@@ -224,7 +222,6 @@ TEST(FaultLadder, MasksTrippedPathsButNeverReference) {
     EXPECT_FALSE(mask.allows(predict_path::host_blocked));
     EXPECT_TRUE(mask.allows(predict_path::reference));
     EXPECT_TRUE(mask.allows(predict_path::host_sparse));
-    EXPECT_TRUE(mask.allows(predict_path::device));
     EXPECT_EQ(ladder.trips(), 2u);
     EXPECT_EQ(ladder.trips(predict_path::host_blocked), 1u);
 }
@@ -234,23 +231,19 @@ TEST(FaultDispatcher, MaskedChooseDemotesDownTheLadder) {
     no_blocked.allowed[static_cast<std::size_t>(predict_path::host_blocked)] = false;
     const plssvm::serve::predict_shape shape{ 1024, 512, 64, kernel_type::rbf };
 
-    // device enabled: with the host path tripped, the remaining competitive
-    // path (device) takes the traffic
     plssvm::serve::dispatch_params params;
     params.min_blocked_batch = 8;
-    params.allow_device = true;
-    const plssvm::serve::predict_dispatcher with_device{ params };
-    const predict_path unmasked = with_device.choose(shape, fault::path_mask::all());
-    EXPECT_EQ(unmasked, with_device.choose(shape)) << "a full mask must reduce to the plain choice";
-    EXPECT_EQ(with_device.choose(shape, no_blocked), predict_path::device);
-
-    // host-only deployment: masking the blocked path leaves reference as the
-    // bottom rung of the ladder
-    params.allow_device = false;
-    const plssvm::serve::predict_dispatcher host_only{ params };
-    EXPECT_EQ(host_only.choose(shape), predict_path::host_blocked);
-    EXPECT_EQ(host_only.choose(shape, no_blocked), predict_path::reference)
+    const plssvm::serve::predict_dispatcher dispatcher{ params };
+    EXPECT_EQ(dispatcher.choose(shape, fault::path_mask::all()), dispatcher.choose(shape))
+        << "a full mask must reduce to the plain choice";
+    EXPECT_EQ(dispatcher.choose(shape), predict_path::host_blocked);
+    // masking the blocked path leaves reference as the bottom rung of the
+    // ladder (a dense panel offers no sparse sweep)...
+    EXPECT_EQ(dispatcher.choose(shape, no_blocked), predict_path::reference)
         << "with every competitive path masked, reference is the last resort";
+    // ...while a sparse-compiled panel still has the sparse sweep to fall to
+    const plssvm::serve::predict_shape sparse_panel{ 1024, 512, 64, kernel_type::rbf, /*sv_nnz=*/512 * 64 / 100 };
+    EXPECT_EQ(dispatcher.choose(sparse_panel, no_blocked), predict_path::host_sparse);
 }
 
 // ---------------------------------------------------------------------------
@@ -584,7 +577,7 @@ TEST(FaultStats, JsonAndPrometheusExposeTheFaultPlane) {
 }
 
 // ---------------------------------------------------------------------------
-// multi-class engine shares the fault plane
+// one-vs-all ensembles share the fault plane
 // ---------------------------------------------------------------------------
 
 TEST(FaultMulticlass, PoisonedRequestIsQuarantinedAndSurvivorsMatchSync) {
@@ -609,7 +602,7 @@ TEST(FaultMulticlass, PoisonedRequestIsQuarantinedAndSurvivorsMatchSync) {
     auto inject = std::make_shared<fault::injector>();
     inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .poison_index = 0 });
     engine_config config = fault_test_config(inject);
-    multiclass_engine<double> engine{ ensemble, config };
+    inference_engine<double> engine{ ensemble, config };
 
     const aos_matrix<double> queries = test::random_matrix(8, 2, 99);
     const std::vector<double> expected = engine.predict(queries);

@@ -1,7 +1,7 @@
 /**
  * @file
  * @brief Tests for `serve::model_registry` (multi-tenant load/find/evict with
- *        LRU) and `serve::multiclass_engine` (one-vs-all ensembles), including
+ *        LRU) and the serving engine over one-vs-all ensembles, including
  *        parity with `ext::one_vs_all::predict`.
  */
 
@@ -27,8 +27,8 @@ using plssvm::aos_matrix;
 using plssvm::kernel_type;
 using plssvm::model;
 using plssvm::serve::engine_config;
+using plssvm::serve::inference_engine;
 using plssvm::serve::model_registry;
-using plssvm::serve::multiclass_engine;
 namespace test = plssvm::test;
 
 TEST(ModelRegistry, RejectsZeroCapacity) {
@@ -108,14 +108,14 @@ TEST(ModelRegistry, TypeMismatchedFindDoesNotRefreshLru) {
     const auto ensemble = trained_ensemble(data);
 
     model_registry<double> registry{ 2 };
-    (void) registry.load("multi", ensemble);
     (void) registry.load("binary", test::random_model(kernel_type::linear));
-    // wrong-type probe: must miss AND must not protect "multi" from eviction
-    EXPECT_EQ(registry.find("multi"), nullptr);
+    (void) registry.load("multi", ensemble);
+    // wrong-type probe: must miss AND must not protect "binary" from eviction
+    EXPECT_EQ(registry.find_multiclass("binary"), nullptr);
     (void) registry.load("newcomer", test::random_model(kernel_type::linear));
 
-    EXPECT_FALSE(registry.contains("multi"));
-    EXPECT_TRUE(registry.contains("binary"));
+    EXPECT_FALSE(registry.contains("binary"));
+    EXPECT_TRUE(registry.contains("multi"));
     EXPECT_TRUE(registry.contains("newcomer"));
 }
 
@@ -123,8 +123,9 @@ TEST(MulticlassEngine, MatchesOneVsAllPredict) {
     plssvm::data_set<double> data{ aos_matrix<double>{ 1, 1 } };
     const auto ensemble = trained_ensemble(data);
 
-    multiclass_engine<double> engine{ ensemble, engine_config{ .num_threads = 2 } };
-    EXPECT_EQ(engine.num_classes(), 3u);
+    inference_engine<double> engine{ ensemble, engine_config{ .num_threads = 2 } };
+    EXPECT_TRUE(engine.ensemble());
+    EXPECT_EQ(engine.num_heads(), 3u);
 
     plssvm::parameter params;
     params.kernel = kernel_type::linear;
@@ -140,7 +141,7 @@ TEST(MulticlassEngine, MatchesOneVsAllPredict) {
 TEST(MulticlassEngine, SubmitMatchesSyncPredict) {
     plssvm::data_set<double> data{ aos_matrix<double>{ 1, 1 } };
     const auto ensemble = trained_ensemble(data);
-    multiclass_engine<double> engine{ ensemble, engine_config{ .num_threads = 2, .max_batch_size = 16 } };
+    inference_engine<double> engine{ ensemble, engine_config{ .num_threads = 2, .max_batch_size = 16 } };
 
     const aos_matrix<double> &points = data.points();
     const std::vector<double> expected = engine.predict(points);
@@ -157,7 +158,7 @@ TEST(MulticlassEngine, SubmitMatchesSyncPredict) {
 TEST(MulticlassEngine, DecisionMatrixShapeAndArgmaxConsistency) {
     plssvm::data_set<double> data{ aos_matrix<double>{ 1, 1 } };
     const auto ensemble = trained_ensemble(data);
-    multiclass_engine<double> engine{ ensemble, engine_config{ .num_threads = 2 } };
+    inference_engine<double> engine{ ensemble, engine_config{ .num_threads = 2 } };
 
     const aos_matrix<double> scores = engine.decision_matrix(data.points());
     EXPECT_EQ(scores.num_rows(), data.points().num_rows());
@@ -173,6 +174,17 @@ TEST(MulticlassEngine, DecisionMatrixShapeAndArgmaxConsistency) {
         }
         EXPECT_EQ(labels[p], engine.class_labels()[best]);
     }
+}
+
+TEST(MulticlassEngine, RejectsBinaryOnlyCallsAndKindChangingReloads) {
+    inference_engine<double> engine{ test::random_ensemble(kernel_type::linear), engine_config{ .num_threads = 2 } };
+    const aos_matrix<double> points = test::random_matrix(4, 11, 5);
+    EXPECT_THROW((void) engine.decision_values(points), plssvm::invalid_parameter_exception);
+    EXPECT_EQ(engine.decision_matrix(points).num_cols(), 3u);
+    // the model kind and class count are fixed for the engine's lifetime
+    EXPECT_THROW(engine.reload(test::random_model(kernel_type::linear)), plssvm::invalid_data_exception);
+    EXPECT_THROW(engine.reload(test::random_ensemble(kernel_type::linear, 4)), plssvm::invalid_data_exception);
+    EXPECT_EQ(engine.snapshot_version(), 1u);
 }
 
 TEST(ModelRegistry, MulticlassReloadSwapsSnapshotBehindAStableEnginePointer) {
@@ -225,8 +237,10 @@ TEST(ModelRegistry, HostsMulticlassEnsembles) {
     ASSERT_NE(engine, nullptr);
     EXPECT_TRUE(registry.contains("landcover"));
     EXPECT_EQ(registry.find_multiclass("landcover"), engine);
-    // the same name is not a binary engine
-    EXPECT_EQ(registry.find("landcover"), nullptr);
+    EXPECT_EQ(registry.find("landcover"), engine);
+    // a binary name is not an ensemble
+    (void) registry.load("churn", test::random_model(kernel_type::linear));
+    EXPECT_EQ(registry.find_multiclass("churn"), nullptr);
 
     const std::vector<double> labels = engine->predict(data.points());
     EXPECT_EQ(labels.size(), data.points().num_rows());

@@ -155,11 +155,13 @@ template <typename Predicate>
     return config;
 }
 
-/// One ready-to-use loopback server over a fresh registry.
+/// One ready-to-use loopback server over a fresh registry serving a binary
+/// model ("demo") and a one-vs-all ensemble ("ensemble").
 struct server_fixture {
     explicit server_fixture(const engine_config &config = net_test_config(), const std::size_t event_threads = 1) :
         registry{ 4, config } {
         engine = registry.load("demo", test::random_model(kernel_type::linear));
+        ensemble = registry.load("ensemble", test::random_ensemble(kernel_type::linear));
         net::net_server_config server_config;
         server_config.event_threads = event_threads;
         server_config.completion_threads = 2;
@@ -168,6 +170,7 @@ struct server_fixture {
 
     model_registry<double> registry;
     std::shared_ptr<plssvm::serve::inference_engine<double>> engine;
+    std::shared_ptr<plssvm::serve::inference_engine<double>> ensemble;
     std::unique_ptr<net::net_server> server;
 };
 
@@ -435,26 +438,30 @@ TEST(NetServer, SparseBinaryRequestMatchesDense) {
     std::vector<double> dense(11, 0.0);
     dense[2] = 1.25;
     dense[7] = -0.5;
-    client c{ fx.server->port() };
-    c.send(binary_predict(0, dense));
-    net::net_request sparse_req;
-    sparse_req.id = 1;
-    sparse_req.model = "demo";
-    sparse_req.sparse = true;
-    sparse_req.sparse_entries = { { 2, 1.25 }, { 7, -0.5 } };
-    c.send(net::encode_frame(net::frame_type::request, net::encode_request_binary(sparse_req)));
+    // binary models and one-vs-all ensembles accept sparse requests alike
+    for (const std::string model : { "demo", "ensemble" }) {
+        SCOPED_TRACE(model);
+        client c{ fx.server->port() };
+        c.send(binary_predict(0, dense, model));
+        net::net_request sparse_req;
+        sparse_req.id = 1;
+        sparse_req.model = model;
+        sparse_req.sparse = true;
+        sparse_req.sparse_entries = { { 2, 1.25 }, { 7, -0.5 } };
+        c.send(net::encode_frame(net::frame_type::request, net::encode_request_binary(sparse_req)));
 
-    std::vector<std::string> frames;
-    ASSERT_TRUE(c.read_messages(frames, 2));
-    std::map<std::uint64_t, double> results;
-    for (const std::string &payload : frames) {
-        net::net_response resp;
-        ASSERT_FALSE(net::decode_response_binary(payload, resp).has_value());
-        ASSERT_EQ(resp.status, net::response_status::ok) << resp.error;
-        results[resp.id] = resp.value;
+        std::vector<std::string> frames;
+        ASSERT_TRUE(c.read_messages(frames, 2));
+        std::map<std::uint64_t, double> results;
+        for (const std::string &payload : frames) {
+            net::net_response resp;
+            ASSERT_FALSE(net::decode_response_binary(payload, resp).has_value());
+            ASSERT_EQ(resp.status, net::response_status::ok) << resp.error;
+            results[resp.id] = resp.value;
+        }
+        ASSERT_EQ(results.size(), 2u);
+        EXPECT_NEAR(results[0], results[1], 1e-12);
     }
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_NEAR(results[0], results[1], 1e-12);
 }
 
 TEST(NetServer, JsonLoopbackPredictAndProbes) {
@@ -664,8 +671,10 @@ TEST(NetServer, StopWithInflightRequestsDrainsCleanly) {
     for (std::uint64_t i = 0; i < 8; ++i) {
         c.send(binary_predict(i, std::vector<double>(11, 0.3)));
     }
-    // give the event loop a moment to decode + submit, then stop mid-batch
-    std::this_thread::sleep_for(10ms);
+    // stop mid-batch once every request is decoded and submitted (the 50 ms
+    // batch delay keeps them inflight): a sleep could instead close the
+    // socket on unread requests, which resets the connection
+    ASSERT_TRUE(eventually([&] { return fx.server->counters().requests_total == 8; }));
     fx.server->stop();  // must drain the inflight futures without hanging
     EXPECT_TRUE(c.at_eof());
 }

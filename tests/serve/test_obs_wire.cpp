@@ -331,30 +331,40 @@ TEST(ObsSloHealth, InjectedSloBurnEscalatesEngineHealthAndDumps) {
     objective.latency_target = 0.99;
     config.slo.min_requests = 4;
 
-    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+    // a binary model and a one-vs-all ensemble honour the objective alike
+    inference_engine<double> binary{ test::random_model(kernel_type::linear), config };
+    inference_engine<double> ensemble{ test::random_ensemble(kernel_type::linear), config };
     const std::vector<double> point(11, 0.5);
-
-    // keep offering bursts until the burn escalates the engine (bounded by
-    // wall clock, not rounds: a loaded CI host may drain slowly, but every
-    // drained batch renews the burn, so escalation is only a matter of time)
-    bool escalated = false;
-    const auto deadline = std::chrono::steady_clock::now() + 4s;
-    while (!escalated && std::chrono::steady_clock::now() < deadline) {
-        std::vector<std::future<double>> futures;
-        futures.reserve(8);
-        for (int i = 0; i < 8; ++i) {
-            futures.push_back(engine.submit(point, request_options{}));
+    for (inference_engine<double> *engine : { &binary, &ensemble }) {
+        SCOPED_TRACE(engine->ensemble() ? "ensemble" : "binary");
+        // keep offering bursts until the burn escalates the engine (bounded
+        // by wall clock, not rounds: a loaded CI host may drain slowly, but
+        // every drained batch renews the burn, so escalation is only a
+        // matter of time)
+        bool escalated = false;
+        const auto deadline = std::chrono::steady_clock::now() + 4s;
+        while (!escalated && std::chrono::steady_clock::now() < deadline) {
+            std::vector<std::future<double>> futures;
+            futures.reserve(8);
+            for (int i = 0; i < 8; ++i) {
+                futures.push_back(engine->submit(point, request_options{}));
+            }
+            for (auto &future : futures) {
+                (void) future.get();
+            }
+            escalated = engine->health() == health_state::critical;
         }
-        for (auto &future : futures) {
-            (void) future.get();
-        }
-        escalated = engine.health() == health_state::critical;
+        EXPECT_TRUE(escalated) << "sustained SLO burn must drive the engine critical";
+        const slo_report report = engine->slo();
+        EXPECT_EQ(report.worst, slo_alert_state::critical);
+        EXPECT_GT(engine->recorder().health_dumps(), 0U) << "the escalation must force a flight-recorder dump";
+        const std::string json = engine->stats_json();
+        EXPECT_NE(json.find("\"windows\""), std::string::npos) << json;
+        EXPECT_NE(json.find("\"slo\""), std::string::npos) << json;
+        obs::prometheus_builder builder;
+        engine->collect_metrics(builder);
+        EXPECT_NE(builder.text().find("plssvm_serve_slo_state"), std::string::npos);
     }
-    EXPECT_TRUE(escalated) << "sustained SLO burn must drive the engine critical";
-    const slo_report report = engine.slo();
-    EXPECT_EQ(report.worst, slo_alert_state::critical);
-    EXPECT_GT(engine.recorder().health_dumps(), 0U) << "the escalation must force a flight-recorder dump";
-    EXPECT_NE(engine.stats_json().find("\"slo\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,12 +456,14 @@ class client {
     return config;
 }
 
-/// Loopback server over a fresh registry, with a configurable net plane.
+/// Loopback server over a fresh registry serving a binary model ("demo")
+/// and a one-vs-all ensemble ("ensemble"), with a configurable net plane.
 struct obs_server_fixture {
     explicit obs_server_fixture(const engine_config &config = obs_net_config(),
                                 net::net_server_config server_config = {}) :
         registry{ 4, config } {
         engine = registry.load("demo", test::random_model(kernel_type::linear));
+        ensemble = registry.load("ensemble", test::random_ensemble(kernel_type::linear));
         server_config.event_threads = 1;
         server_config.completion_threads = 2;
         server = std::make_unique<net::net_server>(server_config, std::make_shared<net::registry_dispatcher<double>>(registry));
@@ -459,8 +471,20 @@ struct obs_server_fixture {
 
     model_registry<double> registry;
     std::shared_ptr<inference_engine<double>> engine;
+    std::shared_ptr<inference_engine<double>> ensemble;
     std::unique_ptr<net::net_server> server;
 };
+
+/// Whether @p engine's flight recorder retains a wire-complete trace (5
+/// engine lifecycle stamps + 6 net stamps) under the client trace id @p id.
+[[nodiscard]] bool retains_wire_trace(const inference_engine<double> &engine, const std::uint64_t id) {
+    for (const obs::request_trace &trace : engine.recorder().traces(request_class::interactive)) {
+        if (trace.id == id && trace.wire_complete()) {
+            return true;
+        }
+    }
+    return false;
+}
 
 [[nodiscard]] std::string binary_predict_traced(const std::uint64_t id, const std::uint64_t trace_id,
                                                 const std::vector<double> &features,
@@ -504,6 +528,12 @@ TEST(ObsWireTrace, BinaryTraceIdRoundTripsWithNineStamps) {
     EXPECT_NE(dump.find("\"t_flushed_ns\""), std::string::npos);
     EXPECT_NE(dump.find("\"wire_complete\": true"), std::string::npos) << dump;
     EXPECT_NE(dump.find("\"demo\""), std::string::npos) << "trace dump is grouped per model";
+
+    // a one-vs-all ensemble request owns the same full wire-to-wire record
+    predictor.send(binary_predict_traced(8, 434'343, std::vector<double>(11, 0.25), "ensemble"));
+    ASSERT_TRUE(predictor.read_messages(responses, 2));
+    EXPECT_TRUE(eventually([&] { return retains_wire_trace(*fx.ensemble, 434'343); }))
+        << fx.ensemble->dump_traces();
 }
 
 TEST(ObsWireTrace, JsonTraceIdParity) {
@@ -519,6 +549,14 @@ TEST(ObsWireTrace, JsonTraceIdParity) {
     std::string dump;
     ASSERT_TRUE(eventually([&] { return trace_dump_contains(c, "\"id\": 777421", &dump); })) << dump;
     EXPECT_NE(dump.find("\"wire_complete\": true"), std::string::npos) << dump;
+
+    // JSON requests to a one-vs-all ensemble are wire-traced the same way
+    c.send(R"({"model": "ensemble", "id": 10, "trace_id": 787878, "features": [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]})"
+           "\n");
+    ASSERT_TRUE(c.read_messages(responses, 2));
+    EXPECT_NE(responses.back().find("\"status\": \"ok\""), std::string::npos) << responses.back();
+    EXPECT_TRUE(eventually([&] { return retains_wire_trace(*fx.ensemble, 787'878); }))
+        << fx.ensemble->dump_traces();
 }
 
 TEST(ObsWireTrace, ClientTraceIdForcesTracingWhenSamplingIsOff) {
@@ -595,9 +633,11 @@ TEST(ObsExposition, StatsJsonCarriesWindowsSloPeersAndDrainState) {
     EXPECT_NE(net_stats.find("\"per_peer\""), std::string::npos);
     EXPECT_NE(net_stats.find("\"127.0.0.1\""), std::string::npos) << "loopback peer must be accounted";
 
-    const std::string engine_stats = fx.engine->stats_json();
-    EXPECT_NE(engine_stats.find("\"windows\""), std::string::npos) << engine_stats;
-    EXPECT_NE(engine_stats.find("\"slo\""), std::string::npos);
+    for (const auto &engine : { fx.engine, fx.ensemble }) {
+        const std::string engine_stats = engine->stats_json();
+        EXPECT_NE(engine_stats.find("\"windows\""), std::string::npos) << engine_stats;
+        EXPECT_NE(engine_stats.find("\"slo\""), std::string::npos);
+    }
 }
 
 TEST(ObsDrain, BeginDrainFlipsReadinessAndRejectsNewConnections) {

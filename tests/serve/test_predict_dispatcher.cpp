@@ -29,90 +29,58 @@ using plssvm::serve::predict_dispatcher;
 using plssvm::serve::predict_path;
 namespace test = plssvm::test;
 
-/// Injected parameters with a slow host and a fast, low-overhead device:
-/// the crossover to the device lands between batch = 1 and batch = 1024.
-[[nodiscard]] dispatch_params device_favouring_params() {
+/// Injected parameters with a deliberately pessimistic, single-thread host.
+[[nodiscard]] dispatch_params slow_host_params() {
     dispatch_params params;
     params.min_blocked_batch = 8;
-    params.allow_device = true;
-    params.host.effective_gflops = 0.5;  // deliberately pessimistic host
+    params.host.effective_gflops = 0.5;
     params.host.num_threads = 1;
     return params;
 }
 
-/// Injected parameters whose device never pays off: transfers are charged at
-/// a prohibitive per-batch latency.
-[[nodiscard]] dispatch_params host_favouring_params() {
-    dispatch_params params;
-    params.min_blocked_batch = 8;
-    params.allow_device = true;
-    params.host.effective_gflops = 1e6;  // absurdly fast host
-    params.profile.transfer_latency_s = 10.0;
-    return params;
-}
-
 TEST(PredictDispatcher, TinyBatchesTakeTheReferencePath) {
-    const predict_dispatcher dispatcher{ device_favouring_params() };
+    const predict_dispatcher dispatcher{ slow_host_params() };
     EXPECT_EQ(dispatcher.choose(1, 512, 64, kernel_type::rbf), predict_path::reference);
     EXPECT_EQ(dispatcher.choose(7, 512, 64, kernel_type::rbf), predict_path::reference);
     EXPECT_EQ(dispatcher.choose(0, 512, 64, kernel_type::rbf), predict_path::reference);
 }
 
-TEST(PredictDispatcher, PicksDifferentPathsForBatch1VsBatch1024) {
-    // the issue's acceptance scenario, with injected cost-model parameters
-    const predict_dispatcher dispatcher{ device_favouring_params() };
-    const predict_path small = dispatcher.choose(1, 512, 64, kernel_type::rbf);
-    const predict_path large = dispatcher.choose(1024, 512, 64, kernel_type::rbf);
-    EXPECT_EQ(small, predict_path::reference);
-    EXPECT_EQ(large, predict_path::device);
-    EXPECT_NE(small, large);
-}
-
 TEST(PredictDispatcher, DeviceDisabledFallsBackToBlockedHost) {
-    dispatch_params params = device_favouring_params();
-    params.allow_device = false;
-    const predict_dispatcher dispatcher{ params };
-    EXPECT_EQ(dispatcher.choose(1024, 512, 64, kernel_type::rbf), predict_path::host_blocked);
-}
-
-TEST(PredictDispatcher, ProhibitiveTransferCostKeepsLargeBatchesOnTheHost) {
-    const predict_dispatcher dispatcher{ host_favouring_params() };
+    // serving has no device path: even against a pessimistic host, large
+    // dense batches take the blocked host kernels
+    const predict_dispatcher dispatcher{ slow_host_params() };
     EXPECT_EQ(dispatcher.choose(1024, 512, 64, kernel_type::rbf), predict_path::host_blocked);
 }
 
 TEST(PredictDispatcher, CostEstimatesScaleWithBatchShape) {
-    const predict_dispatcher dispatcher{ device_favouring_params() };
+    const predict_dispatcher dispatcher{ slow_host_params() };
     // more points, SVs, or features -> strictly more estimated host time
     const double base = dispatcher.host_seconds(256, 512, 64, kernel_type::rbf);
     EXPECT_GT(dispatcher.host_seconds(512, 512, 64, kernel_type::rbf), base);
     EXPECT_GT(dispatcher.host_seconds(256, 1024, 64, kernel_type::rbf), base);
     EXPECT_GT(dispatcher.host_seconds(256, 512, 128, kernel_type::rbf), base);
-    // the device estimate includes a fixed per-batch overhead: it must
-    // exceed the pure roofline scaling at batch 1
-    EXPECT_GT(dispatcher.device_seconds(1, 512, 64, kernel_type::rbf), 0.0);
 }
 
 TEST(PredictDispatcher, EngineRecordsChosenPathInServeStats) {
     const model<double> m = test::random_model(kernel_type::rbf, 37, 11);
     engine_config config;
     config.num_threads = 2;
-    config.dispatch = device_favouring_params();
+    config.dispatch = slow_host_params();
     inference_engine<double> engine{ m, config };
 
     // batch 1 -> reference path
     (void) engine.decision_values(test::random_matrix(1, 11, 3));
-    // batch 1024 -> device path (injected params make the device win)
+    // batch 1024 -> blocked host path
     const aos_matrix<double> big = test::random_matrix(1024, 11, 4);
     const std::vector<double> via_engine = engine.decision_values(big);
 
     const plssvm::serve::serve_stats stats = engine.stats();
     EXPECT_EQ(stats.reference_batches, 1u);
-    EXPECT_EQ(stats.device_batches, 1u);
-    EXPECT_EQ(stats.host_blocked_batches, 0u);
+    EXPECT_EQ(stats.host_blocked_batches, 1u);
     EXPECT_EQ(stats.total_batches, 2u);
 
-    // the device path must agree with the host paths within tolerance
-    const std::vector<double> expected = engine.snapshot()->compiled.decision_values(big);
+    // the dispatched path must agree with the compiled model's own sweep
+    const std::vector<double> expected = engine.snapshot()->heads.front().decision_values(big);
     for (std::size_t p = 0; p < expected.size(); ++p) {
         EXPECT_NEAR(via_engine[p], expected[p], 1e-9 * (1.0 + std::abs(expected[p])));
     }
@@ -126,7 +94,6 @@ TEST(PredictDispatcher, DefaultEngineUsesReferenceForTinyAndBlockedForLargeBatch
     const plssvm::serve::serve_stats stats = engine.stats();
     EXPECT_EQ(stats.reference_batches, 1u);
     EXPECT_EQ(stats.host_blocked_batches, 1u);
-    EXPECT_EQ(stats.device_batches, 0u);
 }
 
 TEST(PredictDispatcher, PathCountersReachTheTracker) {
@@ -136,7 +103,6 @@ TEST(PredictDispatcher, PathCountersReachTheTracker) {
     engine.report_to(tracker, "serve");
     EXPECT_DOUBLE_EQ(tracker.get_metric("serve/host_blocked_batches"), 1.0);
     EXPECT_DOUBLE_EQ(tracker.get_metric("serve/reference_batches"), 0.0);
-    EXPECT_DOUBLE_EQ(tracker.get_metric("serve/device_batches"), 0.0);
 }
 
 }  // namespace

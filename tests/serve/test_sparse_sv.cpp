@@ -151,23 +151,13 @@ TEST(SparseSV, DispatcherRoutesSparseLinearQueriesBySparsity) {
     EXPECT_EQ(dispatcher.choose(dense_queries), predict_path::host_blocked);
 }
 
-TEST(SparseSV, CsrQueriesNeverRouteToTheDevice) {
-    dispatch_params params = injected_dispatch();
-    params.allow_device = true;
-    params.host.effective_gflops = 0.001;  // pessimal host: the device would win any dense contest
-    const predict_dispatcher dispatcher{ params };
-    const predict_shape csr_shape{ 1024, 512, 64, kernel_type::rbf, /*sv_nnz=*/512 * 64, /*sparse_query=*/true, /*query_nnz=*/1024 * 64 };
-    const predict_path path = dispatcher.choose(csr_shape);
-    EXPECT_NE(path, predict_path::device);
-}
-
 TEST(SparseSV, EngineRecordsSparsePathInServeStats) {
     engine_config config;
     config.num_threads = 2;
     config.dispatch = injected_dispatch();
     // sparse rbf model, large dense batch -> host_sparse
     inference_engine<double> engine{ test::random_sparse_model(kernel_type::rbf, 64, 48, 0.05, 17), config };
-    ASSERT_TRUE(engine.snapshot()->compiled.sparse_sv());
+    ASSERT_TRUE(engine.snapshot()->heads.front().sparse_sv());
 
     const aos_matrix<double> big = test::sparse_random_matrix(256, 48, 0.05, 18);
     const std::vector<double> via_engine = engine.decision_values(big);
@@ -181,7 +171,7 @@ TEST(SparseSV, EngineRecordsSparsePathInServeStats) {
 
     // and the sparse path agrees with the reference evaluation
     std::vector<double> reference(big.num_rows());
-    engine.snapshot()->compiled.decision_values_reference_into(big, 0, big.num_rows(), reference.data());
+    engine.snapshot()->heads.front().decision_values_reference_into(big, 0, big.num_rows(), reference.data());
     for (std::size_t p = 0; p < reference.size(); ++p) {
         EXPECT_NEAR(via_engine[p], reference[p], 1e-10 * (1.0 + std::abs(reference[p]))) << "point=" << p;
     }
@@ -207,7 +197,7 @@ TEST(SparseSV, EngineKeepsDenseModelsOnTheBlockedPath) {
     config.num_threads = 2;
     config.dispatch = injected_dispatch();
     inference_engine<double> engine{ test::random_model(kernel_type::rbf, 37, 11), config };
-    ASSERT_FALSE(engine.snapshot()->compiled.sparse_sv());
+    ASSERT_FALSE(engine.snapshot()->heads.front().sparse_sv());
     (void) engine.decision_values(test::random_matrix(256, 11, 25));
     const plssvm::serve::serve_stats stats = engine.stats();
     EXPECT_EQ(stats.host_blocked_batches, 1u);
@@ -221,17 +211,17 @@ TEST(SparseSV, ReloadMovesAModelBetweenDenseAndSparseForms) {
     config.num_threads = 2;
     config.dispatch = injected_dispatch();
     inference_engine<double> engine{ test::random_model(kernel_type::rbf, 37, 16, 41), config };
-    EXPECT_FALSE(engine.snapshot()->compiled.sparse_sv());
+    EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
 
     const model<double> sparse_replacement = test::random_sparse_model(kernel_type::rbf, 21, 16, 0.08, 43);
     engine.reload(sparse_replacement);
     EXPECT_EQ(engine.snapshot_version(), 2u);
-    EXPECT_TRUE(engine.snapshot()->compiled.sparse_sv()) << "the engine's compile options must apply on reload";
+    EXPECT_TRUE(engine.snapshot()->heads.front().sparse_sv()) << "the engine's compile options must apply on reload";
 
     // back to a dense replacement -> dense form again
     engine.reload(test::random_model(kernel_type::rbf, 19, 16, 44));
     EXPECT_EQ(engine.snapshot_version(), 3u);
-    EXPECT_FALSE(engine.snapshot()->compiled.sparse_sv());
+    EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
 }
 
 TEST(SparseSV, RegistryReloadSwitchesFormsBehindAStableEnginePointer) {
@@ -239,11 +229,11 @@ TEST(SparseSV, RegistryReloadSwitchesFormsBehindAStableEnginePointer) {
     const model<double> dense_v1 = test::random_model(kernel_type::rbf, 37, 16, 51);
     const model<double> sparse_v2 = test::random_sparse_model(kernel_type::rbf, 29, 16, 0.06, 52);
     auto engine = registry.load("tenant", dense_v1);
-    EXPECT_FALSE(engine->snapshot()->compiled.sparse_sv());
+    EXPECT_FALSE(engine->snapshot()->heads.front().sparse_sv());
 
     registry.reload("tenant", sparse_v2).get();
     EXPECT_EQ(registry.find("tenant"), engine) << "form switch must keep the resident engine";
-    EXPECT_TRUE(engine->snapshot()->compiled.sparse_sv());
+    EXPECT_TRUE(engine->snapshot()->heads.front().sparse_sv());
 
     const aos_matrix<double> points = test::sparse_random_matrix(16, 16, 0.06, 53);
     const std::vector<double> expected = compiled_model<double>{ sparse_v2 }.decision_values(points);
@@ -334,7 +324,7 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
     EXPECT_EQ(engine.snapshot_version(), 1u + form_flips);
     // flips alternate sparse, dense, ...: the final (even-count) flip used
     // threshold 0.0, so the engine ends on the dense form
-    EXPECT_FALSE(engine.snapshot()->compiled.sparse_sv());
+    EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
 }
 
 }  // namespace

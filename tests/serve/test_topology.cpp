@@ -4,7 +4,7 @@
  *        cpulist parsing, sysfs probing against fake trees, the graceful
  *        degradation ladder (missing sysfs / single node / oversubscribed
  *        pool all collapse to the no-pinning executor), lane home-domain
- *        resolution, and the NUMA-sharded engine + registry integration.
+ *        resolution, and NUMA-sharded placement through the registry.
  *
  * The probe's sysfs root is injectable, so multi-node behavior is tested on
  * any host — including the single-core CI runner — by writing a fake
@@ -16,13 +16,13 @@
 #include "plssvm/serve/executor.hpp"
 #include "plssvm/serve/inference_engine.hpp"
 #include "plssvm/serve/model_registry.hpp"
-#include "plssvm/serve/sharded_engine.hpp"
 #include "plssvm/serve/topology.hpp"
 
 #include "serve/serve_test_utils.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -33,9 +33,11 @@
 namespace {
 
 using plssvm::serve::any_numa_domain;
+using plssvm::serve::engine_config;
 using plssvm::serve::executor;
 using plssvm::serve::executor_options;
 using plssvm::serve::lane_options;
+using plssvm::serve::model_registry;
 using plssvm::serve::numa_domain;
 using plssvm::serve::parse_cpu_list;
 using plssvm::serve::probe_topology;
@@ -223,17 +225,15 @@ TEST(ExecutorTopology, LaneResolvesToRequestedHomeDomain) {
     EXPECT_EQ(bogus.enqueue([] { return 3; }).get(), 3);
 }
 
-// --- sharded engine ----------------------------------------------------------
+// --- sharded placement through the registry ----------------------------------
 
 TEST(ExecutorTopology, ShardedEngineCreatesOneReplicaPerDomain) {
     executor exec{ 4, executor_options{ .topology = fake_topology(2, 2) } };
-    const plssvm::model<double> trained = test::random_model(plssvm::kernel_type::rbf);
-    plssvm::serve::engine_config config{};
-    config.exec = &exec;
-    plssvm::serve::sharded_engine<double> sharded{ trained, config };
-    EXPECT_EQ(sharded.num_shards(), 2u);
-    EXPECT_EQ(sharded.replica(0).home_domain(), 0u);
-    EXPECT_EQ(sharded.replica(1).home_domain(), 1u);
+    model_registry<double> registry{ 4, engine_config{ .exec = &exec } };
+    const auto replicas = registry.load_sharded("numa", test::random_model(plssvm::kernel_type::rbf));
+    ASSERT_EQ(replicas.size(), 2u);
+    EXPECT_EQ(replicas[0]->home_domain(), 0u);
+    EXPECT_EQ(replicas[1]->home_domain(), 1u);
 }
 
 TEST(ExecutorTopology, ShardedEngineMatchesPlainEngineResults) {
@@ -241,18 +241,18 @@ TEST(ExecutorTopology, ShardedEngineMatchesPlainEngineResults) {
     const plssvm::model<double> trained = test::random_model(plssvm::kernel_type::rbf);
     const plssvm::aos_matrix<double> queries = test::random_matrix(16, 11, 7);
 
-    plssvm::serve::engine_config config{};
-    config.exec = &exec;
-    plssvm::serve::sharded_engine<double> sharded{ trained, config };
+    const engine_config config{ .exec = &exec };
+    model_registry<double> registry{ 4, config };
+    const auto replicas = registry.load_sharded("numa", trained);
     plssvm::serve::inference_engine<double> plain{ trained, config };
 
     const std::vector<double> expected = plain.decision_values(queries);
-    // every rotation target must serve identical values
-    for (std::size_t round = 0; round < sharded.num_shards(); ++round) {
-        const std::vector<double> actual = sharded.decision_values(queries);
+    // every replica must serve identical values
+    for (std::size_t shard = 0; shard < replicas.size(); ++shard) {
+        const std::vector<double> actual = replicas[shard]->decision_values(queries);
         ASSERT_EQ(actual.size(), expected.size());
         for (std::size_t i = 0; i < actual.size(); ++i) {
-            EXPECT_DOUBLE_EQ(actual[i], expected[i]) << "round " << round << " point " << i;
+            EXPECT_DOUBLE_EQ(actual[i], expected[i]) << "shard " << shard << " point " << i;
         }
     }
 
@@ -263,7 +263,7 @@ TEST(ExecutorTopology, ShardedEngineMatchesPlainEngineResults) {
         for (std::size_t c = 0; c < point.size(); ++c) {
             point[c] = queries(i, c);
         }
-        futures.push_back(sharded.submit(std::move(point)));
+        futures.push_back(registry.find("numa")->submit(std::move(point)));
     }
     const std::vector<double> labels = plain.predict(queries);
     for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -273,29 +273,29 @@ TEST(ExecutorTopology, ShardedEngineMatchesPlainEngineResults) {
 
 TEST(ExecutorTopology, ShardedEngineReloadSwapsEveryReplica) {
     executor exec{ 4, executor_options{ .topology = fake_topology(2, 2) } };
-    plssvm::serve::engine_config config{};
-    config.exec = &exec;
-    plssvm::serve::sharded_engine<double> sharded{ test::random_model(plssvm::kernel_type::linear), config };
-    const std::uint64_t before = sharded.snapshot_version();
-    sharded.reload(test::random_model(plssvm::kernel_type::linear, 37, 11, /*seed=*/99));
-    for (std::size_t shard = 0; shard < sharded.num_shards(); ++shard) {
-        EXPECT_GT(sharded.replica(shard).snapshot_version(), before) << "shard " << shard;
+    model_registry<double> registry{ 4, engine_config{ .exec = &exec } };
+    const auto replicas = registry.load_sharded("numa", test::random_model(plssvm::kernel_type::linear));
+    const std::uint64_t before = replicas.front()->snapshot_version();
+    registry.reload("numa", test::random_model(plssvm::kernel_type::linear, 37, 11, /*seed=*/99)).get();
+    for (std::size_t shard = 0; shard < replicas.size(); ++shard) {
+        EXPECT_GT(replicas[shard]->snapshot_version(), before) << "shard " << shard;
     }
-    EXPECT_EQ(sharded.health(), plssvm::serve::health_state::healthy);
+    EXPECT_EQ(registry.health(), plssvm::serve::health_state::healthy);
 }
 
 TEST(ExecutorTopology, ShardedStatsAggregateAcrossReplicas) {
     executor exec{ 2, executor_options{ .topology = fake_topology(2, 1) } };
-    const plssvm::model<double> trained = test::random_model(plssvm::kernel_type::rbf);
-    plssvm::serve::engine_config config{};
-    config.exec = &exec;
-    plssvm::serve::sharded_engine<double> sharded{ trained, config };
+    model_registry<double> registry{ 4, engine_config{ .exec = &exec } };
+    const auto replicas = registry.load_sharded("numa", test::random_model(plssvm::kernel_type::rbf));
     for (int i = 0; i < 6; ++i) {
-        (void) sharded.predict(test::random_matrix(4, 11, 100 + static_cast<std::uint64_t>(i)));
+        (void) registry.find("numa")->predict(test::random_matrix(4, 11, 100 + static_cast<std::uint64_t>(i)));
     }
-    const plssvm::serve::serve_stats stats = sharded.stats();
-    EXPECT_EQ(stats.total_requests, 24u);  // 6 batches x 4 points, summed over shards
-    const std::string json = sharded.stats_json();
+    std::size_t total_requests = 0;
+    for (const auto &replica : replicas) {
+        total_requests += replica->stats().total_requests;
+    }
+    EXPECT_EQ(total_requests, 24u);  // 6 batches x 4 points, summed over shards
+    const std::string json = registry.stats_json();
     EXPECT_NE(json.find("\"shards\": 2"), std::string::npos) << json;
     EXPECT_NE(json.find("\"replicas\": ["), std::string::npos) << json;
 }
@@ -303,23 +303,22 @@ TEST(ExecutorTopology, ShardedStatsAggregateAcrossReplicas) {
 // --- registry integration ----------------------------------------------------
 
 TEST(ExecutorTopology, RegistryServesShardedModels) {
-    plssvm::serve::model_registry<double> registry;
+    model_registry<double> registry;
     const plssvm::model<double> trained = test::random_model(plssvm::kernel_type::rbf);
-    auto sharded = registry.load_sharded("numa-model", trained);
-    ASSERT_NE(sharded, nullptr);
-    EXPECT_GE(sharded->num_shards(), 1u);  // exactly 1 on single-node hosts
-    EXPECT_EQ(registry.find_sharded("numa-model"), sharded);
-    EXPECT_EQ(registry.find("numa-model"), nullptr);          // not a binary entry
-    EXPECT_EQ(registry.find_sharded("absent"), nullptr);
+    const auto replicas = registry.load_sharded("numa-model", trained);
+    ASSERT_GE(replicas.size(), 1u);  // exactly 1 on single-node hosts
+    const auto found = registry.find("numa-model");
+    EXPECT_NE(std::find(replicas.begin(), replicas.end(), found), replicas.end()) << "find hands out a replica";
+    EXPECT_EQ(registry.find("absent"), nullptr);
 
     const plssvm::aos_matrix<double> queries = test::random_matrix(8, 11, 3);
-    const std::vector<double> direct = sharded->predict(queries);
+    const std::vector<double> direct = found->predict(queries);
     EXPECT_EQ(direct.size(), queries.num_rows());
 
     // zero-downtime reload through the registry's reload lane
-    const std::uint64_t before = sharded->snapshot_version();
+    const std::uint64_t before = found->snapshot_version();
     registry.reload("numa-model", test::random_model(plssvm::kernel_type::rbf, 37, 11, /*seed=*/77)).get();
-    EXPECT_GT(sharded->snapshot_version(), before);
+    EXPECT_GT(found->snapshot_version(), before);
 
     // the sharded entry participates in health/stats/metrics exposition
     EXPECT_EQ(registry.health(), plssvm::serve::health_state::healthy);
