@@ -61,11 +61,9 @@
  *     persistently; the per-path breakers must trip and reroute live traffic
  *     down the ladder to the reference path with zero failed requests.
  *
- *  8. Executor scaling (PR 8's experiment): per-task dispatch overhead of
- *     the work-stealing executor vs. a mutex+condvar pool, and aggregate
- *     throughput when a service fans out from 1 to 8 engine lanes on one
- *     shared executor. Gates: work-stealing >= 1x the mutex baseline, and
- *     the 8-vs-1 fan-out reaches a host-adjusted scaling target.
+ *  8. Executor scaling: aggregate throughput when a service fans out from
+ *     1 to 8 engine lanes on one shared executor. Gate: the 8-vs-1 fan-out
+ *     reaches a host-adjusted scaling target.
  *
  *  9. Network serving plane (this PR's experiment): an open-loop
  *     multi-connection loopback client drives binary-framed requests
@@ -109,7 +107,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -267,14 +264,10 @@ struct executor_cell {
     std::size_t tasks{ 0 };
     double tasks_per_second{ 0.0 };
     double speedup_vs_one{ 0.0 };  ///< vs the 1-engine cell at the same thread count
-    std::size_t deque_steals{ 0 };
 };
 
-/// The executor scaling + dispatch-overhead measurement of the JSON report.
+/// The executor scaling measurement of the JSON report.
 struct executor_result {
-    double mutex_rps{ 0.0 };        ///< single-worker mutex thread-pool baseline
-    double ws_rps{ 0.0 };           ///< single-worker work-stealing executor, same tasks
-    double ws_vs_mutex{ 0.0 };      ///< ws / mutex (>= 1.0 = the deque path is not slower)
     double scaling_target{ 0.0 };   ///< host-adjusted 8-vs-1 engine gate (3.0 on >= 4 cores)
     double engines8_speedup{ 0.0 }; ///< 8-engine aggregate vs 1-engine at full threads
     std::size_t repeats{ 0 };       ///< measurement rounds actually run (floor applied)
@@ -312,63 +305,6 @@ struct obs_wire_result {
     std::size_t failed{ 0 };            ///< non-ok responses across measured rounds (must be 0)
     std::size_t lost{ 0 };              ///< requests without a response (must be 0)
     std::size_t repeats{ 0 };           ///< measurement rounds actually run (floor applied)
-};
-
-/// Minimal mutex+condvar thread pool over `std::function` jobs: the executor
-/// design the work-stealing rewrite replaced. Experiment 8 uses it as the
-/// dispatch-overhead baseline the new hot path must not lose to.
-class mutex_pool {
-  public:
-    explicit mutex_pool(const std::size_t num_threads) {
-        workers_.reserve(num_threads);
-        for (std::size_t i = 0; i < num_threads; ++i) {
-            workers_.emplace_back([this]() { loop(); });
-        }
-    }
-
-    mutex_pool(const mutex_pool &) = delete;
-    mutex_pool &operator=(const mutex_pool &) = delete;
-
-    ~mutex_pool() {
-        {
-            const std::lock_guard lock{ mutex_ };
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (std::thread &worker : workers_) {
-            worker.join();
-        }
-    }
-
-    void enqueue(std::function<void()> job) {
-        {
-            const std::lock_guard lock{ mutex_ };
-            queue_.push_back(std::move(job));
-        }
-        cv_.notify_one();
-    }
-
-  private:
-    void loop() {
-        std::unique_lock lock{ mutex_ };
-        while (true) {
-            cv_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                return;  // stop requested and drained
-            }
-            std::function<void()> job = std::move(queue_.front());
-            queue_.pop_front();
-            lock.unlock();
-            job();
-            lock.lock();
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
-    std::vector<std::thread> workers_;
-    bool stop_{ false };
 };
 
 /// The reload-under-load measurement of the JSON report.
@@ -445,13 +381,12 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
     std::fprintf(f, "  \"reload_under_load\": { \"steady_p99_s\": %.6e, \"reload_p99_s\": %.6e, \"p99_ratio\": %.2f, \"steady_rps\": %.1f, \"reload_rps\": %.1f, \"reloads\": %zu, \"steady_samples\": %zu, \"reload_samples\": %zu, \"failed_requests\": %zu },\n",
                  reload.steady_p99_s, reload.reload_p99_s, reload.p99_ratio, reload.steady_rps, reload.reload_rps,
                  reload.reloads, reload.steady_samples, reload.reload_samples, reload.failed_requests);
-    std::fprintf(f, "  \"executor\": {\n    \"mutex_baseline_rps\": %.1f, \"work_stealing_rps\": %.1f, \"single_vs_mutex\": %.3f, \"scaling_target\": %.2f, \"engines8_vs_1\": %.2f, \"repeats\": %zu,\n    \"sweep\": [\n",
-                 exec_scaling.mutex_rps, exec_scaling.ws_rps, exec_scaling.ws_vs_mutex,
+    std::fprintf(f, "  \"executor\": {\n    \"scaling_target\": %.2f, \"engines8_vs_1\": %.2f, \"repeats\": %zu,\n    \"sweep\": [\n",
                  exec_scaling.scaling_target, exec_scaling.engines8_speedup, exec_scaling.repeats);
     for (std::size_t i = 0; i < exec_scaling.cells.size(); ++i) {
         const executor_cell &c = exec_scaling.cells[i];
-        std::fprintf(f, "      { \"threads\": %zu, \"engines\": %zu, \"tasks\": %zu, \"tasks_per_second\": %.1f, \"speedup_vs_one_engine\": %.2f, \"deque_steals\": %zu }%s\n",
-                     c.threads, c.engines, c.tasks, c.tasks_per_second, c.speedup_vs_one, c.deque_steals,
+        std::fprintf(f, "      { \"threads\": %zu, \"engines\": %zu, \"tasks\": %zu, \"tasks_per_second\": %.1f, \"speedup_vs_one_engine\": %.2f }%s\n",
+                     c.threads, c.engines, c.tasks, c.tasks_per_second, c.speedup_vs_one,
                      i + 1 < exec_scaling.cells.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  },\n");
@@ -464,13 +399,13 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
                  obs_wire.connections, obs_wire.requests_per_side, obs_wire.failed, obs_wire.lost, obs_wire.repeats);
     std::fprintf(f, "  \"host_profile\": { \"effective_gflops\": %.3f, \"effective_bandwidth_gbs\": %.3f },\n",
                  host_profile.effective_gflops, host_profile.effective_bandwidth_gbs);
-    std::fprintf(f, "  \"gates\": { \"rbf_batch256_blocked_speedup\": %.2f, \"rbf_batch256_target\": %.2f, \"blocked_beats_reference_at_64plus\": %s, \"worst_engine_sync_speedup\": %.2f, \"reload_p99_within_2x\": %s, \"sparse_linear_99pct_speedup\": %.2f, \"sparse_dispatcher_auto\": %s, \"qos_interactive_p99_ratio_4x\": %.2f, \"qos_shed_fraction_4x\": %.3f, \"qos_batch_growth_4x\": %.2f, \"qos_pass\": %s, \"obs_overhead_ratio\": %.3f, \"obs_pass\": %s, \"fault_throughput_ratio\": %.3f, \"fault_pass\": %s, \"executor_single_vs_mutex\": %.3f, \"executor_engines8_vs_1\": %.2f, \"executor_scaling_target\": %.2f, \"executor_pass\": %s, \"net_p99_ratio\": %.2f, \"net_pass\": %s, \"obs_wire_ratio\": %.3f, \"obs_wire_pass\": %s, \"pass\": %s }\n",
+    std::fprintf(f, "  \"gates\": { \"rbf_batch256_blocked_speedup\": %.2f, \"rbf_batch256_target\": %.2f, \"blocked_beats_reference_at_64plus\": %s, \"worst_engine_sync_speedup\": %.2f, \"reload_p99_within_2x\": %s, \"sparse_linear_99pct_speedup\": %.2f, \"sparse_dispatcher_auto\": %s, \"qos_interactive_p99_ratio_4x\": %.2f, \"qos_shed_fraction_4x\": %.3f, \"qos_batch_growth_4x\": %.2f, \"qos_pass\": %s, \"obs_overhead_ratio\": %.3f, \"obs_pass\": %s, \"fault_throughput_ratio\": %.3f, \"fault_pass\": %s, \"executor_engines8_vs_1\": %.2f, \"executor_scaling_target\": %.2f, \"executor_pass\": %s, \"net_p99_ratio\": %.2f, \"net_pass\": %s, \"obs_wire_ratio\": %.3f, \"obs_wire_pass\": %s, \"pass\": %s }\n",
                  rbf256_speedup, rbf256_target, blocked_beats_reference ? "true" : "false", worst_sync_speedup,
                  reload_pass ? "true" : "false", sparse_linear_99_speedup, sparse_dispatch_auto ? "true" : "false",
                  qos_p99_ratio, qos_shed_fraction, qos_batch_growth, qos_pass ? "true" : "false",
                  obs.overhead_ratio, obs_pass ? "true" : "false",
                  fault.throughput_ratio, fault_pass ? "true" : "false",
-                 exec_scaling.ws_vs_mutex, exec_scaling.engines8_speedup, exec_scaling.scaling_target,
+                 exec_scaling.engines8_speedup, exec_scaling.scaling_target,
                  executor_pass ? "true" : "false",
                  net.p99_ratio, net_pass ? "true" : "false",
                  obs_wire.ratio, obs_wire_pass ? "true" : "false",
@@ -1262,14 +1197,13 @@ int main(int argc, char **argv) {
     }
 
     // ------------------------------------------------------------------
-    // experiment 8: executor scaling (work-stealing deques, engine fan-out)
+    // experiment 8: executor scaling (engine fan-out on one shared pool)
     // ------------------------------------------------------------------
-    std::printf("\nexecutor scaling (quota-1 engine lanes on the work-stealing pool, vs a mutex thread-pool baseline):\n\n");
+    std::printf("\nexecutor scaling (quota-1 engine lanes on one shared pool):\n\n");
     executor_result exec_scaling;
     {
         // small RBF batch per task: enough compute that the sweep measures
-        // parallel scaling, small enough that per-task dispatch overhead is
-        // visible in the mutex-baseline comparison
+        // parallel scaling rather than dispatch overhead
         const std::size_t task_sv = 128;
         const std::size_t task_dim = 32;
         const std::size_t task_batch = 8;
@@ -1286,46 +1220,6 @@ int main(int argc, char **argv) {
             (void) sink;
         };
 
-        // -- dispatch overhead, one worker each: the work-stealing hot path
-        // -- (move-only tasks, batch-take from the lane buffer, eventcount
-        // -- park) must not lose to the mutex+condvar pool it replaced ------
-        std::vector<double> scratch(task_batch);
-        const auto mutex_timing = plssvm::bench::measure(exec_repeats, [&]() {
-            mutex_pool pool{ 1 };
-            std::atomic<std::size_t> done{ 0 };
-            plssvm::bench::stopwatch timer;
-            for (std::size_t i = 0; i < total_tasks; ++i) {
-                pool.enqueue([&]() {
-                    run_task(scratch.data());
-                    done.fetch_add(1, std::memory_order_release);
-                });
-            }
-            while (done.load(std::memory_order_acquire) < total_tasks) {
-                std::this_thread::yield();
-            }
-            return timer.seconds();
-        });
-        const auto ws_timing = plssvm::bench::measure(exec_repeats, [&]() {
-            plssvm::serve::executor exec{ 1 };
-            plssvm::serve::executor::lane lane = exec.create_lane(plssvm::serve::lane_options{ .name = "bench", .weight = 8 });
-            std::atomic<std::size_t> done{ 0 };
-            plssvm::bench::stopwatch timer;
-            for (std::size_t i = 0; i < total_tasks; ++i) {
-                lane.enqueue_detached([&]() {
-                    run_task(scratch.data());
-                    done.fetch_add(1, std::memory_order_release);
-                });
-            }
-            while (done.load(std::memory_order_acquire) < total_tasks) {
-                std::this_thread::yield();
-            }
-            return timer.seconds();
-        });
-        const double n_tasks = static_cast<double>(total_tasks);
-        exec_scaling.mutex_rps = n_tasks / mutex_timing.min;
-        exec_scaling.ws_rps = n_tasks / ws_timing.min;
-        exec_scaling.ws_vs_mutex = mutex_timing.min / ws_timing.min;
-
         // -- engine fan-out: E quota-1 lanes (the engine-lane shape) over the
         // -- shared pool; aggregate tasks/s across 1/2/4/8 engines at several
         // -- pool sizes. A 1-engine service can occupy one worker; the sweep
@@ -1334,11 +1228,10 @@ int main(int argc, char **argv) {
                                                            ? std::vector<std::size_t>{ 1, engine_threads }
                                                            : std::vector<std::size_t>{ 1, 2, engine_threads };
         const std::vector<std::size_t> engine_counts{ 1, 2, 4, 8 };
-        plssvm::bench::table_printer exec_table{ { "threads", "engines", "tasks/s", "speedup vs 1 engine", "deque steals" } };
+        plssvm::bench::table_printer exec_table{ { "threads", "engines", "tasks/s", "speedup vs 1 engine" } };
         for (const std::size_t threads : thread_counts) {
             double one_engine_rps = 0.0;
             for (const std::size_t engines : engine_counts) {
-                std::size_t last_steals = 0;
                 const auto timing = plssvm::bench::measure(exec_repeats, [&]() {
                     plssvm::serve::executor exec{ threads };
                     std::vector<plssvm::serve::executor::lane> lanes;
@@ -1362,9 +1255,7 @@ int main(int argc, char **argv) {
                     while (done.load(std::memory_order_acquire) < per_lane * engines) {
                         std::this_thread::yield();
                     }
-                    const double seconds = timer.seconds();
-                    last_steals = exec.deque_steals();
-                    return seconds;
+                    return timer.seconds();
                 });
                 executor_cell cell;
                 cell.threads = threads;
@@ -1375,14 +1266,12 @@ int main(int argc, char **argv) {
                     one_engine_rps = cell.tasks_per_second;
                 }
                 cell.speedup_vs_one = one_engine_rps > 0.0 ? cell.tasks_per_second / one_engine_rps : 0.0;
-                cell.deque_steals = last_steals;
                 if (threads == engine_threads && engines == 8) {
                     exec_scaling.engines8_speedup = cell.speedup_vs_one;
                 }
                 exec_table.add_row({ std::to_string(threads), std::to_string(engines),
                                      plssvm::bench::format_double(cell.tasks_per_second, 0),
-                                     plssvm::bench::format_double(cell.speedup_vs_one, 2) + "x",
-                                     std::to_string(cell.deque_steals) });
+                                     plssvm::bench::format_double(cell.speedup_vs_one, 2) + "x" });
                 exec_scaling.cells.push_back(cell);
             }
         }
@@ -1923,11 +1812,9 @@ int main(int argc, char **argv) {
                             && fault.survivor_mismatches == 0
                             && fault.breaker_trips >= 1 && fault.breaker_reference_batches >= 1
                             && fault.breaker_failed == 0;
-    // the work-stealing hot path must not lose to the mutex pool it
-    // replaced, and spare workers must turn into aggregate throughput when
-    // a service fans out from 1 to 8 engine lanes
-    const bool executor_pass = exec_scaling.ws_vs_mutex >= 1.0
-                               && exec_scaling.engines8_speedup >= exec_scaling.scaling_target;
+    // spare workers must turn into aggregate throughput when a service fans
+    // out from 1 to 8 engine lanes
+    const bool executor_pass = exec_scaling.engines8_speedup >= exec_scaling.scaling_target;
     // the network plane's contract: every request offered over the wire is
     // answered successfully, and the transport (framing, syscalls, epoll
     // wakeups) costs at most 3x the in-process async p99 at the same load
@@ -1963,8 +1850,6 @@ int main(int argc, char **argv) {
     std::printf("fault isolation: %zu quarantined (%zu typed, %zu survivor mismatches), %zu breaker trips -> %zu reference batches, %zu reroute failures\n",
                 fault.quarantined, fault.quarantine_typed, fault.survivor_mismatches,
                 fault.breaker_trips, fault.breaker_reference_batches, fault.breaker_failed);
-    std::printf("executor: work-stealing %.0f tasks/s vs mutex pool %.0f tasks/s -> %.3fx (gate: >= 1.0x)\n",
-                exec_scaling.ws_rps, exec_scaling.mutex_rps, exec_scaling.ws_vs_mutex);
     std::printf("executor fan-out: 8 engines vs 1 at %zu threads -> %.2fx (gate: >= %.2fx on this host)\n",
                 engine_threads, exec_scaling.engines8_speedup, exec_scaling.scaling_target);
     std::printf("net plane: loopback p99 %.0f us vs in-process %.0f us -> %.2fx (gate: <= 3x, %zu failed, %zu lost)\n",

@@ -3,13 +3,10 @@
 #include "plssvm/exceptions.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,19 +19,6 @@ namespace {
 /// The executor (if any) whose worker the current thread is.
 thread_local const executor *current_worker_executor = nullptr;
 
-/// run_item caller id used by lane::try_run_one: accounting must not record
-/// a helper-thread execution as a steal (it is the lane's own engine helping
-/// itself, not an idle worker poaching).
-constexpr std::size_t helper_thread = static_cast<std::size_t>(-1);
-
-/// queue_depth = submitted - completed - executing, saturated at 0: the
-/// three counters are read independently, so a task completing mid-snapshot
-/// could otherwise make the subtraction wrap.
-[[nodiscard]] std::size_t saturating_depth(const std::size_t submitted, const std::size_t completed, const std::size_t executing) {
-    const std::size_t done = completed + executing;
-    return submitted > done ? submitted - done : 0;
-}
-
 }  // namespace
 
 bool executor::on_worker_thread() const noexcept {
@@ -45,37 +29,23 @@ executor::executor(std::size_t num_threads) :
     executor{ num_threads, executor_options{} } { }
 
 executor::executor(std::size_t num_threads, executor_options options) {
-    start(num_threads, std::move(options));
-}
-
-void executor::start(std::size_t num_threads, executor_options options) {
     if (num_threads == 0) {
-        num_threads = std::thread::hardware_concurrency();
-        if (num_threads == 0) {
-            num_threads = 1;
-        }
+        num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     }
     topology_ = options.topology.domains.empty() ? probe_topology() : std::move(options.topology);
     const std::size_t num_domains = topology_.domains.size();
     // pinning pays off only when there is more than one memory domain, and
     // is safe only when every worker still gets a CPU: an oversubscribed
-    // pool degrades to the classic unpinned behavior (satellite contract)
+    // pool degrades to the unpinned behavior
     pin_active_ = options.pin_workers && num_domains > 1 && num_threads <= topology_.num_cpus();
 
     worker_domains_.resize(num_threads);
     domain_workers_.assign(num_domains, {});
     domain_lane_counters_.assign(num_domains, 0);
-    states_.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i) {
-        auto state = std::make_unique<worker_state>();
-        state->domain = i % num_domains;
-        state->rng.seed(static_cast<std::mt19937::result_type>(0x9E3779B9u + i));
-        worker_domains_[i] = state->domain;
-        domain_workers_[state->domain].push_back(i);
-        states_.push_back(std::move(state));
+        worker_domains_[i] = i % num_domains;
+        domain_workers_[worker_domains_[i]].push_back(i);
     }
-    lanes_.store(std::make_shared<const lane_vector>(), std::memory_order_release);
-
     workers_.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i) {
         workers_.emplace_back([this, i]() { worker_loop(i); });
@@ -83,20 +53,13 @@ void executor::start(std::size_t num_threads, executor_options options) {
 }
 
 executor::~executor() {
-    stop_.store(true, std::memory_order_seq_cst);
-    park_.notify_all();
+    {
+        const std::lock_guard lock{ mutex_ };
+        stop_ = true;
+    }
+    work_available_.notify_all();
     for (std::thread &worker : workers_) {
         worker.join();
-    }
-    // contract: every lane handle was closed before destruction — but if one
-    // was leaked with queued work, free the orphaned items instead of leaking
-    const std::shared_ptr<const lane_vector> lanes = lane_snapshot();
-    for (const std::shared_ptr<lane_state> &lane : *lanes) {
-        const std::lock_guard lock{ lane->buffer_mutex };
-        for (work_item *item : lane->buffer) {
-            delete item;
-        }
-        lane->buffer.clear();
     }
 }
 
@@ -144,66 +107,50 @@ void executor::lane::enqueue_detached(detail::task job) {
     if (owner_ == nullptr || state_ == nullptr) {
         throw exception{ "executor::lane: enqueue on a detached lane!" };
     }
-    lane_state &state = *state_;
-    auto item = std::make_unique<work_item>();
-    item->job = std::move(job);
-    item->lane = state_;
-    std::size_t depth;
+    bool wake = false;
     {
-        const std::lock_guard lock{ state.buffer_mutex };
-        // closed is only ever set under buffer_mutex, so an enqueue either
-        // observes it (and throws) or its submitted increment is visible to
-        // the closer's drain predicate — a task can never slip in unseen
-        // behind a completed close
-        if (state.closed.load(std::memory_order_relaxed) || owner_->stop_.load(std::memory_order_relaxed)) {
+        const std::lock_guard lock{ owner_->mutex_ };
+        lane_state &state = *state_;
+        if (state.closed || owner_->stop_) {
             throw exception{ "executor::lane: enqueue after shutdown!" };
         }
-        state.buffer.push_back(item.get());
-        item.release();
-        depth = state.submitted.fetch_add(1, std::memory_order_seq_cst) + 1
-                - state.completed.load(std::memory_order_relaxed)
-                - state.executing.load(std::memory_order_relaxed);
-        state.pending.fetch_add(1, std::memory_order_seq_cst);
+        state.queue.push_back(std::move(job));
+        ++state.counters.submitted;
+        state.counters.max_queue_depth = std::max(state.counters.max_queue_depth, state.queue.size());
+        // a lane at its quota needs no wake-up: the worker that frees a
+        // slot takes the task or wakes another worker for it
+        wake = runnable(state);
     }
-    // racy high-water mark: monotonic CAS max over the racy depth estimate
-    std::size_t seen = state.max_queue_depth.load(std::memory_order_relaxed);
-    while (depth > seen && !state.max_queue_depth.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
+    if (wake) {
+        owner_->work_available_.notify_one();
     }
-    owner_->park_.notify_one();
 }
 
 bool executor::lane::try_run_one() {
     if (owner_ == nullptr || state_ == nullptr) {
         return false;
     }
-    lane_state &state = *state_;
-    work_item *item = nullptr;
+    detail::task job;
     {
-        const std::lock_guard lock{ state.buffer_mutex };
-        if (state.buffer.empty()) {
+        const std::lock_guard lock{ owner_->mutex_ };
+        if (state_->queue.empty()) {
             return false;
         }
-        item = state.buffer.front();
-        state.buffer.pop_front();
-        state.pending.fetch_sub(1, std::memory_order_seq_cst);
+        job = owner_->take(*state_, helper_thread);
     }
-    owner_->run_item(item, helper_thread);
+    job();
+    job.reset();
+    const std::lock_guard lock{ owner_->mutex_ };
+    owner_->finish(*state_, helper_thread);
     return true;
 }
 
 lane_stats executor::lane::stats() const {
-    lane_stats stats;
     if (owner_ == nullptr || state_ == nullptr) {
-        return stats;
+        return lane_stats{};
     }
-    const lane_state &state = *state_;
-    stats.submitted = state.submitted.load(std::memory_order_relaxed);
-    stats.completed = state.completed.load(std::memory_order_relaxed);
-    stats.stolen = state.stolen.load(std::memory_order_relaxed);
-    stats.in_flight = state.executing.load(std::memory_order_relaxed);
-    stats.queue_depth = saturating_depth(stats.submitted, stats.completed, stats.in_flight);
-    stats.max_queue_depth = state.max_queue_depth.load(std::memory_order_relaxed);
-    return stats;
+    const std::lock_guard lock{ owner_->mutex_ };
+    return counters_of(*state_);
 }
 
 void executor::lane::close() {
@@ -215,16 +162,13 @@ void executor::lane::close() {
 }
 
 // ---------------------------------------------------------------------------
-// lane registry (cold path)
+// lane registry
 // ---------------------------------------------------------------------------
 
 executor::lane executor::create_lane(lane_options options) {
-    if (options.weight == 0) {
-        options.weight = 1;
-    }
     auto state = std::make_shared<lane_state>();
     {
-        const std::lock_guard lock{ lanes_mutex_ };
+        const std::lock_guard lock{ mutex_ };
         const std::size_t num_domains = domain_workers_.size();
         const std::size_t requested = options.home_domain;
         if (requested != any_numa_domain && num_domains > 0 && !domain_workers_[requested % num_domains].empty()) {
@@ -236,99 +180,83 @@ executor::lane executor::create_lane(lane_options options) {
             state->home_domain = domain;
             ++lane_counter_;
         } else {
-            state->affinity = lane_counter_++ % states_.size();
+            state->affinity = lane_counter_++ % workers_.size();
             state->home_domain = worker_domains_[state->affinity];
         }
         state->options = std::move(options);
-        auto next = std::make_shared<lane_vector>(*lane_snapshot());
-        next->push_back(state);
-        lanes_.store(std::shared_ptr<const lane_vector>{ std::move(next) }, std::memory_order_release);
-        lanes_version_.fetch_add(1, std::memory_order_release);
+        lanes_.push_back(state);
     }
     return lane{ this, std::move(state) };
 }
 
 void executor::close_lane(const std::shared_ptr<lane_state> &state) {
-    {
-        // serializes against enqueue: after this store, every further
-        // enqueue_detached throws, and every submitted count it could have
-        // bumped is visible to the drain predicate below
-        const std::lock_guard lock{ state->buffer_mutex };
-        state->closed.store(true, std::memory_order_seq_cst);
-    }
-    // enqueue-time notifications may all have been consumed already; make
-    // sure sleeping workers see the remaining queued jobs of this lane
-    park_.notify_all();
-    {
-        std::unique_lock lock{ state->drain_mutex };
-        state->drain_cv.wait(lock, [&state]() {
-            return state->completed.load(std::memory_order_seq_cst) == state->submitted.load(std::memory_order_seq_cst);
-        });
-    }
-    {
-        const std::lock_guard lock{ lanes_mutex_ };
-        auto next = std::make_shared<lane_vector>(*lane_snapshot());
-        next->erase(std::remove(next->begin(), next->end(), state), next->end());
-        lanes_.store(std::shared_ptr<const lane_vector>{ std::move(next) }, std::memory_order_release);
-        lanes_version_.fetch_add(1, std::memory_order_release);
-    }
+    std::unique_lock lock{ mutex_ };
+    // after this store every further enqueue throws; the queued and running
+    // tasks still finish
+    state->closed = true;
+    lane_drained_.wait(lock, [&state]() { return state->queue.empty() && state->counters.in_flight == 0; });
+    lanes_.erase(std::find(lanes_.begin(), lanes_.end(), state));
 }
 
 std::size_t executor::num_lanes() const {
-    return lane_snapshot()->size();
+    const std::lock_guard lock{ mutex_ };
+    return lanes_.size();
 }
 
 std::size_t executor::total_steals() const {
-    return total_steals_.load(std::memory_order_relaxed);
-}
-
-std::size_t executor::deque_steals() const {
-    return deque_steals_.load(std::memory_order_relaxed);
+    const std::lock_guard lock{ mutex_ };
+    return total_steals_;
 }
 
 // ---------------------------------------------------------------------------
-// stats (lock-free scrape path)
+// stats
 // ---------------------------------------------------------------------------
 
-executor_stats executor::stats() const {
-    executor_stats stats;
-    stats.workers = states_.size();
-    stats.total_steals = total_steals_.load(std::memory_order_relaxed);
-    stats.deque_steals = deque_steals_.load(std::memory_order_relaxed);
-    const std::shared_ptr<const lane_vector> lanes = lane_snapshot();
-    stats.lanes = lanes->size();
-    for (const std::shared_ptr<lane_state> &lane : *lanes) {
-        const std::size_t submitted = lane->submitted.load(std::memory_order_relaxed);
-        const std::size_t completed = lane->completed.load(std::memory_order_relaxed);
-        const std::size_t executing = lane->executing.load(std::memory_order_relaxed);
-        stats.queued += saturating_depth(submitted, completed, executing);
-        stats.in_flight += executing;
-    }
+lane_stats executor::counters_of(const lane_state &state) {
+    lane_stats stats = state.counters;
+    stats.queue_depth = state.queue.size();
     return stats;
 }
 
-std::vector<lane_report> executor::lane_reports() const {
+std::vector<lane_report> executor::reports_locked() const {
     std::vector<lane_report> reports;
-    const std::shared_ptr<const lane_vector> lanes = lane_snapshot();
-    reports.reserve(lanes->size());
-    for (const std::shared_ptr<lane_state> &lane : *lanes) {
-        lane_report &report = reports.emplace_back();
-        report.name = lane->options.name;
-        report.affinity = lane->affinity;
-        report.home_domain = lane->home_domain;
-        report.stats.submitted = lane->submitted.load(std::memory_order_relaxed);
-        report.stats.completed = lane->completed.load(std::memory_order_relaxed);
-        report.stats.stolen = lane->stolen.load(std::memory_order_relaxed);
-        report.stats.in_flight = lane->executing.load(std::memory_order_relaxed);
-        report.stats.queue_depth = saturating_depth(report.stats.submitted, report.stats.completed, report.stats.in_flight);
-        report.stats.max_queue_depth = lane->max_queue_depth.load(std::memory_order_relaxed);
+    reports.reserve(lanes_.size());
+    for (const std::shared_ptr<lane_state> &lane : lanes_) {
+        reports.push_back(lane_report{ lane->options.name, lane->affinity, lane->home_domain, counters_of(*lane) });
     }
     return reports;
 }
 
+executor_stats executor::stats_locked() const {
+    executor_stats stats;
+    stats.workers = workers_.size();
+    stats.lanes = lanes_.size();
+    stats.total_steals = total_steals_;
+    for (const std::shared_ptr<lane_state> &lane : lanes_) {
+        stats.queued += lane->queue.size();
+        stats.in_flight += lane->counters.in_flight;
+    }
+    return stats;
+}
+
+executor_stats executor::stats() const {
+    const std::lock_guard lock{ mutex_ };
+    return stats_locked();
+}
+
+std::vector<lane_report> executor::lane_reports() const {
+    const std::lock_guard lock{ mutex_ };
+    return reports_locked();
+}
+
 std::string executor::stats_json() const {
-    const executor_stats totals = stats();
-    const std::vector<lane_report> lanes = lane_reports();
+    executor_stats totals;
+    std::vector<lane_report> lanes;
+    {
+        const std::lock_guard lock{ mutex_ };
+        totals = stats_locked();
+        lanes = reports_locked();
+    }
     const auto append_count = [](std::string &out, const char *name, const std::size_t value, const bool trailing_comma = true) {
         char buffer[96];
         std::snprintf(buffer, sizeof(buffer), "\"%s\": %zu%s", name, value, trailing_comma ? ", " : "");
@@ -352,7 +280,6 @@ std::string executor::stats_json() const {
     append_count(json, "queued", totals.queued);
     append_count(json, "in_flight", totals.in_flight);
     append_count(json, "total_steals", totals.total_steals);
-    append_count(json, "deque_steals", totals.deque_steals);
     json += "\"topology\": { ";
     append_count(json, "domains", topology_.domains.size());
     json += "\"source\": \"";
@@ -387,197 +314,93 @@ std::string executor::stats_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// worker scheduling (hot path)
+// worker scheduling
 // ---------------------------------------------------------------------------
 
-const executor::lane_vector &executor::lane_snapshot_for(worker_state &self) const {
-    const std::uint64_t version = lanes_version_.load(std::memory_order_acquire);
-    if (self.lanes_version_seen != version || self.lanes_cache == nullptr) {
-        self.lanes_cache = lane_snapshot();
-        self.lanes_version_seen = version;
-    }
-    return *self.lanes_cache;
+bool executor::runnable(const lane_state &state) {
+    return !state.queue.empty() && (state.options.quota == 0 || state.workers_busy < state.options.quota);
 }
 
-bool executor::acquire_lane_work(worker_state &self) {
-    const lane_vector &lanes = lane_snapshot_for(self);
-    const std::size_t num_lanes = lanes.size();
-    if (num_lanes == 0) {
-        return false;
-    }
-    const bool multi_domain = domain_workers_.size() > 1;
+executor::lane_state *executor::next_runnable_lane(const std::size_t domain) {
+    const std::size_t num_lanes = lanes_.size();
     // pass 0 prefers lanes homed on this worker's NUMA domain (their panels
     // are local memory); pass 1 takes anything — throughput beats locality
-    for (int pass = multi_domain ? 0 : 1; pass < 2; ++pass) {
+    for (int pass = domain_workers_.size() > 1 ? 0 : 1; pass < 2; ++pass) {
         for (std::size_t i = 1; i <= num_lanes; ++i) {
-            const std::size_t idx = (self.cursor + i) % num_lanes;
-            lane_state &lane = *lanes[idx];
-            if (pass == 0 && lane.home_domain != self.domain) {
-                continue;
+            const std::size_t idx = (cursor_ + i) % num_lanes;
+            lane_state &lane = *lanes_[idx];
+            if ((pass == 1 || lane.home_domain == domain) && runnable(lane)) {
+                cursor_ = idx;
+                return &lane;
             }
-            if (lane.pending.load(std::memory_order_acquire) == 0) {
-                continue;
-            }
-            const std::size_t quota = lane.options.quota;
-            std::size_t taken = 0;
-            {
-                const std::lock_guard lock{ lane.buffer_mutex };
-                const std::size_t claimed = lane.claimed.load(std::memory_order_relaxed);
-                const std::size_t headroom = quota == 0 ? lane.buffer.size() : (quota > claimed ? quota - claimed : 0);
-                const std::size_t want = std::min({ lane.options.weight, headroom, lane.buffer.size() });
-                for (; taken < want; ++taken) {
-                    work_item *item = lane.buffer.front();
-                    lane.buffer.pop_front();
-                    item->claimed = true;
-                    self.deque.push(item);
-                }
-                if (taken > 0) {
-                    // claim-at-take: the slots stay held until the tasks
-                    // complete, wherever they end up running (steals move
-                    // the task together with its slot)
-                    lane.claimed.fetch_add(taken, std::memory_order_seq_cst);
-                    lane.pending.fetch_sub(taken, std::memory_order_seq_cst);
-                }
-            }
-            if (taken == 0) {
-                continue;  // quota exhausted or raced empty: next lane
-            }
-            self.cursor = idx;
-            if (taken > 1 || lane.pending.load(std::memory_order_relaxed) > 0) {
-                // our deque now holds stealable work / the lane still has
-                // more: give a parked worker a chance at it
-                park_.notify_one();
-            }
-            return true;
         }
     }
-    return false;
+    return nullptr;
 }
 
-bool executor::try_steal(worker_state &self, const std::size_t worker_index) {
-    const std::size_t num_workers = states_.size();
-    if (num_workers <= 1) {
-        return false;
-    }
-    // two-choice: sample two random victims, try the fuller deque first —
-    // near-optimal load balancing at O(1) cost
-    std::size_t victim_a = self.rng() % num_workers;
-    std::size_t victim_b = self.rng() % num_workers;
-    if (victim_a == worker_index) {
-        victim_a = (victim_a + 1) % num_workers;
-    }
-    if (victim_b == worker_index) {
-        victim_b = (victim_b + 1) % num_workers;
-    }
-    if (states_[victim_b]->deque.size_estimate() > states_[victim_a]->deque.size_estimate()) {
-        std::swap(victim_a, victim_b);
-    }
-    for (const std::size_t victim : { victim_a, victim_b }) {
-        if (victim == worker_index) {
-            continue;
-        }
-        if (const std::optional<work_item *> item = states_[victim]->deque.steal()) {
-            deque_steals_.fetch_add(1, std::memory_order_relaxed);
-            run_item(*item, worker_index);
-            return true;
+detail::task executor::take(lane_state &state, const std::size_t worker_index) {
+    detail::task job = std::move(state.queue.front());
+    state.queue.pop_front();
+    ++state.counters.in_flight;
+    if (worker_index != helper_thread) {
+        ++state.workers_busy;
+        if (worker_index != state.affinity) {
+            ++state.counters.stolen;
+            ++total_steals_;
         }
     }
-    // deterministic sweep so no queued task can hide from an idle worker
-    for (std::size_t i = 1; i < num_workers; ++i) {
-        const std::size_t victim = (worker_index + i) % num_workers;
-        if (const std::optional<work_item *> item = states_[victim]->deque.steal()) {
-            deque_steals_.fetch_add(1, std::memory_order_relaxed);
-            run_item(*item, worker_index);
-            return true;
-        }
-    }
-    return false;
+    return job;
 }
 
-void executor::run_item(work_item *item, const std::size_t executed_by) {
-    // the shared_ptr keeps the lane state alive through the closure call
-    // even if the lane handle is concurrently closing
-    const std::shared_ptr<lane_state> lane = std::move(item->lane);
-    lane_state &state = *lane;
-    const bool claimed = item->claimed;
-    state.executing.fetch_add(1, std::memory_order_seq_cst);
-    if (executed_by != helper_thread && executed_by != state.affinity) {
-        state.stolen.fetch_add(1, std::memory_order_relaxed);
-        total_steals_.fetch_add(1, std::memory_order_relaxed);
+void executor::finish(lane_state &state, const std::size_t worker_index) {
+    --state.counters.in_flight;
+    ++state.counters.completed;
+    if (worker_index != helper_thread) {
+        --state.workers_busy;
     }
-    item->job();
-    // destroy the closure (and the item) before the completion bookkeeping
-    // and outside every lock: its captures can hold the last reference to an
-    // engine, whose teardown re-enters the executor (lane close)
-    delete item;
-    state.executing.fetch_sub(1, std::memory_order_seq_cst);
-    if (claimed) {
-        state.claimed.fetch_sub(1, std::memory_order_seq_cst);
+    if (state.closed && state.queue.empty() && state.counters.in_flight == 0) {
+        lane_drained_.notify_all();
     }
-    state.completed.fetch_add(1, std::memory_order_seq_cst);
-    if (state.pending.load(std::memory_order_seq_cst) > 0) {
-        // quota headroom may have opened up for a parked worker
-        park_.notify_one();
-    }
-    if (state.closed.load(std::memory_order_seq_cst)) {
-        // serialize with the closer's predicate wait: without the lock, the
-        // notify could fire between its predicate check and its sleep
-        const std::lock_guard lock{ state.drain_mutex };
-        state.drain_cv.notify_all();
-    }
-    if (stop_.load(std::memory_order_relaxed)) {
-        park_.notify_all();  // completion may unblock the shutdown cascade
-    }
-}
-
-bool executor::any_runnable_work(const worker_state &self) const {
-    const std::shared_ptr<const lane_vector> lanes = lane_snapshot();
-    for (const std::shared_ptr<lane_state> &lane : *lanes) {
-        if (lane->pending.load(std::memory_order_seq_cst) == 0) {
-            continue;
-        }
-        const std::size_t quota = lane->options.quota;
-        if (quota == 0 || lane->claimed.load(std::memory_order_seq_cst) < quota) {
-            return true;
-        }
-    }
-    for (const std::unique_ptr<worker_state> &other : states_) {
-        if (other.get() != &self && !other->deque.empty_estimate()) {
-            return true;
-        }
-    }
-    return false;
 }
 
 void executor::worker_loop(const std::size_t worker_index) {
     current_worker_executor = this;
-    worker_state &self = *states_[worker_index];
+    const std::size_t domain = worker_domains_[worker_index];
     if (pin_active_) {
-        (void) pin_current_thread(topology_.domains[self.domain].cpus);
+        (void) pin_current_thread(topology_.domains[domain].cpus);
     }
+    std::unique_lock lock{ mutex_ };
+    lane_state *finished = nullptr;  // lane of the task this worker just ran
     while (true) {
-        if (const std::optional<work_item *> item = self.deque.pop()) {
-            run_item(*item, worker_index);
+        lane_state *lane = next_runnable_lane(domain);
+        if (finished != nullptr && finished != lane && runnable(*finished)) {
+            // the quota slot this worker freed has queued work, but the
+            // rotation moves this worker on: wake another one to take it
+            work_available_.notify_one();
+        }
+        finished = nullptr;
+        if (lane == nullptr) {
+            const bool drained = std::all_of(lanes_.begin(), lanes_.end(), [](const std::shared_ptr<lane_state> &l) { return l->queue.empty(); });
+            if (stop_ && drained) {
+                // the other workers may wait for quota-blocked work that no
+                // longer exists
+                work_available_.notify_all();
+                return;
+            }
+            work_available_.wait(lock);
             continue;
         }
-        if (acquire_lane_work(self)) {
-            continue;  // loop back to pop what we just took
-        }
-        if (try_steal(self, worker_index)) {
-            continue;
-        }
-        // nothing runnable found: park — but re-check under the eventcount
-        // protocol first, so a concurrent enqueue can never be lost
-        const std::uint64_t key = park_.prepare_wait();
-        if (any_runnable_work(self)) {
-            park_.cancel_wait();
-            continue;
-        }
-        if (stop_.load(std::memory_order_seq_cst)) {
-            park_.cancel_wait();
-            return;  // stop requested and every queue drained
-        }
-        park_.wait(key);
+        detail::task job = take(*lane, worker_index);
+        lock.unlock();
+        job();
+        // destroy the closure outside the lock: its captures can hold the
+        // last reference to an engine, whose teardown re-enters the executor
+        // (lane close). The lane itself stays registered until this task
+        // is counted complete, so the raw pointer is still valid below.
+        job.reset();
+        lock.lock();
+        finish(*lane, worker_index);
+        finished = lane;
     }
 }
 

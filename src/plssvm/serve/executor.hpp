@@ -1,77 +1,58 @@
 /**
  * @file
- * @brief Process-wide serving executor: a lock-free work-stealing worker pool
- *        shared by every inference engine, with per-engine submission lanes.
+ * @brief Process-wide serving executor: one worker pool shared by every
+ *        inference engine, with per-engine submission lanes.
  *
- * The first serving iteration gave every `inference_engine` its own
- * `thread_pool`, so a multi-tenant `model_registry` with eight resident
- * models on a four-core host ran 32 worker threads fighting for four cores.
- * The executor inverts that ownership: the *process* owns one fixed set of
- * workers, and engines own lightweight **lanes** — named submission queues
- * with a concurrency *quota* (the most workers a lane may occupy at once)
- * and a *weight* (how many tasks a worker takes from the lane per visit
- * before rotating on).
+ * The process owns one fixed set of workers, and engines own lightweight
+ * **lanes**: named FIFO submission queues with a concurrency *quota* (the
+ * most workers a lane may occupy at once). A registry with eight resident
+ * models on a four-core host therefore runs four workers, not 32.
  *
- * Hot path (this is the lock-free rewrite of the original single-mutex
- * design): each worker owns a Chase–Lev deque (`work_stealing_deque.hpp`).
- * Producers append to a small per-lane submission buffer (a per-lane mutex
- * touched only by that lane's producers — never globally shared); workers
- * *take* batches of up to `weight` tasks from runnable lanes into their own
- * deque, claiming quota slots at take time, then pop/execute locally. Idle
- * workers first steal from two randomly chosen victims (taking the fuller
- * deque — "two-choice" load balancing), then sweep all victims, and finally
- * park on an eventcount: sleep/wake costs no global lock and a wakeup can
- * never be lost (the eventcount's seq_cst epoch/waiters protocol closes the
- * check-then-sleep race). All counters feeding `stats()`/`lane_reports()`
- * are per-lane atomics, so metrics scrapes never contend with dispatch.
+ * One mutex guards all scheduling state: every lane's FIFO of tasks, its
+ * quota bookkeeping and its counters, and the lane list. Idle workers wait
+ * on one condition variable. A worker takes ONE task from the next runnable
+ * lane in rotation order (a lane is runnable when it has queued tasks and
+ * spare quota), runs it outside the lock, destroys the closure, and only
+ * then locks again to count the completion. Closing lanes wait on a second
+ * condition variable until their last task completed.
  *
- * Scheduling: every lane has an affine worker (assigned round-robin at lane
- * creation, within the lane's NUMA home domain when one is given). Workers
- * visit runnable lanes in rotation order starting one past their last
- * position, so a saturated lane cannot starve the others — any lane with
- * queued work and spare quota is reached after at most one sweep of the
- * lane list. A task executed by a non-affine worker is counted as a *steal*
- * (per-lane steal and queue-depth counters feed `serve_stats`); steals that
- * hit another worker's deque directly are additionally counted in
- * `deque_steals`.
+ * Fairness: the rotation resumes one past the lane served last, so a
+ * saturated lane cannot starve the others; any lane with queued work and
+ * spare quota is reached within one sweep of the lane list.
  *
- * Topology: the executor probes NUMA domains (`topology.hpp`) and — when
- * the host is multi-node and not oversubscribed — pins each worker to its
- * domain's CPUs. Lanes carrying a `home_domain` get an affine worker inside
- * that domain, so an engine's batches run where its snapshot's SV panels
- * were first-touch allocated. Single-node hosts, unreadable `/sys`, and
- * oversubscribed pools all degrade to the unpinned behavior.
+ * Topology: the executor probes NUMA domains (`topology.hpp`) and, when the
+ * host is multi-node and not oversubscribed, pins each worker to its
+ * domain's CPUs. Every lane has a home worker (round-robin at creation,
+ * inside the lane's `home_domain` when one is given). On multi-node hosts a
+ * worker serves the lanes of its own domain first, so an engine's batches
+ * run where its snapshot's SV panels were first-touch allocated. A task run
+ * by a worker other than its lane's home worker counts as *stolen*.
  *
- * Quota semantics: `quota` caps how many workers service one lane
- * simultaneously (a claimed slot covers a task from take until completion,
- * and moves with the task when it is stolen). Capping the greedy tenants is
- * what *guarantees* the quiet ones — if every lane's quota is at most
- * `size() - k`, any other lane is always able to claim `k` workers the
- * moment it has queued work.
+ * Quota semantics: `quota` caps how many workers run one lane's tasks
+ * simultaneously. Capping the greedy tenants is what guarantees the quiet
+ * ones: if every lane's quota is at most `size() - k`, any other lane can
+ * always get `k` workers the moment it has queued work.
  *
  * Tasks must not block on futures of tasks in the same executor (a task
  * waiting for a worker while holding a worker can deadlock once all workers
  * wait). The serving layer obeys this: engines enqueue leaf work only and
- * block on results from *their own* (drain or caller) threads.
+ * block on results from *their own* (drain or caller) threads, helping with
+ * `lane::try_run_one()` while they wait.
  */
 
 #ifndef PLSSVM_SERVE_EXECUTOR_HPP_
 #define PLSSVM_SERVE_EXECUTOR_HPP_
 #pragma once
 
-#include "plssvm/serve/topology.hpp"            // plssvm::serve::{topology_info, any_numa_domain}
-#include "plssvm/serve/work_stealing_deque.hpp"  // plssvm::serve::detail::{chase_lev_deque, cache_line_size}
+#include "plssvm/serve/topology.hpp"  // plssvm::serve::{topology_info, any_numa_domain}
 
-#include <atomic>              // std::atomic
 #include <condition_variable>  // std::condition_variable
-#include <cstddef>             // std::size_t
-#include <cstdint>             // std::uint64_t
+#include <cstddef>             // std::size_t, std::max_align_t
 #include <deque>               // std::deque
 #include <future>              // std::future, std::packaged_task
-#include <memory>              // std::shared_ptr, std::unique_ptr
+#include <memory>              // std::shared_ptr
 #include <mutex>               // std::mutex
 #include <new>                 // placement new
-#include <random>              // std::mt19937
 #include <string>              // std::string
 #include <thread>              // std::thread
 #include <type_traits>         // std::invoke_result_t, std::decay_t, ...
@@ -180,77 +161,17 @@ class task {
     alignas(std::max_align_t) unsigned char buffer_[buffer_size]{};
 };
 
-/**
- * @brief Eventcount: the executor's lost-wakeup-free park/unpark protocol.
- * @details Waiters `prepare_wait()` (registering themselves and sampling the
- *          epoch), re-check their condition, then `wait()`. Notifiers bump
- *          the epoch *before* reading the waiter count. Both sides use
- *          seq_cst, so in the single total order either the waiter's
- *          registration precedes the notifier's read (it is woken through
- *          the cv) or the notifier's epoch bump precedes the waiter's epoch
- *          sample (the wait predicate is already true). The cv's mutex is
- *          touched only around actual sleeps and wakes — never on the task
- *          hot path when nobody is parked... and even with parked workers,
- *          notifiers take it only after the atomic waiter check.
- */
-class eventcount {
-  public:
-    /// Register as a waiter and sample the epoch. Pair with wait()/cancel_wait().
-    [[nodiscard]] std::uint64_t prepare_wait() noexcept {
-        waiters_.fetch_add(1, std::memory_order_seq_cst);
-        return epoch_.load(std::memory_order_seq_cst);
-    }
-
-    /// Abort a prepared wait (the re-checked condition turned true).
-    void cancel_wait() noexcept {
-        waiters_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-
-    /// Sleep until the epoch moves past @p key.
-    void wait(const std::uint64_t key) {
-        std::unique_lock lock{ mutex_ };
-        cv_.wait(lock, [this, key]() { return epoch_.load(std::memory_order_seq_cst) != key; });
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    void notify_one() {
-        epoch_.fetch_add(1, std::memory_order_seq_cst);
-        if (waiters_.load(std::memory_order_seq_cst) > 0) {
-            const std::lock_guard lock{ mutex_ };
-            cv_.notify_one();
-        }
-    }
-
-    void notify_all() {
-        epoch_.fetch_add(1, std::memory_order_seq_cst);
-        if (waiters_.load(std::memory_order_seq_cst) > 0) {
-            const std::lock_guard lock{ mutex_ };
-            cv_.notify_all();
-        }
-    }
-
-  private:
-    alignas(cache_line_size) std::atomic<std::uint64_t> epoch_{ 0 };
-    alignas(cache_line_size) std::atomic<std::size_t> waiters_{ 0 };
-    std::mutex mutex_;
-    std::condition_variable cv_;
-};
-
 }  // namespace detail
 
 /// Per-lane scheduling knobs.
 struct lane_options {
-    /// Diagnostic name (shows up in nothing but debuggers and tests).
+    /// Diagnostic name (shows up in the per-lane stats and gauges).
     std::string name{};
     /// Most workers that may service this lane concurrently; 0 = no cap.
     std::size_t quota{ 0 };
-    /// Consecutive tasks one worker visit may take before rotating to the
-    /// next runnable lane (>= 1); higher weight = larger share under
-    /// contention.
-    std::size_t weight{ 1 };
-    /// NUMA domain this lane's memory lives on: its affine worker is chosen
+    /// NUMA domain this lane's memory lives on: its home worker is chosen
     /// inside the domain, so batches run local to their SV panels. Default:
-    /// no preference (round-robin over all workers, like before).
+    /// no preference (round-robin over all workers).
     std::size_t home_domain{ any_numa_domain };
 };
 
@@ -263,26 +184,29 @@ struct executor_options {
     bool pin_workers{ true };
 };
 
-/// Point-in-time aggregate counters of the whole executor (all lanes).
-/// The QoS batch tuner reads this as its cross-tenant pressure signal.
-/// Lock-free: assembled from relaxed per-lane atomics, so scraping it never
-/// contends with dispatch.
+/// Point-in-time aggregate counters of the whole executor (all lanes), read
+/// in one critical section. The QoS batch tuner reads `queued` as its
+/// cross-tenant pressure signal.
 struct executor_stats {
     std::size_t workers{ 0 };       ///< worker threads of the pool
     std::size_t lanes{ 0 };         ///< currently registered lanes
     std::size_t queued{ 0 };        ///< tasks queued across all lanes right now
     std::size_t in_flight{ 0 };     ///< tasks executing right now
     std::size_t total_steals{ 0 };  ///< steals over all lanes ever registered
-    std::size_t deque_steals{ 0 };  ///< tasks lifted straight out of another worker's deque
 };
 
-/// Point-in-time counters of one lane.
+/// Point-in-time counters of one lane, read in one critical section, so
+/// `submitted == completed + queue_depth + in_flight` holds on every read.
+/// A task counts as `completed` only after its closure returned AND was
+/// destroyed: the future of an `enqueue()`d task can therefore be ready
+/// while the task still counts as `in_flight`. Wait for the counter, not for
+/// the future, when a test needs `completed` to have moved.
 struct lane_stats {
     std::size_t submitted{ 0 };        ///< tasks ever enqueued
-    std::size_t completed{ 0 };        ///< tasks finished
-    std::size_t stolen{ 0 };           ///< tasks run by a non-affine worker
+    std::size_t completed{ 0 };        ///< tasks finished (closure returned and destroyed)
+    std::size_t stolen{ 0 };           ///< tasks run by a worker other than the lane's home worker
     std::size_t queue_depth{ 0 };      ///< currently queued tasks
-    std::size_t in_flight{ 0 };        ///< tasks executing right now
+    std::size_t in_flight{ 0 };        ///< tasks executing right now (workers and helpers)
     std::size_t max_queue_depth{ 0 };  ///< high-water mark of queue_depth
 };
 
@@ -296,49 +220,16 @@ struct lane_report {
 };
 
 class executor {
-    struct work_item;
-
-    /// All hot lane state is atomic; the per-lane `buffer_mutex` guards only
-    /// this lane's submission buffer (producers + taking workers of *this*
-    /// lane — never a global serialization point). The handle class below
-    /// only holds a shared_ptr to it.
+    /// One lane's queue and counters. Everything but the immutable
+    /// placement fields is guarded by `executor::mutex_`.
     struct lane_state {
-        lane_options options;
-        std::size_t affinity{ 0 };     ///< home worker index (steal accounting)
-        std::size_t home_domain{ 0 };  ///< resolved NUMA domain
-
-        /// submission buffer: producers push, workers take batches into
-        /// their deques, `try_run_one()` helpers pop directly
-        std::mutex buffer_mutex;
-        std::deque<work_item *> buffer;
-
-        /// closers wait here until completed == submitted
-        std::mutex drain_mutex;
-        std::condition_variable drain_cv;
-        std::atomic<bool> closed{ false };  ///< no further enqueues; drain pending
-
-        // hot counters, each on its own cache line: producers hit
-        // submitted/pending, completing workers hit completed/executing, and
-        // the scrape path reads all of them relaxed without any lock
-        alignas(detail::cache_line_size) std::atomic<std::size_t> submitted{ 0 };
-        alignas(detail::cache_line_size) std::atomic<std::size_t> completed{ 0 };
-        alignas(detail::cache_line_size) std::atomic<std::size_t> executing{ 0 };
-        alignas(detail::cache_line_size) std::atomic<std::size_t> pending{ 0 };  ///< tasks still in `buffer`
-        alignas(detail::cache_line_size) std::atomic<std::size_t> claimed{ 0 };  ///< quota slots held (deque + executing)
-        alignas(detail::cache_line_size) std::atomic<std::size_t> stolen{ 0 };
-        alignas(detail::cache_line_size) std::atomic<std::size_t> max_queue_depth{ 0 };
-    };
-
-    static_assert(alignof(lane_state) >= detail::cache_line_size,
-                  "lane_state hot counters must be cache-line separated");
-
-    /// One queued unit of work. Heap-allocated so a trivially-copyable
-    /// pointer flows through the Chase–Lev slots; the embedded shared_ptr
-    /// keeps the lane state alive for as long as any task of it exists.
-    struct work_item {
-        detail::task job;
-        std::shared_ptr<lane_state> lane;
-        bool claimed{ false };  ///< holds one of the lane's quota slots
+        lane_options options;          ///< immutable after creation
+        std::size_t affinity{ 0 };     ///< home worker index (immutable)
+        std::size_t home_domain{ 0 };  ///< resolved NUMA domain (immutable)
+        std::deque<detail::task> queue;
+        std::size_t workers_busy{ 0 };  ///< workers running this lane's tasks (quota check)
+        bool closed{ false };           ///< no further enqueues; drain pending
+        lane_stats counters;            ///< `queue_depth` is filled in from `queue` on read
     };
 
   public:
@@ -352,8 +243,8 @@ class executor {
     executor(const executor &) = delete;
     executor &operator=(const executor &) = delete;
 
-    /// Drains all lanes, then joins the workers. Every lane handle must have
-    /// been destroyed (or must never enqueue again) before this runs.
+    /// Runs every queued task, then joins the workers. Every lane handle must
+    /// have been destroyed (or must never enqueue again) before this runs.
     ~executor();
 
     /// The lazily-created executor shared by all engines that do not inject
@@ -361,7 +252,7 @@ class executor {
     [[nodiscard]] static executor &process_wide();
 
     /// Number of worker threads.
-    [[nodiscard]] std::size_t size() const noexcept { return states_.size(); }
+    [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
     /// True iff the calling thread is one of THIS executor's workers. Work
     /// that would fan out over the executor must run inline instead when
@@ -431,8 +322,7 @@ class executor {
         void enqueue_detached(detail::task job);
 
         /// Enqueue a task and obtain a future for its result. The callable
-        /// moves straight into the packaged_task — no shared_ptr hop like
-        /// the old copyable-std::function path required.
+        /// moves straight into the packaged_task.
         template <typename F>
         [[nodiscard]] std::future<std::invoke_result_t<F>> enqueue(F &&job) {
             using result_type = std::invoke_result_t<F>;
@@ -452,7 +342,7 @@ class executor {
         /// @return true iff a task was executed
         bool try_run_one();
 
-        /// Current counters of this lane (relaxed atomic reads, no lock).
+        /// Current counters of this lane (one consistent snapshot).
         [[nodiscard]] lane_stats stats() const;
 
       private:
@@ -474,96 +364,73 @@ class executor {
     /// Number of currently registered lanes.
     [[nodiscard]] std::size_t num_lanes() const;
 
-    /// Tasks executed by a non-affine worker, over all lanes ever registered.
+    /// Tasks executed by a worker other than their lane's home worker, over
+    /// all lanes ever registered.
     [[nodiscard]] std::size_t total_steals() const;
 
-    /// Tasks lifted directly out of another worker's deque (subset of the
-    /// activity behind total_steals; a health signal for the stealing path).
-    [[nodiscard]] std::size_t deque_steals() const;
-
-    /// Aggregate counters over all registered lanes. Lock-free snapshot of
-    /// the per-lane atomics — scraping never blocks dispatch.
+    /// Aggregate counters over all registered lanes.
     [[nodiscard]] executor_stats stats() const;
 
     /// Name + counters of every registered lane, in registration order: the
     /// per-lane queue-depth/steal gauges of the observability export.
-    /// Lock-free like stats().
     [[nodiscard]] std::vector<lane_report> lane_reports() const;
 
     /// Executor-wide counters plus every lane's per-lane gauges and the
     /// worker placement (`topology` section), rendered as one
-    /// machine-readable JSON object.
+    /// machine-readable JSON object from one consistent snapshot.
     [[nodiscard]] std::string stats_json() const;
 
   private:
-    /// Everything one worker thread owns, cache-line aligned so neighboring
-    /// workers never false-share. The deque is stolen from by the others;
-    /// cursor/rng/lane cache are strictly thread-private.
-    struct alignas(detail::cache_line_size) worker_state {
-        detail::chase_lev_deque<work_item *> deque{ 64 };
-        std::size_t domain{ 0 };
-        // --- owner-thread-private scheduling state ---
-        std::size_t cursor{ 0 };  ///< lane rotation position
-        std::uint64_t lanes_version_seen{ static_cast<std::uint64_t>(-1) };
-        std::shared_ptr<const std::vector<std::shared_ptr<lane_state>>> lanes_cache;
-        std::mt19937 rng;
-    };
-
-    static_assert(alignof(worker_state) >= detail::cache_line_size, "worker_state must not false-share");
-
-    using lane_vector = std::vector<std::shared_ptr<lane_state>>;
-
-    void start(std::size_t num_threads, executor_options options);
     void worker_loop(std::size_t worker_index);
 
-    /// Refresh the worker's cached lane-list snapshot if lanes were
-    /// added/removed, then return it (owner thread only).
-    [[nodiscard]] const lane_vector &lane_snapshot_for(worker_state &self) const;
+    /// The next lane a worker of @p domain may take a task from, or nullptr
+    /// (requires `mutex_`). Advances the rotation cursor.
+    [[nodiscard]] lane_state *next_runnable_lane(std::size_t domain);
 
-    /// Take up to `weight` tasks from the next runnable lane (rotation order,
-    /// same-domain lanes first on multi-node hosts) into the worker's deque.
-    /// @return true iff at least one task was taken
-    bool acquire_lane_work(worker_state &self);
+    /// Pop the front task of @p state and count it in flight (requires
+    /// `mutex_` and a non-empty queue).
+    [[nodiscard]] detail::task take(lane_state &state, std::size_t worker_index);
 
-    /// Steal one task from another worker's deque and run it: two random
-    /// victims first (picking the fuller deque), then a full sweep.
-    /// @return true iff a task was stolen and executed
-    bool try_steal(worker_state &self, std::size_t worker_index);
+    /// Count a finished task of @p state (taken by `take()` with the same
+    /// @p worker_index) and wake a closer waiting for the lane to drain
+    /// (requires `mutex_`).
+    void finish(lane_state &state, std::size_t worker_index);
 
-    /// Execute one work_item: quota/steal/completion accounting around the
-    /// closure call, closure destroyed outside all locks.
-    void run_item(work_item *item, std::size_t executed_by);
-
-    /// Park-side re-check: is there anything a worker could run right now?
-    [[nodiscard]] bool any_runnable_work(const worker_state &self) const;
+    /// Whether @p state has a queued task and a free quota slot for one more
+    /// worker (requires `mutex_`).
+    [[nodiscard]] static bool runnable(const lane_state &state);
 
     void close_lane(const std::shared_ptr<lane_state> &state);
 
-    /// Current registered-lane snapshot (copy-on-write, atomically swapped).
-    [[nodiscard]] std::shared_ptr<const lane_vector> lane_snapshot() const {
-        return lanes_.load(std::memory_order_acquire);
-    }
+    /// The counters of @p state with `queue_depth` filled in (requires `mutex_`).
+    [[nodiscard]] static lane_stats counters_of(const lane_state &state);
+
+    /// Lane reports / aggregate counters (require `mutex_`).
+    [[nodiscard]] std::vector<lane_report> reports_locked() const;
+    [[nodiscard]] executor_stats stats_locked() const;
+
+    /// Sentinel `worker_index` of `take()`/`finish()` for a helper thread
+    /// running a task through `lane::try_run_one()`: never a steal, never a
+    /// quota slot.
+    static constexpr std::size_t helper_thread = static_cast<std::size_t>(-1);
 
     // --- immutable after construction ---
     topology_info topology_{};
     bool pin_active_{ false };
     std::vector<std::size_t> worker_domains_;               ///< worker index -> domain index
     std::vector<std::vector<std::size_t>> domain_workers_;  ///< domain index -> worker indices
-    std::vector<std::unique_ptr<worker_state>> states_;
     std::vector<std::thread> workers_;
 
-    // --- hot shared state ---
-    detail::eventcount park_;
-    std::atomic<bool> stop_{ false };
-    alignas(detail::cache_line_size) std::atomic<std::size_t> total_steals_{ 0 };
-    alignas(detail::cache_line_size) std::atomic<std::size_t> deque_steals_{ 0 };
-
-    // --- lane registry (cold path: create/close only; readers are lock-free) ---
-    mutable std::mutex lanes_mutex_;                         ///< serializes lane add/remove
-    std::atomic<std::shared_ptr<const lane_vector>> lanes_;  ///< current snapshot
-    std::atomic<std::uint64_t> lanes_version_{ 0 };
-    std::size_t lane_counter_{ 0 };                   ///< round-robin affinity (guarded by lanes_mutex_)
-    std::vector<std::size_t> domain_lane_counters_;   ///< per-domain round-robin (guarded by lanes_mutex_)
+    // --- guarded by mutex_ ---
+    mutable std::mutex mutex_;
+    std::condition_variable work_available_;  ///< idle workers wait here
+    std::condition_variable lane_drained_;    ///< lane closers wait here
+    std::vector<std::shared_ptr<lane_state>> lanes_;  ///< registration order
+    std::size_t cursor_{ 0 };                         ///< lane served last (rotation start)
+    std::size_t lane_counter_{ 0 };                   ///< round-robin affinity
+    std::vector<std::size_t> domain_lane_counters_;   ///< per-domain round-robin affinity
+    std::size_t total_steals_{ 0 };
+    bool stop_{ false };
 };
 
 }  // namespace plssvm::serve

@@ -636,7 +636,9 @@ class fault_plane {
 /// exactly once even when the drain thread and the watchdog race: the drain
 /// thread settles per-request results as it completes them, and the watchdog
 /// calls `fail_unsettled()` when it declares the lane stalled. All settles
-/// funnel through the internal mutex + per-slot flags.
+/// funnel through the internal mutex + per-slot flags. A settled promise is
+/// released at once, so the settling thread keeps no reference to a
+/// delivered exception: the caller that reads it also frees it.
 template <typename T>
 class inflight_batch {
   public:
@@ -658,7 +660,7 @@ class inflight_batch {
             return false;
         }
         settled_[i] = true;
-        promises_[i].set_value(std::move(value));
+        std::promise<T>{ std::move(promises_[i]) }.set_value(std::move(value));
         return true;
     }
 
@@ -669,7 +671,7 @@ class inflight_batch {
             return false;
         }
         settled_[i] = true;
-        promises_[i].set_exception(std::move(error));
+        std::promise<T>{ std::move(promises_[i]) }.set_exception(std::move(error));
         return true;
     }
 
@@ -683,7 +685,7 @@ class inflight_batch {
         for (std::size_t i = 0; i < promises_.size(); ++i) {
             if (!settled_[i]) {
                 settled_[i] = true;
-                promises_[i].set_exception(error);
+                std::promise<T>{ std::move(promises_[i]) }.set_exception(error);
                 ++failed;
             }
         }

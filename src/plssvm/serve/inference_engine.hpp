@@ -99,9 +99,6 @@ struct engine_config {
     compile_options compile{};
     /// Shared executor to run on; nullptr = `executor::process_wide()`.
     executor *exec{ nullptr };
-    /// Lane weight: consecutive tasks one worker visit may take (>= 1);
-    /// higher weight = larger share of the executor under contention.
-    std::size_t lane_weight{ 1 };
     /// NUMA domain this engine's lane (and drain thread) should live on, so
     /// batches execute next to the snapshot's first-touch SV panels. Default:
     /// no preference — placement behaves exactly like before. Set by
@@ -612,7 +609,7 @@ class inference_engine {
     inference_engine(snapshot_type initial, const engine_config &config) :
         config_{ config },
         exec_{ config.exec != nullptr ? config.exec : &executor::process_wide() },
-        lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads, .weight = config.lane_weight, .home_domain = config.home_domain }) },
+        lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads, .home_domain = config.home_domain }) },
         num_features_{ initial.heads.front().num_features() },
         num_heads_{ initial.heads.size() },
         ensemble_{ initial.ensemble() },
@@ -814,8 +811,6 @@ class inference_engine {
                 }
                 continue;
             }
-            double mean_queue_wait_seconds = 0.0;
-            double service_seconds = 0.0;
             try {
                 const double estimated_seconds = estimated_batch_seconds(batch_size);
                 const fault::watchdog_config &wd = fault_plane_.config().watchdog;
@@ -906,16 +901,22 @@ class inference_engine {
                 resolve(resolve, 0, batch_size, true);
                 const auto end = std::chrono::steady_clock::now();
                 supervisor_.clear(generation);
-                service_seconds = std::chrono::duration<double>(end - dispatch_start).count();
+                const double service_seconds = std::chrono::duration<double>(end - dispatch_start).count();
                 metrics_.record_batch(batch_size, service_seconds);
                 metrics_.record_class_batch(batch.cls);
                 metrics_.record_path(batch_path);
                 metrics_.record_batch_estimate(estimated_seconds, service_seconds);
+                if (supervisor_.generation() == generation) {
+                    // retune from the backlog that queued up while this batch
+                    // ran, before any caller wakes: a closed-loop client's
+                    // next request answers this batch, it is not load
+                    retune();
+                }
                 const bool abandoned = inflight->abandoned();
                 for (std::size_t i = 0; i < batch_size; ++i) {
                     typename micro_batcher<T>::request &req = batch.requests[i];
                     if (errors[i] != nullptr) {
-                        inflight->set_exception(i, errors[i]);
+                        inflight->set_exception(i, std::move(errors[i]));
                         continue;
                     }
                     if (abandoned) {
@@ -932,7 +933,6 @@ class inference_engine {
                     stages[obs::stage_index(obs::trace_stage::queue_wait)] = std::chrono::duration<double>(batch.sealed - req.enqueued).count();
                     stages[obs::stage_index(obs::trace_stage::dispatch)] = std::chrono::duration<double>(dispatch_start - batch.sealed).count();
                     stages[obs::stage_index(obs::trace_stage::service)] = service_seconds;
-                    mean_queue_wait_seconds += stages[obs::stage_index(obs::trace_stage::queue_wait)];
                     metrics_.record_request_trace(batch.cls, stages, std::chrono::duration<double>(end - req.admitted).count(), deadline_missed);
                     if (req.traced) {
                         obs::request_trace trace{};
@@ -968,7 +968,6 @@ class inference_engine {
                     // scrapers read stats() right after get() returns)
                     inflight->set_value(i, labels[i]);
                 }
-                mean_queue_wait_seconds /= static_cast<double>(batch_size);
             } catch (...) {
                 // out-of-band failure (e.g. allocation of the bookkeeping
                 // vectors): settle whatever is still pending with the raw cause
@@ -978,25 +977,23 @@ class inference_engine {
             if (supervisor_.generation() != generation) {
                 return;  // abandoned by the watchdog mid-batch: a fresh lane took over
             }
-            retune(mean_queue_wait_seconds, service_seconds);
             update_health();
         }
     }
 
-    /// Adaptive-batching feedback after every drained batch: feed the lane
-    /// telemetry, the batcher backlog and the batch's wait/service split into
-    /// the tuner, then publish the recomputed per-class policies. The
-    /// executor-wide scan (a lock-free sweep over every lane's atomic
-    /// counters) is refreshed only every 8th batch — cross-tenant pressure
-    /// moves slowly, and the full lane walk per batch would be pointless
-    /// cache traffic. Drain thread only.
-    void retune(const double queue_wait_seconds, const double service_seconds) {
+    /// Adaptive-batching feedback after every drained batch: feed the
+    /// batcher backlog and the lane and executor queue depths into the
+    /// tuner, then publish the recomputed per-class policies. The
+    /// executor-wide scan (a walk over every lane under the executor lock)
+    /// is refreshed only every 8th batch — cross-tenant pressure moves
+    /// slowly. Drain thread only.
+    void retune() {
         const lane_stats lane = lane_.stats();
         if (retune_counter_++ % 8 == 0) {
             const executor_stats exec_stats = exec_->stats();
             cached_cross_lane_ = exec_stats.queued >= lane.queue_depth ? exec_stats.queued - lane.queue_depth : 0;
         }
-        tuner_.observe(batcher_.pending(), lane.queue_depth, lane.stolen, cached_cross_lane_, queue_wait_seconds, service_seconds);
+        tuner_.observe(batcher_.pending(), lane.queue_depth, cached_cross_lane_);
         batcher_.set_class_policies(tuner_.policies());
     }
 

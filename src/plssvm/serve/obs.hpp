@@ -5,7 +5,7 @@
  *        Prometheus text exposition builder, and an always-on flight
  *        recorder.
  *
- * The serving stack (admission control, adaptive batching, work-stealing
+ * The serving stack (admission control, adaptive batching, executor
  * lanes, cost-model dispatch) previously exposed only end-to-end p50/p99 per
  * class — when a QoS gate blew there was no way to tell whether the time
  * went to admission, queue wait, batch formation, or the kernel. This header

@@ -38,9 +38,6 @@ batch_tuner::batch_tuner(const qos_config &config, const batch_policy base, late
         a.backlog_at_max = 2.0 * static_cast<double>(a.max_batch_size);
     }
     a.alpha = clamp01(a.alpha <= 0.0 ? 0.25 : a.alpha);
-    if (a.wait_ratio_at_max <= 0.0) {
-        a.wait_ratio_at_max = 8.0;
-    }
     a.exec_budget_fraction = a.exec_budget_fraction <= 0.0 ? 0.5 : std::min(1.0, a.exec_budget_fraction);
     for (const request_class cls : all_request_classes) {
         class_qos_config &c = config_.classes[class_index(cls)];
@@ -63,39 +60,23 @@ batch_tuner::batch_tuner(const qos_config &config, const batch_policy base, late
     recompute();
 }
 
-void batch_tuner::observe(const std::size_t backlog, const std::size_t lane_queue_depth,
-                          const std::size_t lane_steals_total, const std::size_t cross_lane_queued,
-                          const double queue_wait_seconds, const double service_seconds) {
+void batch_tuner::observe(const std::size_t backlog, const std::size_t lane_queue_depth, const std::size_t cross_lane_queued) {
     if (!config_.adaptive_batching) {
         return;  // static policies, nothing to adapt
     }
     const std::lock_guard lock{ mutex_ };
-    // steal counter is cumulative: differentiate it into a per-observation rate
-    const std::size_t steal_delta = steals_initialized_ && lane_steals_total >= last_steals_total_
-                                        ? lane_steals_total - last_steals_total_
-                                        : 0;
-    last_steals_total_ = lane_steals_total;
-    steals_initialized_ = true;
     // cross-lane pressure counts at quarter weight: another tenant's backlog
     // slows this engine down, but far less than its own queue does
     const double pressure_sample = static_cast<double>(backlog) + static_cast<double>(lane_queue_depth)
                                    + 0.25 * static_cast<double>(cross_lane_queued);
     const double alpha = config_.adaptive.alpha;
     ewma_pressure_ = alpha * pressure_sample + (1.0 - alpha) * ewma_pressure_;
-    ewma_steal_rate_ = alpha * static_cast<double>(steal_delta) + (1.0 - alpha) * ewma_steal_rate_;
-    if (service_seconds > 0.0 && queue_wait_seconds >= 0.0) {
-        // the measured wait/service split of the drained batch (obs stage
-        // stamps): direct evidence of saturation, not a depth proxy
-        ewma_wait_ratio_ = alpha * (queue_wait_seconds / service_seconds) + (1.0 - alpha) * ewma_wait_ratio_;
-    }
     recompute();
 }
 
 void batch_tuner::recompute() {
     const adaptive_batch_config &a = config_.adaptive;
-    const double depth_term = (ewma_pressure_ + a.steal_weight * ewma_steal_rate_) / a.backlog_at_max;
-    const double wait_term = ewma_wait_ratio_ / a.wait_ratio_at_max;
-    saturation_ = clamp01(std::max(depth_term, wait_term));
+    saturation_ = clamp01(ewma_pressure_ / a.backlog_at_max);
     const auto span = static_cast<double>(a.max_batch_size - a.min_batch_size);
     const std::size_t base_target = a.min_batch_size + static_cast<std::size_t>(std::llround(saturation_ * span));
     for (const request_class cls : all_request_classes) {

@@ -17,10 +17,10 @@
  *    queue-depth shed threshold, default deadline budget, flush-delay range.
  *    Enforced by `serve::admission_controller` (see `admission.hpp`).
  *  - **load-adaptive batching** (`batch_tuner`): the target batch size and
- *    flush deadline of each class adapt continuously from an EWMA of the
- *    engine's executor-lane queue depth and steal counters (plus the
- *    batcher's own backlog and cross-lane executor pressure) and from the
- *    calibrated cost model's per-batch latency estimate. Under load, batches
+ *    flush deadline of each class adapt continuously from an EWMA of queue
+ *    depth (the batcher's own backlog, the engine's executor-lane queue and
+ *    cross-lane executor pressure) and from the calibrated cost model's
+ *    per-batch latency estimate. Under load, batches
  *    grow toward `adaptive_batch_config::max_batch_size` for throughput;
  *    idle, they shrink to `min_batch_size` for latency; and a class with a
  *    deadline budget never grows its batches past the point where the
@@ -149,23 +149,12 @@ struct adaptive_batch_config {
     std::size_t min_batch_size{ 0 };
     /// Overload target ceiling; 0 = 4x the engine max_batch_size.
     std::size_t max_batch_size{ 0 };
-    /// EWMA smoothing factor of the pressure and steal-rate signals (0..1;
-    /// larger = faster reaction).
+    /// EWMA smoothing factor of the pressure signal (0..1; larger = faster
+    /// reaction).
     double alpha{ 0.25 };
-    /// Weight of the smoothed steal rate inside the pressure signal: steals
-    /// mean other lanes' work is spilling onto this engine's home worker,
-    /// so the executor is contended beyond what the own queue depth shows.
-    double steal_weight{ 4.0 };
     /// Pressure level mapped to full saturation (target = max_batch_size);
     /// 0 = 2x the resolved max_batch_size.
     double backlog_at_max{ 0.0 };
-    /// Queue-wait-to-service-time ratio mapped to full saturation. Batches
-    /// whose requests wait in the class FIFO much longer than the batch
-    /// takes to execute are the direct symptom of undersized batches — the
-    /// observability plane measures the split per batch and the tuner reads
-    /// it instead of inferring saturation only from depth EWMAs. 0 = 8.0
-    /// (waiting 8x the service time saturates the signal).
-    double wait_ratio_at_max{ 0.0 };
     /// Fraction of a class's deadline budget that may be spent *executing*
     /// the batch (the rest is queueing/flush headroom). The tuner halves a
     /// deadline-carrying class's target until the cost-model estimate of
@@ -212,24 +201,19 @@ struct batch_policy {
  * @brief Load-adaptive batch policy controller of one engine.
  *
  * The engine's drain thread calls `observe()` after every batch with the
- * current backlog and executor telemetry; `policies()` maps the smoothed
+ * current backlog and executor queue depths; `policies()` maps the smoothed
  * state to one `class_batch_policy` per class. Thread-safe (observe from
  * the drain thread, policies also from `stats()` callers).
  *
  * Target computation (see qos.cpp for the details):
  *   pressure   = EWMA(backlog + lane_depth + cross_lane/4)
- *   steal_rate = EWMA(new steals since the last observation)
- *   wait_ratio = EWMA(batch queue-wait / batch service time)   [measured]
- *   saturation = clamp01(max((pressure + steal_weight * steal_rate) / backlog_at_max,
- *                            wait_ratio / wait_ratio_at_max))
+ *   saturation = clamp01(pressure / backlog_at_max)
  *   target     = min + saturation * (max - min), then halved while the
  *                cost-model batch estimate overruns the class's deadline share
  *   flush      = base_flush + saturation * (max_flush - base_flush)
  *
- * The wait-ratio term is fed from the observability plane's per-batch
- * queue-wait vs service-time split (`obs` stage stamps): requests waiting
- * far longer than their batch executes is direct evidence of saturation
- * that queue-depth EWMAs only proxy.
+ * Only queue depth drives saturation: an idle engine reads zero pressure,
+ * so a lone request keeps the idle flush delay and the minimum target.
  */
 class batch_tuner {
   public:
@@ -248,18 +232,10 @@ class batch_tuner {
      *
      * @param backlog           requests currently queued in the micro-batcher
      * @param lane_queue_depth  tasks queued on the engine's executor lane
-     * @param lane_steals_total cumulative steal counter of the lane (the
-     *                          tuner differentiates it internally)
      * @param cross_lane_queued tasks queued on *other* lanes of the shared
      *                          executor (cross-tenant pressure)
-     * @param queue_wait_seconds mean time the drained batch's requests spent
-     *                          waiting in the class FIFO (0 = no measurement:
-     *                          the wait-ratio term is skipped, preserving the
-     *                          depth-only behaviour)
-     * @param service_seconds   execution time of the drained batch
      */
-    void observe(std::size_t backlog, std::size_t lane_queue_depth, std::size_t lane_steals_total, std::size_t cross_lane_queued,
-                 double queue_wait_seconds = 0.0, double service_seconds = 0.0);
+    void observe(std::size_t backlog, std::size_t lane_queue_depth, std::size_t cross_lane_queued);
 
     /// Current per-class batch policies (idle values before any observation).
     [[nodiscard]] per_class<class_batch_policy> policies() const;
@@ -278,10 +254,6 @@ class batch_tuner {
     latency_estimator estimate_;
     mutable std::mutex mutex_;
     double ewma_pressure_{ 0.0 };
-    double ewma_steal_rate_{ 0.0 };
-    double ewma_wait_ratio_{ 0.0 };
-    std::size_t last_steals_total_{ 0 };
-    bool steals_initialized_{ false };
     double saturation_{ 0.0 };
     per_class<class_batch_policy> policies_{};
 };

@@ -22,14 +22,32 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace plssvm::test {
+
+/// Yield until @p predicate holds or @p timeout elapses; returns the
+/// predicate's final value. For counters that legitimately move just after
+/// a future settles (an executor task counts as completed only once its
+/// closure returned), so a test waits for the counter without sleeping.
+template <typename Predicate>
+[[nodiscard]] bool wait_until(Predicate &&predicate, const std::chrono::milliseconds timeout = std::chrono::milliseconds{ 5000 }) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (!predicate()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return predicate();
+        }
+        std::this_thread::yield();
+    }
+    return true;
+}
 
 /// Deterministic random matrix with entries ~ N(0, 1).
 [[nodiscard]] inline aos_matrix<double> random_matrix(const std::size_t rows, const std::size_t cols, const std::uint64_t seed) {

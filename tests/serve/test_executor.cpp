@@ -1,12 +1,13 @@
 /**
  * @file
- * @brief Tests for `serve::executor`: the shared work-stealing worker pool,
- *        lane quota enforcement and fairness, steal/queue-depth accounting,
- *        and the thread-ownership acceptance scenario (8 resident engines,
- *        one executor's worth of worker threads).
+ * @brief Tests for `serve::executor`: the shared worker pool, lane quota
+ *        enforcement and fairness, steal/queue-depth accounting and its
+ *        one-snapshot consistency, and the thread-ownership acceptance
+ *        scenario (8 resident engines, one executor's worth of workers).
  *
  * Concurrency assertions are gate-based (tasks block on futures/latches the
- * test controls), never timing-based, so they hold on single-core runners.
+ * test controls) or bounded predicate waits, never sleeps, so they hold on
+ * single-core runners.
  */
 
 #include "serve/serve_test_utils.hpp"
@@ -31,6 +32,7 @@ namespace {
 
 using plssvm::serve::executor;
 using plssvm::serve::lane_options;
+using plssvm::serve::lane_report;
 using plssvm::serve::lane_stats;
 namespace test = plssvm::test;
 using namespace std::chrono_literals;
@@ -92,9 +94,7 @@ TEST(Executor, StatsCountSubmittedCompletedAndQueueDepth) {
     std::future<void> queued_b = lane.enqueue([]() {});
 
     // wait until the first task actually occupies the worker
-    while (lane.stats().in_flight == 0) {
-        std::this_thread::yield();
-    }
+    ASSERT_TRUE(test::wait_until([&]() { return lane.stats().in_flight == 1u; }));
     lane_stats stats = lane.stats();
     EXPECT_EQ(stats.submitted, 3u);
     EXPECT_EQ(stats.in_flight, 1u);
@@ -106,9 +106,7 @@ TEST(Executor, StatsCountSubmittedCompletedAndQueueDepth) {
     queued_a.get();
     queued_b.get();
     // completion counters are bumped after the future resolves; wait for them
-    while (lane.stats().completed < 3 || lane.stats().in_flight > 0) {
-        std::this_thread::yield();
-    }
+    ASSERT_TRUE(test::wait_until([&]() { return lane.stats().completed == 3u; }));
     stats = lane.stats();
     EXPECT_EQ(stats.completed, 3u);
     EXPECT_EQ(stats.queue_depth, 0u);
@@ -191,14 +189,64 @@ TEST(Executor, StealAndCompletionAccountingIsConsistent) {
         f.get();
     }
     // completion counters are bumped after the future resolves; wait for them
-    while (lane.stats().completed < 32) {
-        std::this_thread::yield();
-    }
+    ASSERT_TRUE(test::wait_until([&]() { return lane.stats().completed == 32u; }));
     const lane_stats stats = lane.stats();
     EXPECT_EQ(stats.submitted, 32u);
     EXPECT_EQ(stats.completed, 32u);
     EXPECT_LE(stats.stolen, stats.completed) << "steals are a subset of completions";
     EXPECT_EQ(ex.total_steals() >= stats.stolen, true);
+}
+
+// Every counter read is one critical section: while two workers and a
+// helper thread (`try_run_one`) run a stream of tasks, each lane.stats() and
+// lane_reports() read satisfies submitted == completed + queued + in_flight.
+TEST(Executor, LaneStatsAreOneConsistentSnapshot) {
+    executor ex{ 2 };
+    executor::lane lane = ex.create_lane(lane_options{ .name = "stream" });
+    constexpr std::size_t num_tasks = 4000;
+    std::atomic<std::size_t> done{ 0 };
+    std::atomic<bool> helping{ true };
+    std::thread helper{ [&]() {
+        while (helping.load()) {
+            if (!lane.try_run_one()) {
+                std::this_thread::yield();
+            }
+        }
+    } };
+    const auto consistent = [](const lane_stats &s) {
+        return s.submitted == s.completed + s.queue_depth + s.in_flight;
+    };
+    std::size_t reads = 0;
+    std::size_t inconsistent = 0;
+    for (std::size_t i = 0; i < num_tasks; ++i) {
+        lane.enqueue_detached([&done]() {
+            volatile std::size_t spin = 0;
+            for (std::size_t k = 0; k < 200; ++k) {
+                spin = spin + k;
+            }
+            done.fetch_add(1);
+        });
+        inconsistent += consistent(lane.stats()) ? 0 : 1;
+        const std::vector<lane_report> reports = ex.lane_reports();
+        inconsistent += reports.size() == 1 && consistent(reports.front().stats) ? 0 : 1;
+        reads += 2;
+    }
+    // keep reading while the workers and the helper drain the stream
+    const bool drained = test::wait_until([&]() {
+        const lane_stats s = lane.stats();
+        inconsistent += consistent(s) ? 0 : 1;
+        ++reads;
+        return s.completed == num_tasks;
+    });
+    helping.store(false);
+    helper.join();
+    ASSERT_TRUE(drained);
+    EXPECT_EQ(inconsistent, 0u) << "of " << reads << " reads";
+    EXPECT_EQ(done.load(), num_tasks);
+    const lane_stats final_stats = lane.stats();
+    EXPECT_EQ(final_stats.submitted, num_tasks);
+    EXPECT_EQ(final_stats.completed, num_tasks);
+    EXPECT_EQ(final_stats.queue_depth + final_stats.in_flight, 0u);
 }
 
 TEST(Executor, ManyLanesShareTheWorkersToCompletion) {

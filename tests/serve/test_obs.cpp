@@ -5,8 +5,8 @@
  *        deltas, Prometheus exposition format validation, lock-free trace
  *        ring ordering under concurrent publishers, sampling-period
  *        honoring, flight-recorder dumps on injected shed and deadline
- *        miss, cost-model calibration regression, per-lane executor
- *        gauges, and the wait/service saturation input of the batch tuner.
+ *        miss, cost-model calibration regression, and per-lane executor
+ *        gauges.
  */
 
 #include "serve/serve_test_utils.hpp"
@@ -578,6 +578,9 @@ TEST(ObsExecutor, LaneReportsExposePerLaneCounters) {
     for (std::future<void> &f : pending) {
         f.get();
     }
+    // a task counts as completed only after its closure returned, so the
+    // futures can be ready first: wait for the counter itself
+    ASSERT_TRUE(test::wait_until([&]() { return alpha.stats().completed == 8u; }));
     const std::vector<lane_report> reports = exec.lane_reports();
     ASSERT_EQ(reports.size(), 2u);
     EXPECT_EQ(reports[0].name, "alpha");
@@ -598,6 +601,7 @@ TEST(ObsExecutor, StatsJsonRendersLaneGauges) {
     for (std::future<void> &f : pending) {
         f.get();
     }
+    ASSERT_TRUE(test::wait_until([&]() { return lane.stats().completed == 4u; }));
     const std::string json = exec.stats_json();
     for (const char *field : { "\"workers\": 2", "\"num_lanes\": 1", "\"lanes\": [", "\"name\": \"obs-lane\"",
                                "\"submitted\": 4", "\"completed\": 4", "\"queue_depth\": 0", "\"max_queue_depth\"" }) {
@@ -628,34 +632,6 @@ TEST(ObsRegistry, MetricsTextLabelsEveryModelAndExportsLaneGauges) {
     EXPECT_NE(text.find("model=\"beta-model\""), std::string::npos);
     EXPECT_NE(text.find("plssvm_serve_lane_queue_depth"), std::string::npos);
     EXPECT_NE(text.find("lane=\"engine\""), std::string::npos) << text.substr(0, 2000);
-}
-
-// ---------------------------------------------------------------------------
-// batch tuner: measured wait/service split as the saturation signal
-// ---------------------------------------------------------------------------
-
-TEST(ObsTuner, WaitServiceRatioDrivesSaturationDeterministically) {
-    plssvm::serve::qos_config config;
-    config.adaptive_batching = true;
-    config.adaptive.min_batch_size = 4;
-    config.adaptive.max_batch_size = 64;
-    config.adaptive.alpha = 1.0;  // no smoothing: one observation decides
-    plssvm::serve::batch_tuner tuner{ config, plssvm::serve::batch_policy{ 16, 250us }, nullptr };
-    // no backlog at all, but the measured queue wait is 16x the service
-    // time: the wait term (ratio / wait_ratio_at_max = 16/8) saturates the
-    // tuner even though every depth gauge reads zero
-    tuner.observe(0, 0, 0, 0, /*queue_wait_seconds=*/16e-3, /*service_seconds=*/1e-3);
-    EXPECT_DOUBLE_EQ(tuner.saturation(), 1.0);
-    EXPECT_EQ(tuner.policies()[class_index(request_class::interactive)].target_batch_size, 64u);
-    // a healthy wait/service split relaxes it: ratio 0.1 / wait_ratio_at_max
-    // 8 = saturation 0.0125 exactly (alpha = 1 makes this deterministic)
-    tuner.observe(0, 0, 0, 0, /*queue_wait_seconds=*/1e-4, /*service_seconds=*/1e-3);
-    EXPECT_DOUBLE_EQ(tuner.saturation(), 0.0125);
-    EXPECT_LE(tuner.policies()[class_index(request_class::interactive)].target_batch_size, 5u);
-    // the defaulted overload (no split measured) must not disturb the state:
-    // the pre-obs depth-only behaviour the Qos suite pins down
-    tuner.observe(0, 0, 0, 0);
-    EXPECT_DOUBLE_EQ(tuner.saturation(), 0.0125);
 }
 
 }  // namespace

@@ -264,7 +264,7 @@ TEST(QosAdaptive, TargetsGrowUnderLoadAndShrinkWhenIdle) {
     // the target to the maximum, monotonically
     std::size_t previous = idle_target;
     for (int i = 0; i < 64; ++i) {
-        tuner.observe(/*backlog=*/1024, /*lane_queue_depth=*/0, /*lane_steals_total=*/0, /*cross_lane_queued=*/0);
+        tuner.observe(/*backlog=*/1024, /*lane_queue_depth=*/0, /*cross_lane_queued=*/0);
         const std::size_t target = tuner.policies()[class_index(request_class::interactive)].target_batch_size;
         EXPECT_GE(target, previous) << "growth must be monotone under constant overload";
         previous = target;
@@ -277,24 +277,10 @@ TEST(QosAdaptive, TargetsGrowUnderLoadAndShrinkWhenIdle) {
 
     // back to idle: the EWMA decays the target to the minimum again
     for (int i = 0; i < 512; ++i) {
-        tuner.observe(0, 0, 0, 0);
+        tuner.observe(0, 0, 0);
     }
     EXPECT_EQ(tuner.policies()[class_index(request_class::interactive)].target_batch_size, idle_target);
     EXPECT_LT(tuner.saturation(), 0.01);
-}
-
-TEST(QosAdaptive, StealPressureCountsTowardSaturation) {
-    batch_tuner tuner_no_steals{ qos_config{}, batch_policy{ 64, 250us }, nullptr };
-    batch_tuner tuner_steals{ qos_config{}, batch_policy{ 64, 250us }, nullptr };
-    std::size_t steals_total = 0;
-    for (int i = 0; i < 16; ++i) {
-        tuner_no_steals.observe(64, 0, 0, 0);
-        steals_total += 32;  // heavy cross-lane stealing each interval
-        tuner_steals.observe(64, 0, steals_total, 0);
-    }
-    EXPECT_GT(tuner_steals.saturation(), tuner_no_steals.saturation());
-    EXPECT_GT(tuner_steals.policies()[class_index(request_class::batch)].target_batch_size,
-              tuner_no_steals.policies()[class_index(request_class::batch)].target_batch_size);
 }
 
 TEST(QosAdaptive, DeadlineBudgetCapsTargetThroughCostModel) {
@@ -305,7 +291,7 @@ TEST(QosAdaptive, DeadlineBudgetCapsTargetThroughCostModel) {
     batch_tuner tuner{ config, batch_policy{ 64, 250us },
                        [](const std::size_t batch) { return 1e-3 * static_cast<double>(batch); } };
     for (int i = 0; i < 64; ++i) {
-        tuner.observe(4096, 0, 0, 0);  // overload: unconstrained classes max out
+        tuner.observe(4096, 0, 0);  // overload: unconstrained classes max out
     }
     const auto policies = tuner.policies();
     EXPECT_EQ(policies[class_index(request_class::batch)].target_batch_size, 256u)
@@ -320,7 +306,7 @@ TEST(QosAdaptive, StaticModeIgnoresLoad) {
     config.adaptive_batching = false;
     batch_tuner tuner{ config, batch_policy{ 32, 150us }, nullptr };
     for (int i = 0; i < 32; ++i) {
-        tuner.observe(100'000, 100, 100, 100);
+        tuner.observe(100'000, 100, 100);
     }
     for (const request_class cls : all_request_classes) {
         EXPECT_EQ(tuner.policies()[class_index(cls)].target_batch_size, 32u);
@@ -434,6 +420,32 @@ TEST(QosEngine, IdleEngineNoSpuriousWakeups) {
     inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
     std::this_thread::sleep_for(100ms);
     EXPECT_EQ(engine.stats().flush_timer_wakeups, 0u);
+}
+
+// Regression: a lone request waits out the flush delay before it is
+// served. That wait is not load, so an engine that only ever sees lone
+// requests must stay idle: saturation 0, the idle flush delay and the
+// minimum target — not stretch its flush delay toward the ceiling.
+TEST(QosEngine, LoneRequestsLeaveTheTunerIdle) {
+    plssvm::serve::executor exec{ 2 };  // private: no other tenant's queue
+    engine_config config;
+    config.exec = &exec;
+    config.max_batch_size = 64;
+    config.batch_delay = 250us;
+    config.qos.adaptive.min_batch_size = 4;
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+    const aos_matrix<double> points = test::random_matrix(32, 11, 29);
+    for (std::size_t p = 0; p < points.num_rows(); ++p) {
+        (void) engine.submit(std::vector<double>(points.row_data(p), points.row_data(p) + points.num_cols())).get();
+    }
+    // the drain thread retunes before it settles a batch, so every one of
+    // the 32 observations is in by the time the last get() returned
+    const plssvm::serve::serve_stats stats = engine.stats();
+    EXPECT_EQ(stats.total_batches, points.num_rows()) << "every request must have been served alone";
+    EXPECT_DOUBLE_EQ(stats.batch_saturation, 0.0);
+    const auto &interactive = stats.classes[class_index(request_class::interactive)];
+    EXPECT_DOUBLE_EQ(interactive.flush_delay_seconds, std::chrono::duration<double>(config.batch_delay).count());
+    EXPECT_EQ(interactive.target_batch_size, 4u);
 }
 
 TEST(QosEngine, ClassTaggedSubmitsMatchSyncPredictions) {
