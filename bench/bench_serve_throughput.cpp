@@ -34,12 +34,12 @@
  *
  *  5. QoS overload sweep (PR 5's experiment): open-loop interactive
  *     traffic at 1x/2x/4x offered load against a QoS-configured engine
- *     (queue-depth shedding + load-adaptive batching). 1x is half the
- *     engine's measured batched capacity, so 4x is genuine overload.
- *     Gates: interactive p99 at 4x <= 3x its 1x value (admission control
- *     bounds the queueing delay), shed fraction at 4x stays bounded
- *     (<= 0.9), and the steady-state adaptive batch target at 4x is >= 2x
- *     the idle target (the tuner demonstrably reacts to load).
+ *     (queue-depth shedding + natural batching). 1x is half the engine's
+ *     measured batched capacity, so 4x is genuine overload. Gates:
+ *     interactive p99 at 4x <= 3x its 1x value (admission control bounds
+ *     the queueing delay), shed fraction at 4x stays bounded (<= 0.9), and
+ *     the measured mean interactive batch at 4x is >= 2x the one at 1x
+ *     (batches demonstrably grow with the backlog).
  *
  *  6. Tracing overhead (this PR's experiment): experiment 1's async
  *     workload (single-point submits coalesced by the micro-batcher, RBF)
@@ -218,14 +218,12 @@ struct qos_phase_result {
     double shed_fraction{ 0.0 };
     double achieved_rps{ 0.0 };
     double interactive_p99_s{ 0.0 };
-    double mean_batch{ 0.0 };
-    std::size_t target_batch{ 0 };  ///< adaptive target sampled mid-storm
+    double mean_batch{ 0.0 };       ///< measured mean interactive batch size
 };
 
 /// The QoS overload-sweep measurement of the JSON report.
 struct qos_result {
     double capacity_pps{ 0.0 };      ///< measured batched-path capacity
-    std::size_t idle_target{ 0 };    ///< adaptive batch target of an idle engine
     std::size_t max_pending{ 0 };    ///< interactive shed threshold used
     std::vector<qos_phase_result> phases;
 };
@@ -362,13 +360,13 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
                      r.dispatched_path.c_str(), i + 1 < sparse.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"qos\": {\n    \"capacity_pps\": %.1f, \"idle_target_batch\": %zu, \"interactive_max_pending\": %zu,\n    \"sweep\": [\n",
-                 qos.capacity_pps, qos.idle_target, qos.max_pending);
+    std::fprintf(f, "  \"qos\": {\n    \"capacity_pps\": %.1f, \"interactive_max_pending\": %zu,\n    \"sweep\": [\n",
+                 qos.capacity_pps, qos.max_pending);
     for (std::size_t i = 0; i < qos.phases.size(); ++i) {
         const qos_phase_result &r = qos.phases[i];
-        std::fprintf(f, "      { \"load_x\": %.1f, \"offered_rps\": %.1f, \"submitted\": %zu, \"shed\": %zu, \"shed_fraction\": %.3f, \"achieved_rps\": %.1f, \"interactive_p99_s\": %.6e, \"mean_batch\": %.1f, \"target_batch\": %zu }%s\n",
+        std::fprintf(f, "      { \"load_x\": %.1f, \"offered_rps\": %.1f, \"submitted\": %zu, \"shed\": %zu, \"shed_fraction\": %.3f, \"achieved_rps\": %.1f, \"interactive_p99_s\": %.6e, \"mean_batch\": %.1f }%s\n",
                      r.load_factor, r.offered_rps, r.submitted, r.shed, r.shed_fraction, r.achieved_rps,
-                     r.interactive_p99_s, r.mean_batch, r.target_batch, i + 1 < qos.phases.size() ? "," : "");
+                     r.interactive_p99_s, r.mean_batch, i + 1 < qos.phases.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  },\n");
     std::fprintf(f, "  \"obs\": { \"traced_rps\": %.1f, \"untraced_rps\": %.1f, \"overhead_ratio\": %.3f, \"traces_recorded\": %zu, \"repeats\": %zu },\n",
@@ -464,7 +462,6 @@ int main(int argc, char **argv) {
         plssvm::serve::engine_config config;
         config.num_threads = engine_threads;
         config.max_batch_size = 128;
-        config.batch_delay = std::chrono::microseconds{ 200 };
         plssvm::serve::inference_engine<double> engine{ trained, config };
 
         // batched sync: one predict call over the whole query matrix
@@ -591,7 +588,6 @@ int main(int argc, char **argv) {
         plssvm::serve::engine_config config;
         config.exec = &exec;
         config.max_batch_size = 128;
-        config.batch_delay = std::chrono::microseconds{ 200 };
         plssvm::serve::model_registry<double> registry{ 8, config };
         (void) registry.load("live", make_model(kernel_type::rbf, num_sv, dim, options.seed));
         const aos_matrix<double> queries = random_matrix(256, dim, options.seed + 23);
@@ -771,9 +767,9 @@ int main(int argc, char **argv) {
     }
 
     // ------------------------------------------------------------------
-    // experiment 5: QoS overload sweep (admission control + adaptive batching)
+    // experiment 5: QoS overload sweep (admission control + natural batching)
     // ------------------------------------------------------------------
-    std::printf("\nQoS overload sweep (open-loop interactive traffic, queue-depth shedding, adaptive batch sizing):\n\n");
+    std::printf("\nQoS overload sweep (open-loop interactive traffic, queue-depth shedding, natural batching):\n\n");
     qos_result qos;
     double qos_p99_ratio = 0.0;
     double qos_shed_fraction_4x = 0.0;
@@ -792,16 +788,9 @@ int main(int argc, char **argv) {
             plssvm::serve::engine_config config;
             config.exec = &exec;
             config.num_threads = engine_threads;
+            // cap 64 keeps the 4x-overload batch execution time bounded
+            // relative to the 1x p99 (the p99-ratio gate)
             config.max_batch_size = 64;
-            config.batch_delay = std::chrono::microseconds{ 300 };
-            // growth ceiling 64 keeps the 4x-overload batch execution time
-            // bounded relative to the 1x p99 (the p99-ratio gate) while
-            // still allowing 8x growth over the idle target of 8
-            config.qos.adaptive.min_batch_size = 8;
-            config.qos.adaptive.max_batch_size = 64;
-            // full saturation once the backlog reaches the shed threshold's
-            // neighbourhood, so a queue riding the cap drives targets up
-            config.qos.adaptive.backlog_at_max = 96.0;
             config.qos.classes[plssvm::serve::class_index(plssvm::serve::request_class::interactive)].max_pending = interactive_max_pending;
             return config;
         };
@@ -811,7 +800,6 @@ int main(int argc, char **argv) {
         {
             plssvm::serve::executor exec{ engine_threads };
             plssvm::serve::inference_engine<double> engine{ trained, make_config(exec, 0) };
-            qos.idle_target = engine.stats().classes[plssvm::serve::class_index(plssvm::serve::request_class::interactive)].target_batch_size;
             plssvm::bench::stopwatch probe;
             std::size_t probed = 0;
             while (probe.seconds() < (options.quick ? 0.2 : 0.4)) {
@@ -824,8 +812,7 @@ int main(int argc, char **argv) {
         const double base_rps = 0.5 * qos.capacity_pps;  // 1x = comfortable half capacity
 
         // one open-loop phase: producers pace class-tagged submits at the
-        // offered rate, reap fulfilled futures as they go, and the adaptive
-        // target is sampled mid-storm (it decays as the tail drains)
+        // offered rate and reap fulfilled futures as they go
         const auto run_phase = [&](plssvm::serve::inference_engine<double> &engine, const double offered_rps, qos_phase_result &out) {
             constexpr std::size_t num_producers = 2;
             std::atomic<bool> stop{ false };
@@ -867,11 +854,6 @@ int main(int argc, char **argv) {
                 });
             }
             plssvm::bench::stopwatch phase_timer;
-            // sample the steady-state adaptive target mid-storm
-            std::this_thread::sleep_for(std::chrono::duration<double>(0.9 * phase_seconds));
-            const plssvm::serve::serve_stats mid = engine.stats();
-            const auto &mid_interactive = mid.classes[plssvm::serve::class_index(plssvm::serve::request_class::interactive)];
-            out.target_batch = mid_interactive.target_batch_size;
             while (phase_timer.seconds() < phase_seconds) {
                 std::this_thread::sleep_for(std::chrono::milliseconds{ 5 });
             }
@@ -903,7 +885,7 @@ int main(int argc, char **argv) {
             qos.max_pending = std::clamp<std::size_t>(static_cast<std::size_t>(backlog), 32, 2048);
         }
 
-        plssvm::bench::table_printer qos_table{ { "load", "offered req/s", "achieved req/s", "shed", "interactive p99", "mean batch", "target batch" } };
+        plssvm::bench::table_printer qos_table{ { "load", "offered req/s", "achieved req/s", "shed", "interactive p99", "mean batch" } };
         for (const double load : { 1.0, 2.0, 4.0 }) {
             plssvm::serve::executor exec{ engine_threads };
             plssvm::serve::inference_engine<double> engine{ trained, make_config(exec, qos.max_pending) };
@@ -915,8 +897,7 @@ int main(int argc, char **argv) {
                                 plssvm::bench::format_double(phase.achieved_rps, 0),
                                 plssvm::bench::format_double(100.0 * phase.shed_fraction, 1) + "%",
                                 plssvm::bench::format_seconds(phase.interactive_p99_s),
-                                plssvm::bench::format_double(phase.mean_batch, 1),
-                                std::to_string(phase.target_batch) });
+                                plssvm::bench::format_double(phase.mean_batch, 1) });
             qos.phases.push_back(phase);
         }
         qos_table.print();
@@ -925,7 +906,7 @@ int main(int argc, char **argv) {
         const qos_phase_result &at_4x = qos.phases.back();
         qos_p99_ratio = at_1x.interactive_p99_s > 0.0 ? at_4x.interactive_p99_s / at_1x.interactive_p99_s : 0.0;
         qos_shed_fraction_4x = at_4x.shed_fraction;
-        qos_batch_growth = qos.idle_target > 0 ? static_cast<double>(at_4x.target_batch) / static_cast<double>(qos.idle_target) : 0.0;
+        qos_batch_growth = at_1x.mean_batch > 0.0 ? at_4x.mean_batch / at_1x.mean_batch : 0.0;
     }
 
     // ------------------------------------------------------------------
@@ -948,7 +929,6 @@ int main(int argc, char **argv) {
             plssvm::serve::engine_config config;
             config.num_threads = engine_threads;
             config.max_batch_size = 128;
-            config.batch_delay = std::chrono::microseconds{ 200 };
             config.obs.enabled = tracing_on;  // default sampling: every request traced
             return std::make_unique<plssvm::serve::inference_engine<double>>(trained, config);
         };
@@ -1021,7 +1001,6 @@ int main(int argc, char **argv) {
             plssvm::serve::engine_config config;
             config.num_threads = engine_threads;
             config.max_batch_size = max_batch;
-            config.batch_delay = std::chrono::microseconds{ 200 };
             config.fault.inject = std::move(inject);
             return config;
         };
@@ -1298,14 +1277,12 @@ int main(int argc, char **argv) {
         plssvm::serve::engine_config config;
         config.num_threads = engine_threads;
         config.max_batch_size = 128;
-        config.batch_delay = std::chrono::microseconds{ 200 };
         plssvm::serve::model_registry<double> registry{ 4, config };
         (void) registry.load("bench", trained);
         const auto engine = registry.find("bench");
 
         svn::net_server_config server_config;
         server_config.event_threads = 1;
-        server_config.completion_threads = 2;
         svn::net_server server{ server_config, std::make_shared<svn::registry_dispatcher<double>>(registry) };
 
         // capacity probe: one closed-loop async pass sizes the open-loop
@@ -1601,7 +1578,6 @@ int main(int argc, char **argv) {
         plssvm::serve::engine_config config;
         config.num_threads = engine_threads;
         config.max_batch_size = 128;
-        config.batch_delay = std::chrono::microseconds{ 200 };
 
         // each side gets its own registry + engine so the traced side's
         // flight recorder and time series never touch the untraced side
@@ -1612,7 +1588,6 @@ int main(int argc, char **argv) {
 
         svn::net_server_config traced_config;
         traced_config.event_threads = 1;
-        traced_config.completion_threads = 2;
         traced_config.wire_tracing = true;
         svn::net_server_config untraced_config = traced_config;
         untraced_config.wire_tracing = false;
@@ -1841,8 +1816,8 @@ int main(int argc, char **argv) {
                 sparse_linear_99_speedup, sparse_dispatch_auto ? "yes" : "NO");
     std::printf("interactive p99 at 4x overload: %.2fx its 1x value (gate: <= 3x), shed fraction %.1f%% (gate: <= 90%%)\n",
                 qos_p99_ratio, 100.0 * qos_shed_fraction_4x);
-    std::printf("adaptive batch target at 4x overload: %zu vs idle %zu -> %.1fx (gate: >= 2x)\n",
-                qos.phases.empty() ? 0 : qos.phases.back().target_batch, qos.idle_target, qos_batch_growth);
+    std::printf("mean interactive batch at 4x overload: %.1f vs %.1f at 1x -> %.1fx (gate: >= 2x)\n",
+                qos.phases.empty() ? 0.0 : qos.phases.back().mean_batch, qos.phases.empty() ? 0.0 : qos.phases.front().mean_batch, qos_batch_growth);
     std::printf("tracing overhead: %.0f req/s traced vs %.0f req/s untraced -> %.3fx (gate: >= 0.95x, %zu traces recorded)\n",
                 obs.traced_rps, obs.untraced_rps, obs.overhead_ratio, obs.traces_recorded);
     std::printf("fault soak: %.0f req/s under injection vs %.0f req/s fault-free -> %.3fx (gate: >= 0.9x, %zu lost)\n",

@@ -89,18 +89,17 @@ int qos_demo() {
 
     // 2. QoS policy: interactive traffic gets a deadline budget and a short
     //    shed queue (fail fast under overload), background traffic is
-    //    rate-limited to a trickle, batch sits in between; the adaptive
-    //    tuner may grow batches up to 128 under load
+    //    rate-limited to a trickle, batch sits in between; batches take
+    //    whatever queued while the previous one ran, up to 32 per class
+    //    (fewer for interactive if 32 would overrun its deadline budget)
     plssvm::serve::engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 32;
-    config.batch_delay = std::chrono::microseconds{ 200 };
     config.qos.classes[class_index(request_class::interactive)].max_pending = 64;
     config.qos.classes[class_index(request_class::interactive)].deadline_budget = 20ms;
     config.qos.classes[class_index(request_class::batch)].max_pending = 512;
     config.qos.classes[class_index(request_class::background)].rate_limit = 200.0;  // req/s
     config.qos.classes[class_index(request_class::background)].burst = 50.0;
-    config.qos.adaptive.max_batch_size = 128;
     plssvm::serve::inference_engine<double> engine{ model, config };
     std::printf("QoS engine up: interactive max_pending=64 deadline=20ms, background rate=200/s burst=50\n");
 
@@ -133,16 +132,16 @@ int qos_demo() {
                 admitted.size() + shed, admitted.size(), shed);
 
     // 4. per-class accounting: who was admitted, who was shed, which class
-    //    missed deadlines, and where the adaptive batch targets ended up
+    //    missed deadlines, and each class's batch cap
     const plssvm::serve::serve_stats stats = engine.stats();
     for (const request_class cls : plssvm::serve::all_request_classes) {
         const plssvm::serve::class_serve_stats &c = stats.classes[class_index(cls)];
-        std::printf("  %-11s admitted %5zu | shed %4zu (rate %zu, queue %zu) | deadline misses %3zu | p99 %7.0f us | target batch %zu\n",
+        std::printf("  %-11s admitted %5zu | shed %4zu (rate %zu, queue %zu) | deadline misses %3zu | p99 %7.0f us | batch cap %zu\n",
                     std::string{ plssvm::serve::request_class_to_string(cls) }.c_str(),
                     c.admitted, c.shed_rate_limited + c.shed_queue_full, c.shed_rate_limited, c.shed_queue_full,
                     c.deadline_misses, 1e6 * c.p99_latency_seconds, c.target_batch_size);
     }
-    std::printf("batch saturation %.2f, flush timer wakeups %zu\n", stats.batch_saturation, stats.flush_timer_wakeups);
+    std::printf("mean batch %.1f requests\n", stats.mean_batch_size);
 
     // 5. the scrape format: one JSON snapshot per engine (registries expose
     //    the same per resident model via registry.stats_json())
@@ -173,7 +172,6 @@ int obs_demo(const double stats_interval_s, const bool dump_traces) {
     plssvm::serve::engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 32;
-    config.batch_delay = std::chrono::microseconds{ 200 };
     plssvm::serve::model_registry<double> registry{ /*capacity=*/4, config };
     auto engine = registry.load("obs-demo", model);
     std::printf("observability demo: tracing on, scraping metrics every %.1f s\n", stats_interval_s);
@@ -266,7 +264,6 @@ int listen_demo(const std::uint16_t port, const double serve_seconds) {
     plssvm::serve::engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 32;
-    config.batch_delay = std::chrono::microseconds{ 200 };
     plssvm::serve::model_registry<double> registry{ /*capacity=*/4, config };
     (void) registry.load("quickstart", model);
 
@@ -411,7 +408,6 @@ int main(int argc, char **argv) {
     plssvm::serve::engine_config config;
     config.num_threads = 4;  // lane quota on the shared executor
     config.max_batch_size = 64;
-    config.batch_delay = std::chrono::microseconds{ 250 };
     plssvm::serve::model_registry<double> registry{ /*capacity=*/8, config };
     auto engine = registry.load("quickstart", model, scaling);
     std::printf("engine runs on a shared executor with %zu workers (lane quota %zu), snapshot v%llu\n",

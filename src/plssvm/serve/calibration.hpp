@@ -4,7 +4,7 @@
  *
  * `serve::predict_dispatcher` compares `sim::cost_model` host rooflines of
  * the execution paths to route each batch and feeds the same estimates to
- * the batch tuner; the host model (`sim::host_profile`) shipped with
+ * the deadline batch caps; the host model (`sim::host_profile`) shipped with
  * hard-coded commodity-core defaults, so those estimates could land far from
  * what this machine actually sustains. Calibration replaces the defaults
  * with measured numbers:

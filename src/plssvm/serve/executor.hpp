@@ -185,8 +185,7 @@ struct executor_options {
 };
 
 /// Point-in-time aggregate counters of the whole executor (all lanes), read
-/// in one critical section. The QoS batch tuner reads `queued` as its
-/// cross-tenant pressure signal.
+/// in one critical section.
 struct executor_stats {
     std::size_t workers{ 0 };       ///< worker threads of the pool
     std::size_t lanes{ 0 };         ///< currently registered lanes

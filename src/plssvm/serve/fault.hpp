@@ -9,10 +9,11 @@
  * production serving node needs:
  *
  *  - **typed per-request outcomes** (`request_failed_exception` with a
- *    `failure_kind`): every promise an engine accepts is settled exactly
- *    once — with a value, or with a structured error. A failing batch is
- *    bisected (`drain_requests`) until the poisoned request is isolated and
- *    quarantined; the rest of the batch completes normally.
+ *    `failure_kind`): every request an engine accepts is settled exactly
+ *    once through its `completion_callback` — with a value, or with a
+ *    structured error of its own. A failing batch is bisected until the
+ *    poisoned request is isolated and quarantined; the rest of the batch
+ *    completes normally.
  *  - a **lane watchdog** (`drain_supervisor`): the drain thread publishes a
  *    per-batch deadline before evaluating; a watchdog thread fails the
  *    in-flight batch with `failure_kind::worker_stall` and restarts the lane
@@ -98,10 +99,10 @@ enum class failure_kind : std::uint8_t {
     return "unknown";
 }
 
-/// Thrown (through the request's future) when an accepted async request
-/// cannot be completed. Unlike `request_shed_exception` this is a
-/// post-admission failure: the request was queued and the engine owes its
-/// promise a settlement.
+/// Delivered (through the request's completion callback or future) when an
+/// accepted async request cannot be completed. Unlike
+/// `request_shed_exception` this is a post-admission failure: the request
+/// was queued and the engine owes it a settlement.
 class request_failed_exception : public exception {
   public:
     request_failed_exception(const failure_kind kind, const std::optional<request_class> cls, const std::string &detail) :
@@ -134,6 +135,34 @@ class request_failed_exception : public exception {
     failure_kind kind_;
     std::optional<request_class> cls_;
 };
+
+// ---------------------------------------------------------------------------
+// request completion
+// ---------------------------------------------------------------------------
+
+/// Settles one accepted async request: called with the label and a null
+/// error, or with the error (the label is then value-initialized). The
+/// engine calls it exactly once, on whichever thread settles the request —
+/// the drain thread, the lane watchdog, or the thread tearing the engine
+/// down — and never while it holds an engine lock. It must not throw.
+template <typename T>
+using completion_callback = std::function<void(T label, std::exception_ptr error)>;
+
+/// The promise adapter over a completion callback: the returned callback
+/// settles the returned future.
+template <typename T>
+[[nodiscard]] std::pair<completion_callback<T>, std::future<T>> promise_completion() {
+    auto promise = std::make_shared<std::promise<T>>();
+    std::future<T> future = promise->get_future();
+    completion_callback<T> done = [promise = std::move(promise)](T label, std::exception_ptr error) {
+        if (error != nullptr) {
+            promise->set_exception(std::move(error));
+        } else {
+            promise->set_value(std::move(label));
+        }
+    };
+    return { std::move(done), std::move(future) };
+}
 
 // ---------------------------------------------------------------------------
 // health state machine vocabulary
@@ -632,64 +661,55 @@ class fault_plane {
 // settle-once in-flight batch
 // ---------------------------------------------------------------------------
 
-/// The promises of one in-flight batch, wrapped so every promise is settled
-/// exactly once even when the drain thread and the watchdog race: the drain
-/// thread settles per-request results as it completes them, and the watchdog
-/// calls `fail_unsettled()` when it declares the lane stalled. All settles
-/// funnel through the internal mutex + per-slot flags. A settled promise is
-/// released at once, so the settling thread keeps no reference to a
-/// delivered exception: the caller that reads it also frees it.
+/// The completion callbacks of one in-flight batch, wrapped so every request
+/// is settled exactly once even when the drain thread and the watchdog race:
+/// the drain thread settles per-request results as it completes them, and
+/// the watchdog calls `fail_unsettled()` when it declares the lane stalled.
+/// A slot's callback is taken out under the internal mutex and called after
+/// the mutex is released, so a callback never runs under an engine lock.
 template <typename T>
 class inflight_batch {
   public:
-    inflight_batch(std::vector<std::promise<T>> promises, const request_class cls) :
-        promises_{ std::move(promises) },
-        settled_(promises_.size(), false),
+    inflight_batch(std::vector<completion_callback<T>> callbacks, const request_class cls) :
+        callbacks_{ std::move(callbacks) },
         cls_{ cls } {}
 
     /// Number of requests in the batch.
-    [[nodiscard]] std::size_t size() const noexcept { return promises_.size(); }
+    [[nodiscard]] std::size_t size() const noexcept { return callbacks_.size(); }
 
     /// Request class of the batch.
     [[nodiscard]] request_class cls() const noexcept { return cls_; }
 
     /// Settle slot `i` with a value. Returns false if already settled.
     bool set_value(const std::size_t i, T value) {
-        const std::lock_guard lock{ mutex_ };
-        if (settled_[i]) {
-            return false;
-        }
-        settled_[i] = true;
-        std::promise<T>{ std::move(promises_[i]) }.set_value(std::move(value));
-        return true;
+        return settle(i, std::move(value), nullptr);
     }
 
     /// Settle slot `i` with an exception. Returns false if already settled.
     bool set_exception(const std::size_t i, std::exception_ptr error) {
-        const std::lock_guard lock{ mutex_ };
-        if (settled_[i]) {
-            return false;
-        }
-        settled_[i] = true;
-        std::promise<T>{ std::move(promises_[i]) }.set_exception(std::move(error));
-        return true;
+        return settle(i, T{}, std::move(error));
     }
 
-    /// Fail every still-unsettled slot with `error` and mark the batch
-    /// abandoned (the drain thread's late settles become no-ops). Returns
-    /// the number of slots failed.
-    std::size_t fail_unsettled(std::exception_ptr error) {
-        const std::lock_guard lock{ mutex_ };
-        abandoned_ = true;
-        std::size_t failed = 0;
-        for (std::size_t i = 0; i < promises_.size(); ++i) {
-            if (!settled_[i]) {
-                settled_[i] = true;
-                std::promise<T>{ std::move(promises_[i]) }.set_exception(error);
-                ++failed;
+    /// Fail every still-unsettled slot with a `request_failed_exception` of
+    /// @p kind built for that slot alone (callers on different threads never
+    /// share one error object) and mark the batch abandoned (the drain
+    /// thread's late settles become no-ops). Returns the number of slots
+    /// failed.
+    std::size_t fail_unsettled(const failure_kind kind, const std::string &detail) {
+        std::vector<completion_callback<T>> unsettled;
+        {
+            const std::lock_guard lock{ mutex_ };
+            abandoned_ = true;
+            for (completion_callback<T> &done : callbacks_) {
+                if (done) {
+                    unsettled.push_back(std::exchange(done, nullptr));
+                }
             }
         }
-        return failed;
+        for (completion_callback<T> &done : unsettled) {
+            done(T{}, std::make_exception_ptr(request_failed_exception{ kind, cls_, detail }));
+        }
+        return unsettled.size();
     }
 
     /// Whether `fail_unsettled` ran (the batch was taken over by the watchdog).
@@ -699,9 +719,21 @@ class inflight_batch {
     }
 
   private:
+    bool settle(const std::size_t i, T value, std::exception_ptr error) {
+        completion_callback<T> done;
+        {
+            const std::lock_guard lock{ mutex_ };
+            done = std::exchange(callbacks_[i], nullptr);
+        }
+        if (!done) {
+            return false;
+        }
+        done(std::move(value), std::move(error));
+        return true;
+    }
+
     mutable std::mutex mutex_;
-    std::vector<std::promise<T>> promises_;
-    std::vector<bool> settled_;
+    std::vector<completion_callback<T>> callbacks_;  ///< empty once settled
     bool abandoned_{ false };
     request_class cls_;
 };
@@ -712,9 +744,9 @@ class inflight_batch {
 
 /// Owns an engine's drain thread and (optionally) a watchdog thread that
 /// monitors per-batch deadlines. The drain thread `publish()`es each batch's
-/// in-flight promises plus a deadline before evaluating and `clear()`s them
-/// after settling; when a published deadline passes, the watchdog fails the
-/// batch's unsettled promises with `failure_kind::worker_stall`, bumps the
+/// in-flight requests plus a deadline before evaluating and `clear()`s them
+/// after evaluating; when a published deadline passes, the watchdog fails the
+/// batch's unsettled requests with `failure_kind::worker_stall`, bumps the
 /// lane **generation** (the abandoned drain thread sees the bump at its next
 /// loop head and exits), retires the stuck thread, and starts a fresh one.
 ///
@@ -849,8 +881,7 @@ class drain_supervisor {
             const std::size_t restarts = stall_restarts_;
             lock.unlock();
             // settle outside the supervisor mutex (lock order: supervisor -> inflight)
-            const std::size_t failed = stalled->fail_unsettled(std::make_exception_ptr(request_failed_exception{
-                failure_kind::worker_stall, stalled->cls(), "lane watchdog: batch deadline exceeded, lane restarted" }));
+            const std::size_t failed = stalled->fail_unsettled(failure_kind::worker_stall, "lane watchdog: batch deadline exceeded, lane restarted");
             std::thread fresh{ [this, new_gen] { run_(new_gen); } };
             lock.lock();
             drainer_ = std::move(fresh);
@@ -977,20 +1008,22 @@ class health_monitor {
     }
 }
 
-/// Build the typed quarantine error for one poisoned request, preserving the
-/// original cause's message as detail.
-[[nodiscard]] inline std::exception_ptr quarantine_error(const std::exception_ptr &cause, const request_class cls) {
-    const failure_kind kind = classify_failure(cause);
-    std::string detail{ "request quarantined after batch bisection" };
+/// The message of @p cause, for the detail of a typed error built from it.
+[[nodiscard]] inline std::string failure_cause(const std::exception_ptr &cause) {
     try {
         std::rethrow_exception(cause);
     } catch (const std::exception &e) {
-        detail += "; cause: ";
-        detail += e.what();
+        return e.what();
     } catch (...) {
-        detail += "; cause: non-standard exception";
+        return "non-standard exception";
     }
-    return std::make_exception_ptr(request_failed_exception{ kind, cls, detail });
+}
+
+/// Build the typed quarantine error for one poisoned request, preserving the
+/// original cause's message as detail.
+[[nodiscard]] inline std::exception_ptr quarantine_error(const std::exception_ptr &cause, const request_class cls) {
+    return std::make_exception_ptr(request_failed_exception{
+        classify_failure(cause), cls, "request quarantined after batch bisection; cause: " + failure_cause(cause) });
 }
 
 }  // namespace fault

@@ -14,14 +14,19 @@
  *  - `predict(points)` / `decision_values(points)` / `decision_matrix(points)`:
  *    synchronous batch evaluation, partitioned across the engine's executor
  *    lane;
- *  - `submit(point[, options]) -> std::future<label>`: asynchronous
- *    single-point requests, coalesced into batches by the `micro_batcher`
- *    and evaluated by a dedicated drain thread. Requests carry a
- *    `request_class` (interactive / batch / background) and an optional
- *    deadline budget; a per-engine `admission_controller` sheds excess
- *    traffic fast (typed `request_shed_exception`, counted per class in
- *    `serve_stats`), and a `batch_tuner` adapts each class's batch target
- *    and flush deadline to the executor-lane telemetry after every batch.
+ *  - `submit(point, options, wire, done)`: asynchronous single-point
+ *    requests, coalesced into batches by the `micro_batcher` and evaluated
+ *    by a dedicated drain thread, which settles each request by calling its
+ *    completion callback `done` exactly once — the net plane writes the
+ *    response from there. `submit(point[, options]) -> std::future<label>`
+ *    is the promise adapter over it. Requests carry a `request_class`
+ *    (interactive / batch / background) and an optional deadline budget; a
+ *    per-engine `admission_controller` sheds excess traffic fast (typed
+ *    `request_shed_exception`, counted per class in `serve_stats`).
+ *    Batching is natural: the drain thread takes whatever queued while it
+ *    was busy, up to `max_batch_size` per class (less for a class whose
+ *    deadline budget the cost model says a full batch would overrun), so a
+ *    lone request runs at once.
  *
  * Threads are NOT owned per engine: all engines of a process share one
  * `serve::executor` (`engine_config::exec`, defaulting to the process-wide
@@ -87,10 +92,8 @@ struct engine_config {
     /// Lane quota on the shared executor: the most workers this engine may
     /// occupy concurrently; 0 means "up to the whole executor".
     std::size_t num_threads{ 0 };
-    /// Micro-batcher size trigger for the async path.
+    /// Most requests of one class the async path evaluates in one batch.
     std::size_t max_batch_size{ 64 };
-    /// Micro-batcher latency deadline for the async path.
-    std::chrono::microseconds batch_delay{ 250 };
     /// Cost-model parameters of the per-batch execution-path dispatch.
     dispatch_params dispatch{};
     /// Model compile knobs (sparse SV-panel density threshold); applied by
@@ -105,8 +108,8 @@ struct engine_config {
     /// `model_registry::load_sharded` to spread per-domain replicas.
     std::size_t home_domain{ any_numa_domain };
     /// QoS control plane: per-class admission limits (token bucket + queue
-    /// depth shedding) and load-adaptive batch sizing. The defaults never
-    /// shed and adapt batches around `max_batch_size`/`batch_delay`.
+    /// depth shedding, default deadline budget) and the deadline batch cap.
+    /// The defaults never shed and cap every class at `max_batch_size`.
     qos_config qos{};
     /// Observability plane: per-class trace sampling, flight-recorder
     /// capacities, violation-dump rate limit. Defaults to tracing every
@@ -237,11 +240,11 @@ class inference_engine {
     /// from the executor (joining only the engine's own drain/watchdog
     /// threads). Any request still queued after the drain threads exit (a
     /// watchdog-abandoned lane at teardown) is settled with a typed
-    /// `engine_shutdown` error — no promise is ever destroyed unsettled.
+    /// `engine_shutdown` error — no request is ever dropped unsettled.
     ~inference_engine() {
         batcher_.shutdown();
         supervisor_.stop();
-        metrics_.record_shutdown_failures(batcher_.fail_pending(std::exception_ptr{}));
+        metrics_.record_shutdown_failures(batcher_.fail_pending());
     }
 
     /// The snapshot currently served (the caller's shared_ptr stays valid
@@ -392,7 +395,8 @@ class inference_engine {
     }
 
     /**
-     * @brief Asynchronous single-point prediction.
+     * @brief Asynchronous single-point prediction: the future view of the
+     *        callback-settled `submit` (a promise adapter).
      *
      * The point is raw client features; the drain thread applies the
      * then-current snapshot's scaling, so the response is always consistent
@@ -408,24 +412,41 @@ class inference_engine {
      *         sheds the request (rate limit or class backlog full)
      */
     [[nodiscard]] std::future<T> submit(std::vector<T> point, const request_options &options = {}) {
-        return submit(std::move(point), options, nullptr);
+        auto [done, future] = promise_completion<T>();
+        submit(std::move(point), options, nullptr, std::move(done));
+        return std::move(future);
+    }
+
+    /// Asynchronous single-point prediction from a sparse feature vector
+    /// (CSR-style (index, value) entries); the future view of the
+    /// callback-settled sparse `submit`.
+    [[nodiscard]] std::future<T> submit(const std::vector<typename csr_matrix<T>::entry> &sparse_point, const request_options &options = {}) {
+        auto [done, future] = promise_completion<T>();
+        submit(sparse_point, options, nullptr, std::move(done));
+        return std::move(future);
     }
 
     /**
-     * @brief Asynchronous single-point prediction carrying a wire-to-wire
-     *        trace context (the net plane's entry point).
+     * @brief Asynchronous single-point prediction settled through @p done
+     *        (the net plane's entry point).
      *
-     * A client-supplied trace id (`wire->client_supplied`) forces the request
-     * to be traced regardless of the per-class sampling period, so an
-     * operator can always correlate one specific wire request end to end;
-     * otherwise the usual sampling decision applies. For traced requests the
-     * drain thread parks the engine-side trace in @p wire instead of
-     * publishing it (`engine_filled`), and the net completion path calls
-     * `publish_wire_trace()` after the response bytes are flushed — the
-     * flight recorder then retains the full >= 9-stamp wire trace.
+     * @p done is called exactly once with the label or a typed error, on the
+     * thread that settles the request (the drain thread; the lane watchdog
+     * or the thread destroying the engine on failure), never under an
+     * engine lock — unless this call throws, in which case it is never
+     * called. A client-supplied trace id (`wire->client_supplied`) forces
+     * the request to be traced regardless of the per-class sampling period,
+     * so an operator can always correlate one specific wire request end to
+     * end; otherwise the usual sampling decision applies. For a traced
+     * request with a @p wire context, the drain thread publishes the merged
+     * >= 9-stamp trace right after @p done returned, reading the
+     * `encoded`/`flushed` stamps @p done set while writing the response.
+     *
+     * @throws plssvm::invalid_data_exception if the feature count is wrong
+     * @throws plssvm::serve::request_shed_exception if admission control
+     *         sheds the request
      */
-    [[nodiscard]] std::future<T> submit(std::vector<T> point, const request_options &options,
-                                        std::shared_ptr<obs::wire_trace_context> wire) {
+    void submit(std::vector<T> point, const request_options &options, std::shared_ptr<obs::wire_trace_context> wire, completion_callback<T> done) {
         compiled_model<T>::validate_feature_count(num_features_, point.size());
         const auto admitted = admit_or_shed(options.cls);
         const std::chrono::microseconds deadline = options.deadline.count() > 0 ? options.deadline : admission_.config(options.cls).deadline_budget;
@@ -436,16 +457,16 @@ class inference_engine {
             trace_id = recorder_.next_trace_id();
         }
         if (trace_id == 0) {
-            wire = nullptr;  // unsampled: no engine-side fill, no publish
+            wire = nullptr;  // unsampled: no wire trace to publish
         } else if (wire != nullptr) {
             wire->trace_id = trace_id;
         }
-        return batcher_.enqueue(std::move(point), options.cls, deadline, admitted, trace_id, std::move(wire));
+        batcher_.enqueue(std::move(point), std::move(done), options.cls, deadline, admitted, trace_id, std::move(wire));
     }
 
     /**
      * @brief Asynchronous single-point prediction from a sparse feature
-     *        vector (CSR-style (index, value) entries).
+     *        vector, settled through @p done.
      *
      * The point is densified at submit time — the micro-batcher assembles
      * dense batch matrices — so sparse clients skip sending explicit zeros
@@ -456,8 +477,8 @@ class inference_engine {
      * @throws plssvm::serve::request_shed_exception if admission control
      *         sheds the request
      */
-    [[nodiscard]] std::future<T> submit(const std::vector<typename csr_matrix<T>::entry> &sparse_point, const request_options &options = {},
-                                        std::shared_ptr<obs::wire_trace_context> wire = nullptr) {
+    void submit(const std::vector<typename csr_matrix<T>::entry> &sparse_point, const request_options &options,
+                std::shared_ptr<obs::wire_trace_context> wire, completion_callback<T> done) {
         std::vector<T> dense(num_features_, T{ 0 });
         for (const auto &e : sparse_point) {
             if (e.index >= num_features_) {
@@ -465,13 +486,13 @@ class inference_engine {
             }
             dense[e.index] = e.value;
         }
-        return submit(std::move(dense), options, std::move(wire));
+        submit(std::move(dense), options, std::move(wire), std::move(done));
     }
 
     /// Current latency/throughput aggregates, including the engine's lane
     /// counters on the shared executor, the served snapshot version, the
-    /// live per-class QoS state (admission counters, adaptive batch targets)
-    /// and the fault plane (health, breaker states/trips, stall restarts).
+    /// live per-class QoS state (admission counters, batch caps) and the
+    /// fault plane (health, breaker states/trips, stall restarts).
     [[nodiscard]] serve_stats stats() const {
         serve_stats stats = metrics_.snapshot();
         const lane_stats lane = lane_.stats();
@@ -481,13 +502,10 @@ class inference_engine {
         stats.executor_threads = exec_->size();
         stats.home_domain = lane_.home_domain();
         stats.snapshot_version = snapshot_.load()->version;
-        stats.flush_timer_wakeups = batcher_.timer_wakeups();
-        stats.batch_saturation = tuner_.saturation();
-        const per_class<class_batch_policy> policies = batcher_.class_policies();
+        const per_class<std::size_t> caps = batcher_.class_caps();
         for (const request_class cls : all_request_classes) {
             class_serve_stats &c = stats.classes[class_index(cls)];
-            c.target_batch_size = policies[class_index(cls)].target_batch_size;
-            c.flush_delay_seconds = std::chrono::duration<double>(policies[class_index(cls)].flush_delay).count();
+            c.target_batch_size = caps[class_index(cls)];
             // static per-token spacing of the class's token bucket — the
             // steady retry-after a rate-limited client of this class should
             // expect
@@ -562,20 +580,6 @@ class inference_engine {
         return builder.text();
     }
 
-    /// Publish a completed wire-to-wire trace: the drain thread parked the
-    /// engine-side trace in @p ctx (`engine_filled`), the caller (the net
-    /// completion path) stamped `encoded` / `flushed` after the response
-    /// bytes left the process. No-op if the engine never filled the context
-    /// (unsampled request, or the request failed before completion).
-    void publish_wire_trace(obs::wire_trace_context &ctx) {
-        if (!ctx.engine_filled.load(std::memory_order_acquire)) {
-            return;
-        }
-        ctx.trace.t_net_encoded_ns = recorder_.to_ns(ctx.encoded);
-        ctx.trace.t_net_flushed_ns = recorder_.to_ns(ctx.flushed);
-        recorder_.record_complete(ctx.trace);
-    }
-
     /// The engine's flight recorder (retained lifecycle traces + shed events).
     [[nodiscard]] const obs::flight_recorder &recorder() const noexcept { return recorder_; }
 
@@ -600,8 +604,6 @@ class inference_engine {
         t.set_metric(p + "/steals", static_cast<double>(stats.steals));
         t.set_metric(p + "/executor_threads", static_cast<double>(stats.executor_threads));
         t.set_metric(p + "/snapshot_version", static_cast<double>(stats.snapshot_version));
-        t.set_metric(p + "/flush_timer_wakeups", static_cast<double>(stats.flush_timer_wakeups));
-        t.set_metric(p + "/batch_saturation", stats.batch_saturation);
     }
 
   private:
@@ -614,17 +616,13 @@ class inference_engine {
         num_heads_{ initial.heads.size() },
         ensemble_{ initial.ensemble() },
         snapshot_{ versioned(std::move(initial), 1) },
-        // the dispatcher must be resolved BEFORE the tuner: the tuner's
-        // constructor already evaluates the latency estimator, which reads it
         dispatcher_{ resolved_dispatch(config.dispatch, lane_.max_concurrency(), sizeof(T)) },
         admission_{ config.qos },
-        tuner_{ config.qos, batch_policy{ config.max_batch_size, config.batch_delay },
-                [this](const std::size_t batch_size) { return estimated_batch_seconds(batch_size); } },
-        batcher_{ batch_policy{ config.max_batch_size, config.batch_delay } },
+        batcher_{ config.max_batch_size },
         recorder_{ config.obs },
         fault_plane_{ config.fault },
         slo_{ config.slo } {
-        batcher_.set_class_policies(tuner_.policies());
+        update_batch_caps();
         supervisor_.start(
             config_.fault.watchdog,
             [this](const std::uint64_t generation) { drain_loop(generation); },
@@ -659,7 +657,16 @@ class inference_engine {
     void publish(snapshot_type fresh) {
         const std::lock_guard lock{ install_mutex_ };
         snapshot_.store(versioned(std::move(fresh), ++last_version_));
+        update_batch_caps();
         metrics_.record_reload();
+    }
+
+    /// Recompute the per-class batch caps from the cost-model estimate of
+    /// the current snapshot (at start and after every reload: nothing else
+    /// moves the estimate).
+    void update_batch_caps() {
+        batcher_.set_class_caps(class_batch_caps(config_.qos, config_.max_batch_size,
+                                                 [this](const std::size_t batch_size) { return estimated_batch_seconds(batch_size); }));
     }
 
     void require_binary() const {
@@ -760,9 +767,9 @@ class inference_engine {
     /**
      * @brief Consumer loop of the drain thread: pull coalesced
      *        class-homogeneous batches, assemble the batch matrix, evaluate
-     *        with retry/bisection under the fault plane, fulfil every promise
-     *        exactly once (value or typed error), record per-class metrics
-     *        and lifecycle traces, then retune the adaptive batch policies.
+     *        with retry/bisection under the fault plane, settle every request
+     *        exactly once through its completion callback (value or typed
+     *        error), and record per-class metrics and lifecycle traces.
      *
      * Failure isolation: an evaluation attempt covers a contiguous request
      * range and may throw (organically or via an injected fault). The full
@@ -776,14 +783,16 @@ class inference_engine {
      * re-chooses its path among the non-tripped ones, so a persistently
      * failing path demotes traffic down the ladder mid-batch.
      *
-     * Watchdog protocol: before evaluating, the batch's promises are wrapped
-     * in a settle-once `fault::inflight_batch` and published to the
-     * supervisor with a deadline (when the watchdog is enabled). A stalled
-     * evaluation leads the watchdog to fail the unsettled promises and bump
-     * the lane generation; this loop re-checks `supervisor_.generation()` at
-     * every loop head and before the post-batch retune, exiting promptly
-     * once abandoned. All settles funnel through the inflight wrapper, so the
-     * racing drain thread and watchdog can never double-settle a promise.
+     * Watchdog protocol: before evaluating, the batch's completion
+     * callbacks are wrapped in a settle-once `fault::inflight_batch` and
+     * published to the supervisor with a deadline (when the watchdog is
+     * enabled). A stalled evaluation leads the watchdog to fail the
+     * unsettled requests and bump the lane generation; this loop re-checks
+     * `supervisor_.generation()` at every loop head and after every batch,
+     * exiting promptly once abandoned. All settles funnel through the
+     * inflight wrapper, so the racing drain thread and watchdog can never
+     * settle a request twice, and every callback runs after the wrapper's
+     * mutex is released.
      */
     void drain_loop(const std::uint64_t generation) {
         // batches assembled and (for small rows) evaluated on this thread:
@@ -795,19 +804,31 @@ class inference_engine {
                 return;  // shut down and drained
             }
             const std::size_t batch_size = batch.size();
-            // wrap the promises settle-once *before* any fallible work: from
-            // here on every exit path settles every slot exactly once
+            // wrap the callbacks settle-once *before* any fallible work: from
+            // here on every exit path settles every slot exactly once (if the
+            // wrapping itself fails, each callback still sits either in its
+            // request or in `callbacks`)
             std::shared_ptr<fault::inflight_batch<T>> inflight;
+            std::vector<completion_callback<T>> callbacks;
             try {
-                std::vector<std::promise<T>> promises;
-                promises.reserve(batch_size);
+                callbacks.reserve(batch_size);
                 for (typename micro_batcher<T>::request &req : batch.requests) {
-                    promises.push_back(std::move(req.result));
+                    callbacks.push_back(std::move(req.done));
                 }
-                inflight = std::make_shared<fault::inflight_batch<T>>(std::move(promises), batch.cls);
+                inflight = std::make_shared<fault::inflight_batch<T>>(std::move(callbacks), batch.cls);
             } catch (...) {
+                const std::exception_ptr cause = std::current_exception();
+                const auto fail = [&](completion_callback<T> &done) {
+                    if (done) {
+                        std::exchange(done, nullptr)(T{}, std::make_exception_ptr(request_failed_exception{
+                                                              fault::classify_failure(cause), batch.cls, fault::failure_cause(cause) }));
+                    }
+                };
+                for (completion_callback<T> &done : callbacks) {
+                    fail(done);
+                }
                 for (typename micro_batcher<T>::request &req : batch.requests) {
-                    req.result.set_exception(std::current_exception());
+                    fail(req.done);
                 }
                 continue;
             }
@@ -906,12 +927,6 @@ class inference_engine {
                 metrics_.record_class_batch(batch.cls);
                 metrics_.record_path(batch_path);
                 metrics_.record_batch_estimate(estimated_seconds, service_seconds);
-                if (supervisor_.generation() == generation) {
-                    // retune from the backlog that queued up while this batch
-                    // ran, before any caller wakes: a closed-loop client's
-                    // next request answers this batch, it is not load
-                    retune();
-                }
                 const bool abandoned = inflight->abandoned();
                 for (std::size_t i = 0; i < batch_size; ++i) {
                     typename micro_batcher<T>::request &req = batch.requests[i];
@@ -921,9 +936,8 @@ class inference_engine {
                     }
                     if (abandoned) {
                         // the watchdog failed this batch mid-evaluation: don't
-                        // record completions for requests whose futures
-                        // already hold a stall error (late set_value is a
-                        // no-op anyway)
+                        // record completions for requests it already settled
+                        // with a stall error (a late set_value is a no-op)
                         inflight->set_value(i, labels[i]);
                         continue;
                     }
@@ -934,8 +948,8 @@ class inference_engine {
                     stages[obs::stage_index(obs::trace_stage::dispatch)] = std::chrono::duration<double>(dispatch_start - batch.sealed).count();
                     stages[obs::stage_index(obs::trace_stage::service)] = service_seconds;
                     metrics_.record_request_trace(batch.cls, stages, std::chrono::duration<double>(end - req.admitted).count(), deadline_missed);
+                    obs::request_trace trace{};
                     if (req.traced) {
-                        obs::request_trace trace{};
                         trace.id = req.trace_id;
                         trace.cls = batch.cls;
                         trace.path = batch_path;
@@ -947,54 +961,38 @@ class inference_engine {
                         trace.t_seal_ns = recorder_.to_ns(batch.sealed);
                         trace.t_dispatch_ns = recorder_.to_ns(dispatch_start);
                         trace.t_complete_ns = recorder_.to_ns(end);
-                        if (req.wire != nullptr) {
-                            // wire-traced: convert the head net stamps into
-                            // the recorder's epoch, park the partial trace in
-                            // the context, and let the net completion path
-                            // publish it once the response is flushed (the
-                            // tail stamps don't exist yet)
-                            trace.t_net_accepted_ns = recorder_.to_ns(req.wire->accepted);
-                            trace.t_net_read_ns = recorder_.to_ns(req.wire->read_done);
-                            trace.t_net_decoded_ns = recorder_.to_ns(req.wire->decoded);
-                            trace.t_net_dispatch_ns = recorder_.to_ns(req.wire->dispatched);
-                            req.wire->trace = trace;
-                            req.wire->engine_filled.store(true, std::memory_order_release);
-                        } else {
+                        if (req.wire == nullptr) {
                             recorder_.record_complete(trace);
                         }
                     }
-                    // settle LAST: a caller waking from future.get() must
-                    // already see this request in the metrics (tests and
-                    // scrapers read stats() right after get() returns)
-                    inflight->set_value(i, labels[i]);
+                    // settle LAST: a caller woken by the callback must already
+                    // see this request in the metrics (tests and scrapers read
+                    // stats() right after get() returns)
+                    if (inflight->set_value(i, labels[i]) && req.traced && req.wire != nullptr) {
+                        // wire-traced: the callback wrote the response and
+                        // stamped its tail, so the merged trace is complete
+                        const obs::wire_trace_context &wire = *req.wire;
+                        trace.t_net_accepted_ns = recorder_.to_ns(wire.accepted);
+                        trace.t_net_read_ns = recorder_.to_ns(wire.read_done);
+                        trace.t_net_decoded_ns = recorder_.to_ns(wire.decoded);
+                        trace.t_net_dispatch_ns = recorder_.to_ns(wire.dispatched);
+                        trace.t_net_encoded_ns = recorder_.to_ns(wire.encoded);
+                        trace.t_net_flushed_ns = recorder_.to_ns(wire.flushed);
+                        recorder_.record_complete(trace);
+                    }
                 }
             } catch (...) {
                 // out-of-band failure (e.g. allocation of the bookkeeping
-                // vectors): settle whatever is still pending with the raw cause
+                // vectors): settle whatever is still pending, typed by cause
                 supervisor_.clear(generation);
-                inflight->fail_unsettled(std::current_exception());
+                const std::exception_ptr cause = std::current_exception();
+                inflight->fail_unsettled(fault::classify_failure(cause), fault::failure_cause(cause));
             }
             if (supervisor_.generation() != generation) {
                 return;  // abandoned by the watchdog mid-batch: a fresh lane took over
             }
             update_health();
         }
-    }
-
-    /// Adaptive-batching feedback after every drained batch: feed the
-    /// batcher backlog and the lane and executor queue depths into the
-    /// tuner, then publish the recomputed per-class policies. The
-    /// executor-wide scan (a walk over every lane under the executor lock)
-    /// is refreshed only every 8th batch — cross-tenant pressure moves
-    /// slowly. Drain thread only.
-    void retune() {
-        const lane_stats lane = lane_.stats();
-        if (retune_counter_++ % 8 == 0) {
-            const executor_stats exec_stats = exec_->stats();
-            cached_cross_lane_ = exec_stats.queued >= lane.queue_depth ? exec_stats.queued - lane.queue_depth : 0;
-        }
-        tuner_.observe(batcher_.pending(), lane.queue_depth, cached_cross_lane_);
-        batcher_.set_class_policies(tuner_.policies());
     }
 
     /// Re-evaluate the health state machine from the live breaker states and
@@ -1041,7 +1039,7 @@ class inference_engine {
     /// Cost-model estimate of one batch of @p batch_size against the current
     /// snapshot, along the path the dispatcher would pick: every head runs
     /// that path over the same batch, so one head's estimate times the head
-    /// count (tuner input, trace attribution, watchdog budget).
+    /// count (deadline batch caps, trace attribution, watchdog budget).
     [[nodiscard]] double estimated_batch_seconds(const std::size_t batch_size) const {
         const snapshot_ptr snap = snapshot_.load();
         return static_cast<double>(snap->heads.size()) * dispatcher_.estimated_seconds(batch_shape(*snap, batch_size));
@@ -1058,7 +1056,6 @@ class inference_engine {
     std::uint64_t last_version_{ 1 };  ///< guarded by install_mutex_
     predict_dispatcher dispatcher_;
     admission_controller admission_;   ///< QoS admission gate of the submit paths
-    batch_tuner tuner_;                ///< load-adaptive per-class batch policies
     micro_batcher<T> batcher_;
     serve_metrics metrics_;
     obs::flight_recorder recorder_;             ///< lifecycle traces + violation dumps
@@ -1067,8 +1064,6 @@ class inference_engine {
     fault::health_monitor health_;              ///< engine health state machine
     std::atomic<std::size_t> last_stall_seen_{ 0 };  ///< stall count at the last health observation
     std::atomic<int> last_slo_worst_{ 0 };      ///< SLO alert severity at the last health observation
-    std::size_t retune_counter_{ 0 };           ///< drain-thread only
-    std::size_t cached_cross_lane_{ 0 };        ///< drain-thread only
     fault::drain_supervisor<T> supervisor_;     ///< declared last: its threads use every other member
 };
 

@@ -5,28 +5,21 @@
  * Single-point predict requests arrive one at a time but the batch kernels
  * of `compiled_model` amortize their per-call setup over many points. The
  * micro-batcher bridges the two: producers enqueue points (tagged with a
- * `request_class` and an optional deadline) and receive a future; a consumer
- * (the inference engine's drain thread) pulls *class-homogeneous batches*.
+ * `request_class`, an optional deadline and the completion callback that
+ * settles them) and a consumer (the inference engine's drain thread) pulls
+ * *class-homogeneous batches*.
  *
- * QoS structure (this replaces the original single FIFO):
+ * Natural batching: one FIFO per `request_class`; `next_batch()` blocks
+ * only while nothing is queued, and otherwise at once pops the
+ * highest-priority non-empty class, up to that class's cap (the engine's
+ * `max_batch_size`, lowered for deadline-carrying classes by
+ * `class_batch_caps`). Nothing waits for a batch to fill: a lone request
+ * leaves as soon as the consumer is free, and under load batches grow from
+ * the requests that queued while the previous batch ran.
  *
- *  - one FIFO per `request_class`; `next_batch()` always releases the
- *    highest-priority class that is ready, so interactive traffic is never
- *    stuck behind bulk work;
- *  - per-class `class_batch_policy` (target size, flush delay, estimated
- *    batch execution time), hot-swapped by the engine's adaptive
- *    `batch_tuner` after every batch via `set_class_policies()`;
- *  - a class is *ready* once its queue reaches the target size or its
- *    oldest request's flush deadline passed. A request carrying a deadline
- *    is flushed no later than `deadline - estimated_batch_latency`, so an
- *    interactive request is never batched past its deadline budget.
- *
- * Wakeup discipline: the consumer blocks on ONE condition variable. With
- * pending requests it waits until the *earliest* flush deadline across all
- * classes (a single timed wait, recomputed after every wake — no polling
- * loop); with no pending requests it waits untimed, so an idle engine
- * performs no periodic wakeups at all. Timed-wait expirations are counted
- * (`timer_wakeups()`) so the no-spurious-wakeup property is testable.
+ * Wakeup discipline: the consumer blocks on ONE condition variable with an
+ * untimed wait, so an idle engine performs no periodic wakeups and the
+ * batcher has no timer at all.
  */
 
 #ifndef PLSSVM_SERVE_MICRO_BATCHER_HPP_
@@ -44,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -60,7 +52,7 @@ class micro_batcher {
     /// One pending predict request.
     struct request {
         std::vector<T> point;                                ///< feature vector
-        std::promise<T> result;                              ///< fulfilled by the consumer
+        completion_callback<T> done;                         ///< settles the request, exactly once
         time_point admitted{};                               ///< admission decision (trace stamp 1)
         time_point enqueued{};                               ///< for latency accounting (trace stamp 2)
         time_point deadline{ no_deadline };                  ///< absolute fulfilment deadline
@@ -79,72 +71,56 @@ class micro_batcher {
         [[nodiscard]] std::size_t size() const noexcept { return requests.size(); }
     };
 
-    /// Start with every class on the same base @p policy (the engine swaps
-    /// in adaptive per-class policies via `set_class_policies`).
-    explicit micro_batcher(batch_policy policy = {}) :
-        policy_{ policy } {
-        if (policy_.max_batch_size == 0) {
+    /// Cap every class at @p max_batch_size requests per batch.
+    /// @throws plssvm::invalid_parameter_exception if @p max_batch_size is 0
+    explicit micro_batcher(const std::size_t max_batch_size = 64) :
+        max_batch_size_{ max_batch_size } {
+        if (max_batch_size_ == 0) {
             throw invalid_parameter_exception{ "micro_batcher max_batch_size must be at least 1!" };
         }
-        for (class_batch_policy &p : class_policies_) {
-            p = class_batch_policy{ policy_.max_batch_size, policy_.max_delay, std::chrono::microseconds{ 0 } };
-        }
+        caps_.fill(max_batch_size_);
     }
 
     micro_batcher(const micro_batcher &) = delete;
     micro_batcher &operator=(const micro_batcher &) = delete;
 
     /// A batcher destroyed with requests still queued settles every one of
-    /// them with a typed `request_failed_exception` (`engine_shutdown`)
-    /// instead of letting the promise destructors raise `broken_promise` —
-    /// waiters blocked on futures always observe a structured error.
+    /// them with a typed `request_failed_exception` (`engine_shutdown`), so
+    /// no caller waits forever.
     ~micro_batcher() {
-        (void) fail_pending(std::exception_ptr{});
+        (void) fail_pending();
     }
 
-    /// The static base policy the batcher was constructed with.
-    [[nodiscard]] const batch_policy &policy() const noexcept { return policy_; }
-
-    /// The live policy of @p cls (adaptive targets, for `serve_stats`).
-    [[nodiscard]] class_batch_policy class_policy(const request_class cls) const {
+    /// The live per-class batch caps (for `serve_stats`).
+    [[nodiscard]] per_class<std::size_t> class_caps() const {
         const std::lock_guard lock{ mutex_ };
-        return class_policies_[class_index(cls)];
+        return caps_;
     }
 
-    /// All live per-class policies.
-    [[nodiscard]] per_class<class_batch_policy> class_policies() const {
+    /// Replace the per-class batch caps, each clamped to [1, the
+    /// constructor's cap]. A cap never makes a class wait, so no consumer
+    /// needs waking.
+    void set_class_caps(const per_class<std::size_t> &caps) {
         const std::lock_guard lock{ mutex_ };
-        return class_policies_;
-    }
-
-    /// Atomically replace the per-class batch policies (called by the
-    /// adaptive tuner). Consumers are woken: a shrunken target or flush
-    /// delay can make a waiting class ready immediately.
-    void set_class_policies(const per_class<class_batch_policy> &policies) {
-        {
-            const std::lock_guard lock{ mutex_ };
-            class_policies_ = policies;
-            for (class_batch_policy &p : class_policies_) {
-                p.target_batch_size = std::max<std::size_t>(1, p.target_batch_size);
-            }
+        for (const request_class cls : all_request_classes) {
+            caps_[class_index(cls)] = std::clamp<std::size_t>(caps[class_index(cls)], 1, max_batch_size_);
         }
-        cv_.notify_all();
     }
 
-    /// Enqueue a predict request; the returned future is fulfilled once a
-    /// consumer processed the batch containing it.
+    /// Enqueue a predict request; @p done is called exactly once, by the
+    /// consumer that processed the batch containing it or by `fail_pending`.
     /// @param cls priority class the request is queued under
     /// @param deadline_budget time budget from now to fulfilment; 0 = none
     /// @param admitted admission-decision instant (trace stamp 1; default:
     ///                 same as the enqueue instant)
     /// @param trace_id flight-recorder trace id; != 0 marks the request as
     ///                 sampled for lifecycle tracing
-    /// @throws plssvm::exception if the batcher has been shut down
-    [[nodiscard]] std::future<T> enqueue(std::vector<T> point, const request_class cls = request_class::interactive,
-                                         const std::chrono::microseconds deadline_budget = std::chrono::microseconds{ 0 },
-                                         const time_point admitted = {}, const std::uint64_t trace_id = 0,
-                                         std::shared_ptr<obs::wire_trace_context> wire = {}) {
-        std::future<T> future;
+    /// @throws request_failed_exception (`engine_shutdown`) if the batcher
+    ///         has been shut down; @p done is then never called
+    void enqueue(std::vector<T> point, completion_callback<T> done, const request_class cls = request_class::interactive,
+                 const std::chrono::microseconds deadline_budget = std::chrono::microseconds{ 0 },
+                 const time_point admitted = {}, const std::uint64_t trace_id = 0,
+                 std::shared_ptr<obs::wire_trace_context> wire = {}) {
         {
             const std::lock_guard lock{ mutex_ };
             if (stopped_) {
@@ -152,64 +128,40 @@ class micro_batcher {
             }
             request &req = queues_[class_index(cls)].emplace_back();
             req.point = std::move(point);
+            req.done = std::move(done);
             req.enqueued = std::chrono::steady_clock::now();
             req.admitted = admitted == time_point{} ? req.enqueued : admitted;
             req.trace_id = trace_id;
             req.traced = trace_id != 0;
             req.wire = std::move(wire);
             req.deadline = deadline_budget.count() > 0 ? req.enqueued + deadline_budget : no_deadline;
-            min_deadline_[class_index(cls)] = std::min(min_deadline_[class_index(cls)], req.deadline);
-            future = req.result.get_future();
             ++total_pending_;
         }
-        cv_.notify_all();
-        return future;
+        cv_.notify_one();
     }
 
     /**
-     * @brief Block until some class is ready under its policy and pop that
-     *        class's batch (highest-priority ready class wins).
+     * @brief Pop the highest-priority non-empty class, up to its cap;
+     *        block (untimed) only while nothing is queued.
      *
      * Returns an empty batch only after `shutdown()` once all pending
      * requests have been drained — the consumer's exit signal. After
-     * shutdown, still-pending requests are handed out without waiting (in
-     * priority order) so nothing is ever dropped.
+     * shutdown, still-pending requests keep being handed out (in priority
+     * order) so nothing is ever dropped.
      */
     [[nodiscard]] class_batch next_batch() {
         std::unique_lock lock{ mutex_ };
-        while (true) {
-            if (total_pending_ == 0) {
-                if (stopped_) {
-                    return {};  // shut down and fully drained
-                }
-                // idle: untimed wait — no periodic wakeups on an idle engine
-                cv_.wait(lock, [this]() { return stopped_ || total_pending_ > 0; });
-                continue;
-            }
-            const time_point now = std::chrono::steady_clock::now();
-            time_point earliest = no_deadline;
-            for (const request_class cls : all_request_classes) {
-                const std::deque<request> &queue = queues_[class_index(cls)];
-                if (queue.empty()) {
-                    continue;
-                }
-                const class_batch_policy &policy = class_policies_[class_index(cls)];
-                if (stopped_ || queue.size() >= std::max<std::size_t>(1, policy.target_batch_size)) {
-                    return pop_batch(cls);  // size-complete (or draining)
-                }
-                const time_point deadline = flush_deadline(cls);
-                if (deadline <= now) {
-                    return pop_batch(cls);  // flush-due partial batch
-                }
-                earliest = std::min(earliest, deadline);
-            }
-            // single timed wait on the earliest flush deadline across all
-            // classes; enqueues/policy swaps/shutdown re-notify and re-enter
-            // the evaluation above
-            if (cv_.wait_until(lock, earliest) == std::cv_status::timeout) {
-                ++timer_wakeups_;
+        if (total_pending_ == 0 && !stopped_) {
+            ++waiting_;
+            cv_.wait(lock, [this]() { return stopped_ || total_pending_ > 0; });
+            --waiting_;
+        }
+        for (const request_class cls : all_request_classes) {
+            if (!queues_[class_index(cls)].empty()) {
+                return pop_batch(cls);
             }
         }
+        return {};  // shut down and fully drained
     }
 
     /// Reject new requests and wake all waiting consumers; pending requests
@@ -227,35 +179,31 @@ class micro_batcher {
         return stopped_;
     }
 
-    /// Shut down and settle every still-queued request with @p error (or the
-    /// default typed `engine_shutdown` error if null) instead of handing it
-    /// to a consumer. Promises are settled *outside* the batcher mutex so a
-    /// waiter's continuation can re-enter the batcher without deadlocking.
-    /// Returns the number of requests failed.
-    std::size_t fail_pending(std::exception_ptr error) {
-        std::vector<request> orphans;
+    /// Shut down and settle every still-queued request with a typed
+    /// `request_failed_exception` (`engine_shutdown`) of its own instead of
+    /// handing it to a consumer. Callbacks run *outside* the batcher mutex
+    /// so a callback can re-enter the batcher without deadlocking. Returns
+    /// the number of requests failed.
+    std::size_t fail_pending() {
+        per_class<std::deque<request>> orphans;
         {
             const std::lock_guard lock{ mutex_ };
             stopped_ = true;
-            for (const request_class cls : all_request_classes) {
-                std::deque<request> &queue = queues_[class_index(cls)];
-                for (request &req : queue) {
-                    orphans.push_back(std::move(req));
-                }
-                queue.clear();
-                min_deadline_[class_index(cls)] = no_deadline;
-            }
+            orphans.swap(queues_);
             total_pending_ = 0;
         }
         cv_.notify_all();
-        if (!orphans.empty() && error == nullptr) {
-            error = std::make_exception_ptr(request_failed_exception{
-                failure_kind::engine_shutdown, std::nullopt, "micro_batcher destroyed/stopped with the request still queued" });
+        std::size_t failed = 0;
+        for (const request_class cls : all_request_classes) {
+            for (request &req : orphans[class_index(cls)]) {
+                if (req.done) {
+                    req.done(T{}, std::make_exception_ptr(request_failed_exception{
+                                      failure_kind::engine_shutdown, cls, "micro_batcher destroyed/stopped with the request still queued" }));
+                }
+                ++failed;
+            }
         }
-        for (request &req : orphans) {
-            req.result.set_exception(error);
-        }
-        return orphans.size();
+        return failed;
     }
 
     /// Number of currently queued requests over all classes.
@@ -270,38 +218,17 @@ class micro_batcher {
         return queues_[class_index(cls)].size();
     }
 
-    /// How many times a consumer's timed flush wait expired. Idle engines
-    /// wait untimed, so this stays 0 without traffic (regression-tested).
-    [[nodiscard]] std::size_t timer_wakeups() const {
+    /// Consumers currently blocked in `next_batch()` on an empty batcher.
+    [[nodiscard]] std::size_t waiting() const {
         const std::lock_guard lock{ mutex_ };
-        return timer_wakeups_;
+        return waiting_;
     }
 
   private:
-    /// Latest instant the current batch of @p cls may still be flushed:
-    /// the oldest request's flush delay, clamped by the *tightest* deadline
-    /// queued in the class (a late-arriving request with a short budget must
-    /// not wait out an earlier request's long flush delay) minus the
-    /// estimated batch execution time. Never before the oldest request's
-    /// enqueue instant, so an already-doomed deadline degenerates to "flush
-    /// immediately", not to a wait in the past with unsigned-underflow
-    /// surprises. Requires `mutex_`.
-    [[nodiscard]] time_point flush_deadline(const request_class cls) const {
-        const class_batch_policy &policy = class_policies_[class_index(cls)];
-        const request &oldest = queues_[class_index(cls)].front();
-        time_point deadline = oldest.enqueued + policy.flush_delay;
-        const time_point tightest = min_deadline_[class_index(cls)];
-        if (tightest != no_deadline) {
-            deadline = std::min(deadline, std::max(tightest - policy.estimated_batch_latency, oldest.enqueued));
-        }
-        return deadline;
-    }
-
-    /// Pop up to the class target from @p cls (FIFO). Requires `mutex_`.
+    /// Pop up to the class cap from @p cls (FIFO). Requires `mutex_`.
     [[nodiscard]] class_batch pop_batch(const request_class cls) {
         std::deque<request> &queue = queues_[class_index(cls)];
-        const std::size_t target = std::max<std::size_t>(1, class_policies_[class_index(cls)].target_batch_size);
-        const std::size_t batch_size = std::min(queue.size(), target);
+        const std::size_t batch_size = std::min(queue.size(), caps_[class_index(cls)]);
         class_batch batch;
         batch.cls = cls;
         batch.sealed = std::chrono::steady_clock::now();
@@ -311,25 +238,16 @@ class micro_batcher {
             queue.pop_front();
         }
         total_pending_ -= batch_size;
-        // the popped batch may have held the tightest deadline: recompute
-        // over what remains (one O(remaining) sweep per released batch)
-        time_point tightest = no_deadline;
-        for (const request &req : queue) {
-            tightest = std::min(tightest, req.deadline);
-        }
-        min_deadline_[class_index(cls)] = tightest;
         return batch;
     }
 
-    batch_policy policy_;
+    std::size_t max_batch_size_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     per_class<std::deque<request>> queues_;
-    per_class<class_batch_policy> class_policies_;
-    /// Tightest deadline currently queued per class (`no_deadline` if none).
-    per_class<time_point> min_deadline_{ no_deadline, no_deadline, no_deadline };
+    per_class<std::size_t> caps_{};
     std::size_t total_pending_{ 0 };
-    std::size_t timer_wakeups_{ 0 };
+    std::size_t waiting_{ 0 };
     bool stopped_{ false };
 };
 

@@ -4,13 +4,13 @@
  *
  * A connection is owned by exactly one event thread (its epoll instance),
  * which performs all reads and lifecycle transitions. Writes are shared:
- * completion workers serialize responses and flush them directly under
- * `out_mutex_` (lowest latency when the socket buffer has room), falling
- * back to arming `EPOLLOUT` on the owning event loop when the kernel buffer
- * is full. The file descriptor stays open until the last reference drops —
- * completion tasks hold a `shared_ptr`, so a response racing a close can
- * never write into a recycled descriptor; it just hits the `closed_` flag
- * and is dropped.
+ * the thread that settles a request (its completion callback) serializes
+ * the response and flushes it directly under `out_mutex_` (lowest latency
+ * when the socket buffer has room), falling back to arming `EPOLLOUT` on
+ * the owning event loop when the kernel buffer is full. The file descriptor
+ * stays open until the last reference drops — completion callbacks hold a
+ * `shared_ptr`, so a response racing a close can never write into a
+ * recycled descriptor; it just hits the `closed_` flag and is dropped.
  */
 
 #ifndef PLSSVM_SERVE_NET_CONNECTION_HPP_
@@ -58,8 +58,8 @@ class connection {
     connection(const connection &) = delete;
     connection &operator=(const connection &) = delete;
 
-    /// Closes the socket. Runs when the last owner (event loop map or
-    /// in-flight completion task) releases the connection.
+    /// Closes the socket. Runs when the last owner (event loop map or the
+    /// completion callback of an in-flight request) releases the connection.
     ~connection();
 
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }

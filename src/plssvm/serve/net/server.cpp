@@ -129,9 +129,6 @@ net_server::net_server(net_server_config config, std::shared_ptr<model_dispatche
     if (config_.event_threads == 0) {
         config_.event_threads = 1;
     }
-    if (config_.completion_threads == 0) {
-        config_.completion_threads = 1;
-    }
 
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) {
@@ -194,10 +191,6 @@ net_server::net_server(net_server_config config, std::shared_ptr<model_dispatche
     for (auto &loop : loops_) {
         loop->thread = std::thread{ [this, raw = loop.get()] { event_loop_run(*raw); } };
     }
-    completion_workers_.reserve(config_.completion_threads);
-    for (std::size_t i = 0; i < config_.completion_threads; ++i) {
-        completion_workers_.emplace_back([this] { completion_loop(); });
-    }
     acceptor_ = std::thread{ [this] { accept_loop(); } };
 }
 
@@ -225,6 +218,9 @@ void net_server::stop() {
         }
         std::lock_guard lock{ loop->mutex };
         for (auto &[fd, conn] : loop->conns) {
+            // under the out-mutex: a callback writing right now finishes
+            // before the epoll set it may arm is closed below
+            const std::lock_guard out{ conn->out_mutex_ };
             conn->closed_.store(true, std::memory_order_release);
         }
         loop->conns.clear();
@@ -233,18 +229,12 @@ void net_server::stop() {
         ::close(loop->wake_fd);
     }
 
-    // 3. drain inflight completions (their responses hit closed connections
-    //    and are dropped, but every future is consumed before we return)
-    {
-        std::lock_guard lock{ completion_mutex_ };
-        completion_stop_ = true;
-    }
-    completion_cv_.notify_all();
-    for (auto &worker : completion_workers_) {
-        if (worker.joinable()) {
-            worker.join();
-        }
-    }
+    // 3. wait until every accepted request's callback has run (their
+    //    responses hit closed connections and are dropped); a callback
+    //    touches the server last under `inflight_mutex_`, so the server may
+    //    be destroyed as soon as this returns
+    std::unique_lock lock{ inflight_mutex_ };
+    inflight_cv_.wait(lock, [this] { return inflight_.load(std::memory_order_acquire) == 0; });
 }
 
 // ---------------------------------------------------------------------------
@@ -486,66 +476,55 @@ void net_server::handle_message(const std::shared_ptr<connection> &conn, const s
     if (conn->peer_ != nullptr) {
         conn->peer_->requests.fetch_add(1, std::memory_order_relaxed);
     }
+    // counted before the submit: the callback may run on the drain thread
+    // before `submit` returns here
+    inflight_.fetch_add(1, std::memory_order_acq_rel);
+    net_response resp{};
+    resp.id = req.id;
+    bool submitted = false;
     try {
-        completion_task task;
-        task.conn = conn;
-        task.id = req.id;
-        task.mode = mode;
-        task.received = received;
+        std::shared_ptr<obs::wire_trace_context> wire;
         if (config_.wire_tracing) {
             // stamp the net head stages; the engine merges them with its own
             // lifecycle stamps if its sampling decision (or a client-supplied
             // trace id) selects the request
-            task.wire = std::make_shared<obs::wire_trace_context>();
-            task.wire->trace_id = req.trace_id;
-            task.wire->client_supplied = req.trace_id != 0;
-            task.wire->accepted = accepted;
-            task.wire->read_done = read_done;
+            wire = std::make_shared<obs::wire_trace_context>();
+            wire->trace_id = req.trace_id;
+            wire->client_supplied = req.trace_id != 0;
+            wire->accepted = accepted;
+            wire->read_done = read_done;
             // one stamp for decode + dispatch: they are adjacent on this
             // thread and a second clock read would only measure the clock
             const auto decoded = std::chrono::steady_clock::now();
-            task.wire->decoded = decoded;
-            task.wire->dispatched = decoded;
-            task.future = dispatcher_->submit(req, task.wire);
-        } else {
-            task.future = dispatcher_->submit(req);
+            wire->decoded = decoded;
+            wire->dispatched = decoded;
         }
-        inflight_.fetch_add(1, std::memory_order_acq_rel);
-        {
-            const std::lock_guard lock{ hist_mutex_ };
-            handle_hist_.record(seconds_since(received));
-        }
-        {
-            std::lock_guard lock{ completion_mutex_ };
-            completion_queue_.push_back(std::move(task));
-        }
-        completion_cv_.notify_one();
+        dispatcher_->submit(req, wire, [this, conn, id = req.id, mode, received, wire](const double label, std::exception_ptr error) {
+            complete(conn, id, mode, received, wire, label, std::move(error));
+        });
+        submitted = true;
     } catch (const request_shed_exception &e) {
-        net_response resp{};
-        resp.id = req.id;
         resp.status = response_status::retry_after;
         resp.retry_after_us = static_cast<std::uint64_t>(e.retry_after().count());
         resp.error = e.what();
-        respond(conn, mode, resp, received);
     } catch (const model_not_found_error &e) {
-        net_response resp{};
-        resp.id = req.id;
         resp.status = response_status::not_found;
         resp.error = e.what();
-        respond(conn, mode, resp, received);
     } catch (const invalid_data_exception &e) {
-        net_response resp{};
-        resp.id = req.id;
         resp.status = response_status::bad_request;
         resp.error = e.what();
-        respond(conn, mode, resp, received);
     } catch (const std::exception &e) {
-        net_response resp{};
-        resp.id = req.id;
         resp.status = response_status::failed;
         resp.error = e.what();
-        respond(conn, mode, resp, received);
     }
+    if (submitted) {
+        const std::lock_guard lock{ hist_mutex_ };
+        handle_hist_.record(seconds_since(received));
+        return;
+    }
+    // refused at submit: the callback never runs, so answer and settle here
+    respond(conn, mode, resp, received);
+    settled();
 }
 
 void net_server::handle_op(const std::shared_ptr<connection> &conn, const net_request &req) {
@@ -611,11 +590,9 @@ void net_server::respond(const std::shared_ptr<connection> &conn, const frame_de
     conn->responses_.fetch_add(1, std::memory_order_relaxed);
     if (wire_ctx != nullptr) {
         // last stamp of the wire-to-wire trace: the response bytes left (or
-        // were handed to the kernel to leave) the process
+        // were handed to the kernel to leave) the process; the engine
+        // publishes the trace once the completion callback returned
         wire_ctx->flushed = std::chrono::steady_clock::now();
-        if (wire_ctx->finish) {
-            wire_ctx->finish(*wire_ctx);
-        }
     }
     const double e2e = seconds_since(received);
     {
@@ -652,38 +629,43 @@ void net_server::close_connection(event_loop &loop, const std::shared_ptr<connec
 }
 
 // ---------------------------------------------------------------------------
-// completion workers
+// completion
 // ---------------------------------------------------------------------------
 
-void net_server::completion_loop() {
-    while (true) {
-        completion_task task;
-        {
-            std::unique_lock lock{ completion_mutex_ };
-            completion_cv_.wait(lock, [this] { return !completion_queue_.empty() || completion_stop_; });
-            if (completion_queue_.empty()) {
-                return;  // stop requested and fully drained
-            }
-            task = std::move(completion_queue_.front());
-            completion_queue_.pop_front();
-        }
+void net_server::complete(const std::shared_ptr<connection> &conn, const std::uint64_t id, const frame_decoder::wire_mode mode,
+                          const std::chrono::steady_clock::time_point received,
+                          const std::shared_ptr<obs::wire_trace_context> &wire, const double label,
+                          std::exception_ptr error) noexcept {
+    try {
         net_response resp{};
-        resp.id = task.id;
-        try {
-            resp.value = task.future.get();
+        resp.id = id;
+        if (error == nullptr) {
+            resp.value = label;
             resp.status = response_status::ok;
-        } catch (const request_shed_exception &e) {
-            resp.status = response_status::retry_after;
-            resp.retry_after_us = static_cast<std::uint64_t>(e.retry_after().count());
-            resp.error = e.what();
-        } catch (const std::exception &e) {
-            // request_failed_exception and anything else the fault plane
-            // settled the promise with
+        } else {
+            // request_failed_exception or whatever else the fault plane
+            // settled the request with
             resp.status = response_status::failed;
-            resp.error = e.what();
+            try {
+                std::rethrow_exception(std::move(error));
+            } catch (const std::exception &e) {
+                resp.error = e.what();
+            } catch (...) {
+                resp.error = "unknown error";
+            }
         }
-        respond(task.conn, task.mode, resp, task.received, task.wire);
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        respond(conn, mode, resp, received, wire);
+    } catch (...) {
+        // encoding the response failed (allocation): the response is lost,
+        // but the request still counts as settled so stop() cannot hang
+    }
+    settled();
+}
+
+void net_server::settled() {
+    const std::lock_guard lock{ inflight_mutex_ };
+    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        inflight_cv_.notify_all();
     }
 }
 

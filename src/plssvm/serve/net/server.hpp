@@ -8,11 +8,17 @@
  *  - N **event** threads each own a private epoll instance (edge-triggered)
  *    and perform all reads, request decoding, and engine submission — a
  *    connection belongs to exactly one event thread, so no read path ever
- *    needs a lock;
- *  - M **completion** workers block on the `std::future`s returned by the
- *    engines' async submit path, serialize responses, and write them back.
+ *    needs a lock.
  *
- * Requests therefore flow straight into the existing
+ * No thread waits for a response. Every predict request is submitted with a
+ * completion callback, and the thread that settles the request (the
+ * engine's drain thread; its watchdog or the thread tearing it down on
+ * failure) serializes the response and writes it on the connection — under
+ * the connection's out-mutex, with the `EPOLLOUT` path of the owning event
+ * thread taking over a tail the socket buffer did not accept. A ready
+ * response is therefore never queued behind one that is not.
+ *
+ * Requests flow straight into the existing
  * `model_registry`/`inference_engine` micro-batcher, which coalesces points
  * *across* client connections — concurrent sockets feed one batch.
  * `request_shed_exception` maps to a `RETRY_AFTER` wire response carrying
@@ -25,7 +31,7 @@
 #define PLSSVM_SERVE_NET_SERVER_HPP_
 
 #include "plssvm/exceptions.hpp"             // plssvm::exception
-#include "plssvm/serve/fault.hpp"            // plssvm::serve::health_state
+#include "plssvm/serve/fault.hpp"            // plssvm::serve::health_state, completion_callback
 #include "plssvm/serve/model_registry.hpp"   // plssvm::serve::model_registry
 #include "plssvm/serve/net/connection.hpp"   // plssvm::serve::net::connection
 #include "plssvm/serve/net/framing.hpp"      // framing constants
@@ -37,8 +43,8 @@
 #include <chrono>              // std::chrono::steady_clock
 #include <condition_variable>  // std::condition_variable
 #include <cstdint>             // std::uint16_t, std::uint64_t
-#include <deque>               // std::deque
-#include <future>              // std::future, std::async, std::launch
+#include <exception>           // std::exception_ptr
+#include <future>              // std::future
 #include <map>                 // std::map
 #include <memory>              // std::shared_ptr, std::unique_ptr
 #include <mutex>               // std::mutex
@@ -66,8 +72,6 @@ struct net_server_config {
     std::uint16_t port{ 0 };
     /// Event (read/decode/submit) threads, each with a private epoll set.
     std::size_t event_threads{ 1 };
-    /// Completion workers blocking on engine futures and writing responses.
-    std::size_t completion_threads{ 2 };
     /// Per-message size bound (binary frame payload or one JSON line).
     std::size_t max_frame_bytes{ default_max_frame_bytes };
     /// Accept cap: connections beyond this are closed immediately.
@@ -91,20 +95,29 @@ struct net_server_config {
  */
 class model_dispatcher {
   public:
+    /// Settles one submitted request (see `completion_callback`).
+    using completion = completion_callback<double>;
+
     virtual ~model_dispatcher() = default;
 
-    /// Submit one predict request into the async serving path. Throws
-    /// `model_not_found_error`, `request_shed_exception`, or
-    /// `invalid_data_exception`; otherwise returns the engine future.
-    [[nodiscard]] virtual std::future<double> submit(const net_request &req) = 0;
+    /**
+     * @brief Submit one predict request into the async serving path.
+     *
+     * @p done is called exactly once with the label or the error the
+     * request was settled with, on the thread that settles it — unless this
+     * call throws (`model_not_found_error`, `request_shed_exception`,
+     * `invalid_data_exception`), in which case it is never called. @p wire
+     * (may be null) carries the net-stage stamps into the engine, which
+     * publishes the merged trace right after @p done returned.
+     */
+    virtual void submit(const net_request &req, std::shared_ptr<obs::wire_trace_context> wire, completion done) = 0;
 
-    /// Wire-traced submit: @p wire carries the net-stage stamps into the
-    /// engine, whose drain thread parks the merged trace back in it. The
-    /// default ignores the context (stub dispatchers simply never publish a
-    /// trace), so existing dispatchers keep working unchanged.
-    [[nodiscard]] virtual std::future<double> submit(const net_request &req, const std::shared_ptr<obs::wire_trace_context> &wire) {
-        (void) wire;
-        return submit(req);
+    /// The future view of `submit` (a promise adapter): the in-process entry
+    /// point of tests and benches.
+    [[nodiscard]] std::future<double> submit(const net_request &req) {
+        auto [done, future] = promise_completion<double>();
+        submit(req, nullptr, std::move(done));
+        return std::move(future);
     }
 
     /// Worst-engine health (backs the readiness probe).
@@ -129,33 +142,16 @@ class registry_dispatcher final : public model_dispatcher {
     explicit registry_dispatcher(model_registry<T> &registry) :
         registry_{ registry } {}
 
-    [[nodiscard]] std::future<double> submit(const net_request &req) override {
-        return submit(req, nullptr);
-    }
+    using model_dispatcher::submit;
 
-    /**
-     * @brief Wire-traced submit, dense or sparse. The context's `finish` hook
-     *        is pointed at the engine that will fill the trace (for a
-     *        sharded name, the replica `find` handed out), via a `weak_ptr`:
-     *        the context travels through the engine's own batcher queue, so
-     *        a strong reference would form a cycle (engine -> queued request
-     *        -> context -> closure -> engine) whose last reference can drop
-     *        on the engine's drain thread — destroying the engine there
-     *        self-joins the thread. With the weak hook a trace completing
-     *        after an LRU eviction is simply dropped (diagnostic data). The
-     *        engine still applies its own sampling decision.
-     */
-    [[nodiscard]] std::future<double> submit(const net_request &req, const std::shared_ptr<obs::wire_trace_context> &wire) override {
+    /// Dense or sparse submit into the engine `find` hands out (for a
+    /// sharded name, one replica). The engine applies its own sampling
+    /// decision to @p wire and publishes the trace itself, so nothing here
+    /// refers back to the engine once the request is queued.
+    void submit(const net_request &req, std::shared_ptr<obs::wire_trace_context> wire, completion done) override {
         const std::shared_ptr<inference_engine<T>> engine = registry_.find(req.model);
         if (engine == nullptr) {
             throw model_not_found_error{ req.model };
-        }
-        if (wire != nullptr) {
-            wire->finish = [weak = std::weak_ptr<inference_engine<T>>{ engine }](obs::wire_trace_context &ctx) {
-                if (const auto locked = weak.lock()) {
-                    locked->publish_wire_trace(ctx);
-                }
-            };
         }
         const request_options options{ req.cls, req.deadline };
         if (req.sparse) {
@@ -164,9 +160,10 @@ class registry_dispatcher final : public model_dispatcher {
             for (const auto &[index, value] : req.sparse_entries) {
                 entries.push_back(typename csr_matrix<T>::entry{ index, static_cast<T>(value) });
             }
-            return wrap(engine->submit(entries, options, wire));
+            engine->submit(entries, options, std::move(wire), adapt(std::move(done)));
+            return;
         }
-        return wrap(engine->submit(std::vector<T>(req.dense.begin(), req.dense.end()), options, wire));
+        engine->submit(std::vector<T>(req.dense.begin(), req.dense.end()), options, std::move(wire), adapt(std::move(done)));
     }
 
     [[nodiscard]] health_state health() const override { return registry_.health(); }
@@ -178,14 +175,12 @@ class registry_dispatcher final : public model_dispatcher {
     [[nodiscard]] std::string trace_json() const override { return registry_.trace_json(); }
 
   private:
-    /// Adapt the engine's `future<T>` to the dispatcher's `future<double>`.
-    /// `launch::deferred` runs the cast inline in the completion worker's
-    /// `get()` — no extra thread, and exceptions still propagate.
-    [[nodiscard]] static std::future<double> wrap(std::future<T> f) {
+    /// Adapt the dispatcher's `double` callback to the engine's label type.
+    [[nodiscard]] static completion_callback<T> adapt(completion done) {
         if constexpr (std::is_same_v<T, double>) {
-            return f;
+            return done;
         } else {
-            return std::async(std::launch::deferred, [f = std::move(f)]() mutable { return static_cast<double>(f.get()); });
+            return [done = std::move(done)](const T label, std::exception_ptr error) { done(static_cast<double>(label), std::move(error)); };
         }
     }
 
@@ -216,9 +211,9 @@ struct net_counters {
 
 /**
  * @brief The epoll server. Starts its threads in the constructor, stops and
- *        joins them in `stop()`/the destructor. All inflight futures are
- *        drained before `stop()` returns, so destroying the server before
- *        the registry is always safe.
+ *        joins them in `stop()`/the destructor. `stop()` returns only after
+ *        every accepted request's completion callback has run, so destroying
+ *        the server right after it, before the registry, is always safe.
  */
 class net_server {
     friend class connection;
@@ -231,8 +226,9 @@ class net_server {
 
     ~net_server();
 
-    /// Stop accepting, close every connection, drain inflight completions,
-    /// and join all threads. Idempotent.
+    /// Stop accepting, close every connection, join all threads, and wait
+    /// until every accepted request's completion callback has run.
+    /// Idempotent.
     void stop();
 
     /// The bound TCP port (resolves port 0 to the kernel-assigned one).
@@ -272,18 +268,8 @@ class net_server {
   private:
     struct event_loop;
 
-    struct completion_task {
-        std::shared_ptr<connection> conn;
-        std::uint64_t id{ 0 };
-        frame_decoder::wire_mode mode{ frame_decoder::wire_mode::binary };
-        std::future<double> future;
-        std::chrono::steady_clock::time_point received;
-        std::shared_ptr<obs::wire_trace_context> wire;  ///< null when wire tracing is off
-    };
-
     void accept_loop();
     void event_loop_run(event_loop &loop);
-    void completion_loop();
 
     void adopt_pending(event_loop &loop);
     void handle_readable(event_loop &loop, const std::shared_ptr<connection> &conn);
@@ -293,6 +279,13 @@ class net_server {
     void handle_op(const std::shared_ptr<connection> &conn, const net_request &req);
     void respond(const std::shared_ptr<connection> &conn, frame_decoder::wire_mode mode, const net_response &resp,
                  std::chrono::steady_clock::time_point received, const std::shared_ptr<obs::wire_trace_context> &wire = nullptr);
+    /// Completion callback body of one predict request: encode the outcome,
+    /// write it on @p conn, then count the request as settled.
+    void complete(const std::shared_ptr<connection> &conn, std::uint64_t id, frame_decoder::wire_mode mode,
+                  std::chrono::steady_clock::time_point received, const std::shared_ptr<obs::wire_trace_context> &wire,
+                  double label, std::exception_ptr error) noexcept;
+    /// Count one accepted request as settled; wakes `stop()` at zero.
+    void settled();
     void close_connection(event_loop &loop, const std::shared_ptr<connection> &conn);
 
     /// Shared accounting record of @p address, creating it on first contact;
@@ -308,18 +301,16 @@ class net_server {
     std::uint16_t port_{ 0 };
     std::atomic<bool> stopping_{ false };
     std::atomic<bool> draining_{ false };
+    /// Accepted predict requests whose callback has not run yet; counted
+    /// down under `inflight_mutex_` so `stop()` can wait for zero.
     std::atomic<std::uint64_t> inflight_{ 0 };
+    std::mutex inflight_mutex_;
+    std::condition_variable inflight_cv_;
     std::atomic<std::uint64_t> next_connection_id_{ 0 };
     std::size_t next_loop_{ 0 };
 
     std::vector<std::unique_ptr<event_loop>> loops_;
     std::thread acceptor_;
-
-    std::mutex completion_mutex_;
-    std::condition_variable completion_cv_;
-    std::deque<completion_task> completion_queue_;
-    bool completion_stop_{ false };
-    std::vector<std::thread> completion_workers_;
 
     // counters (relaxed atomics; snapshot via `counters()`)
     std::atomic<std::uint64_t> accepted_{ 0 };

@@ -5,7 +5,7 @@
  *        Prometheus text exposition builder, and an always-on flight
  *        recorder.
  *
- * The serving stack (admission control, adaptive batching, executor
+ * The serving stack (admission control, micro-batching, executor
  * lanes, cost-model dispatch) previously exposed only end-to-end p50/p99 per
  * class — when a QoS gate blew there was no way to tell whether the time
  * went to admission, queue wait, batch formation, or the kernel. This header
@@ -42,7 +42,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -438,13 +437,11 @@ struct request_trace {
  * The net plane captures its stamps as raw steady-clock time points (it has
  * no recorder epoch); the engine that serves the request converts everything
  * into its own recorder's epoch. Ownership: the net server allocates one
- * context per traced wire request and keeps it alive through the completion
- * path; the dispatcher installs `finish` (capturing the engine `shared_ptr`,
- * so the recorder outlives the trace) and the engine fills `trace` with the
- * head net stamps plus its five lifecycle stamps at completion. After the
- * response is flushed, the net completion worker stamps `encoded`/`flushed`
- * and calls `finish`, which publishes the complete >= 9-stamp trace into the
- * engine's per-class rings.
+ * context per wire request and hands it to the engine with the request. The
+ * request's completion callback writes the response and stamps
+ * `encoded`/`flushed` on the settling thread; right after the callback
+ * returned, the engine publishes the complete >= 9-stamp trace into its
+ * per-class rings (traced requests only).
  */
 struct wire_trace_context {
     /// Trace id: nonzero when supplied by the client (always traced) or
@@ -458,16 +455,9 @@ struct wire_trace_context {
     std::chrono::steady_clock::time_point read_done{};
     std::chrono::steady_clock::time_point decoded{};
     std::chrono::steady_clock::time_point dispatched{};
-    // net tail stamps (steady clock, raw) — set by the completion worker
+    // net tail stamps (steady clock, raw) — set by the completion callback
     std::chrono::steady_clock::time_point encoded{};
     std::chrono::steady_clock::time_point flushed{};
-    /// Engine-filled trace (head net stamps + engine lifecycle, recorder
-    /// epoch). Valid once `engine_filled` is true (release/acquire).
-    request_trace trace{};
-    std::atomic<bool> engine_filled{ false };
-    /// Publishes the finished trace into the serving engine's recorder;
-    /// installed by the dispatcher, invoked by the net completion worker.
-    std::function<void(wire_trace_context &)> finish{};
 };
 
 /**

@@ -92,7 +92,7 @@ class predict_dispatcher {
     [[nodiscard]] predict_path choose(std::size_t batch_size, std::size_t num_sv, std::size_t dim, kernel_type kernel) const;
 
     /// Estimated seconds of the path `choose(shape)` would pick — the
-    /// cost-model per-batch latency estimate the QoS batch tuner feeds on
+    /// cost-model per-batch latency estimate the deadline batch caps feed on
     /// (reference batches are approximated with the host roofline).
     [[nodiscard]] double estimated_seconds(const predict_shape &shape) const;
 

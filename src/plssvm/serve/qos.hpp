@@ -1,7 +1,6 @@
 /**
  * @file
- * @brief QoS vocabulary and load-adaptive batching policy of the serving
- *        control plane.
+ * @brief QoS vocabulary and batch caps of the serving control plane.
  *
  * Until now every request entered the micro-batcher unconditionally and was
  * batched under one static size/deadline policy — under overload, p99
@@ -12,36 +11,26 @@
  *  - **request classes** (`request_class`): interactive / batch / background.
  *    Every async submission carries one (plus an optional deadline budget);
  *    the micro-batcher keeps one FIFO per class and always serves the
- *    highest-priority class that is ready.
+ *    highest-priority non-empty class.
  *  - **per-class QoS limits** (`class_qos_config`): token-bucket rate limit,
- *    queue-depth shed threshold, default deadline budget, flush-delay range.
- *    Enforced by `serve::admission_controller` (see `admission.hpp`).
- *  - **load-adaptive batching** (`batch_tuner`): the target batch size and
- *    flush deadline of each class adapt continuously from an EWMA of queue
- *    depth (the batcher's own backlog, the engine's executor-lane queue and
- *    cross-lane executor pressure) and from the calibrated cost model's
- *    per-batch latency estimate. Under load, batches
- *    grow toward `adaptive_batch_config::max_batch_size` for throughput;
- *    idle, they shrink to `min_batch_size` for latency; and a class with a
- *    deadline budget never grows its batches past the point where the
- *    estimated batch execution time would eat the budget.
- *
- * The tuner is deliberately clock-free and purely functional in its inputs
- * (`observe()` takes raw counters, `policies()` is a pure function of the
- * smoothed state), so adaptive growth/shrink is deterministic in tests.
+ *    queue-depth shed threshold, default deadline budget. Enforced by
+ *    `serve::admission_controller` (see `admission.hpp`).
+ *  - **natural batching with a deadline cap** (`class_batch_caps`): a batch
+ *    is whatever queued while the previous one ran, up to the class's cap.
+ *    The cap is the engine's `max_batch_size`; a class with a deadline
+ *    budget halves it while the cost model's estimate of one capped batch
+ *    would eat more than `exec_budget_fraction` of the budget. Nothing waits
+ *    for a batch to fill, so a lone request runs at once.
  */
 
 #ifndef PLSSVM_SERVE_QOS_HPP_
 #define PLSSVM_SERVE_QOS_HPP_
 
-#include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string_view>
 
 namespace plssvm::serve {
@@ -115,9 +104,8 @@ struct request_options {
 };
 
 /// QoS limits of one request class. The zero-valued defaults mean
-/// "unlimited" / "derive from the engine's base batch policy", so a
-/// default-constructed config never sheds and preserves the pre-QoS
-/// behaviour of existing embedders.
+/// "unlimited" / "none", so a default-constructed config never sheds and
+/// preserves the pre-QoS behaviour of existing embedders.
 struct class_qos_config {
     /// Admitted requests per second (token-bucket refill rate); 0 = unlimited.
     double rate_limit{ 0.0 };
@@ -132,33 +120,14 @@ struct class_qos_config {
     /// Default per-request deadline budget applied when a submission does
     /// not carry its own; 0 = no deadline.
     std::chrono::microseconds deadline_budget{ 0 };
-    /// Flush delay of the class when the engine is idle; 0 = the engine's
-    /// `batch_delay` scaled by the class factor (interactive 1x, batch 4x,
-    /// background 16x).
-    std::chrono::microseconds base_flush_delay{ 0 };
-    /// Flush delay ceiling the tuner may stretch to under full load;
-    /// 0 = 8x the resolved `base_flush_delay`.
-    std::chrono::microseconds max_flush_delay{ 0 };
 };
 
-/// Knobs of the load-adaptive batch sizing. All zero-valued defaults are
-/// resolved against the engine's base `batch_policy` by the `batch_tuner`.
+/// Batch-cap knob of the deadline-carrying classes.
 struct adaptive_batch_config {
-    /// Idle target batch size (released as soon as this many requests are
-    /// pending); 0 = max(1, engine max_batch_size / 8).
-    std::size_t min_batch_size{ 0 };
-    /// Overload target ceiling; 0 = 4x the engine max_batch_size.
-    std::size_t max_batch_size{ 0 };
-    /// EWMA smoothing factor of the pressure signal (0..1; larger = faster
-    /// reaction).
-    double alpha{ 0.25 };
-    /// Pressure level mapped to full saturation (target = max_batch_size);
-    /// 0 = 2x the resolved max_batch_size.
-    double backlog_at_max{ 0.0 };
     /// Fraction of a class's deadline budget that may be spent *executing*
-    /// the batch (the rest is queueing/flush headroom). The tuner halves a
-    /// deadline-carrying class's target until the cost-model estimate of
-    /// one batch fits this fraction of the budget.
+    /// the batch (the rest is queueing headroom). A deadline-carrying class
+    /// halves its batch cap until the cost-model estimate of one batch fits
+    /// this fraction of the budget.
     double exec_budget_fraction{ 0.5 };
 };
 
@@ -166,97 +135,25 @@ struct adaptive_batch_config {
 struct qos_config {
     /// Per-class admission limits, indexed by `class_index()`.
     per_class<class_qos_config> classes{};
-    /// Load-adaptive batching knobs.
+    /// Batch-cap knob of the deadline-carrying classes.
     adaptive_batch_config adaptive{};
-    /// Switch the adaptive tuner off entirely: every class keeps the
-    /// engine's static `max_batch_size` / `batch_delay` policy (the pre-QoS
-    /// behaviour; used by tests that need deterministic batch formation).
-    bool adaptive_batching{ true };
 };
 
-/// Batch-formation policy of one class at one instant — what the adaptive
-/// tuner publishes into the micro-batcher after every batch.
-struct class_batch_policy {
-    /// Release a batch as soon as this many requests of the class are
-    /// pending (also the per-batch pop cap).
-    std::size_t target_batch_size{ 64 };
-    /// Release a partial batch once its oldest request waited this long.
-    std::chrono::microseconds flush_delay{ 250 };
-    /// Cost-model estimate of executing one target-sized batch; the batcher
-    /// reserves it out of a request's deadline (a deadline-carrying request
-    /// is flushed no later than `deadline - estimated_batch_latency`).
-    std::chrono::microseconds estimated_batch_latency{ 0 };
-};
-
-/// The static base policy the per-class policies are derived from (mirrors
-/// the engine's historical `max_batch_size` / `batch_delay` knobs).
-struct batch_policy {
-    /// Release a batch as soon as this many requests are pending (>= 1).
-    std::size_t max_batch_size{ 64 };
-    /// Release a partial batch once its oldest request has waited this long.
-    std::chrono::microseconds max_delay{ 500 };
-};
+/// Estimated seconds to execute one batch of the given size (the engine
+/// supplies its dispatcher's cost-model estimate); may be empty.
+using latency_estimator = std::function<double(std::size_t)>;
 
 /**
- * @brief Load-adaptive batch policy controller of one engine.
+ * @brief The per-class batch caps of natural batching: the most requests of
+ *        a class that leave the micro-batcher in one batch.
  *
- * The engine's drain thread calls `observe()` after every batch with the
- * current backlog and executor queue depths; `policies()` maps the smoothed
- * state to one `class_batch_policy` per class. Thread-safe (observe from
- * the drain thread, policies also from `stats()` callers).
- *
- * Target computation (see qos.cpp for the details):
- *   pressure   = EWMA(backlog + lane_depth + cross_lane/4)
- *   saturation = clamp01(pressure / backlog_at_max)
- *   target     = min + saturation * (max - min), then halved while the
- *                cost-model batch estimate overruns the class's deadline share
- *   flush      = base_flush + saturation * (max_flush - base_flush)
- *
- * Only queue depth drives saturation: an idle engine reads zero pressure,
- * so a lone request keeps the idle flush delay and the minimum target.
+ * Every class is capped at @p max_batch_size. A class with a deadline
+ * budget halves its cap (never below 1) while @p estimate of one capped
+ * batch overruns `exec_budget_fraction` of the budget, so a batch never
+ * spends its requests' deadlines executing. Pure in its inputs: the engine
+ * recomputes the caps whenever its snapshot, hence the estimate, changes.
  */
-class batch_tuner {
-  public:
-    /// Estimated seconds to execute one batch of the given size (the engine
-    /// supplies its dispatcher's cost-model estimate); may be empty.
-    using latency_estimator = std::function<double(std::size_t)>;
-
-    /// Resolve @p config against @p base and start at idle (saturation 0).
-    batch_tuner(const qos_config &config, batch_policy base, latency_estimator estimate);
-
-    batch_tuner(const batch_tuner &) = delete;
-    batch_tuner &operator=(const batch_tuner &) = delete;
-
-    /**
-     * @brief Feed one telemetry observation and recompute the policies.
-     *
-     * @param backlog           requests currently queued in the micro-batcher
-     * @param lane_queue_depth  tasks queued on the engine's executor lane
-     * @param cross_lane_queued tasks queued on *other* lanes of the shared
-     *                          executor (cross-tenant pressure)
-     */
-    void observe(std::size_t backlog, std::size_t lane_queue_depth, std::size_t cross_lane_queued);
-
-    /// Current per-class batch policies (idle values before any observation).
-    [[nodiscard]] per_class<class_batch_policy> policies() const;
-
-    /// Smoothed load signal in [0, 1] (0 = idle, 1 = fully saturated).
-    [[nodiscard]] double saturation() const;
-
-    /// The configuration with every zero-valued "auto" field resolved.
-    [[nodiscard]] const qos_config &config() const noexcept { return config_; }
-
-  private:
-    /// Map the smoothed state to per-class policies (requires `mutex_`).
-    void recompute();
-
-    qos_config config_;  ///< resolved (no zero-valued "auto" fields left)
-    latency_estimator estimate_;
-    mutable std::mutex mutex_;
-    double ewma_pressure_{ 0.0 };
-    double saturation_{ 0.0 };
-    per_class<class_batch_policy> policies_{};
-};
+[[nodiscard]] per_class<std::size_t> class_batch_caps(const qos_config &config, std::size_t max_batch_size, const latency_estimator &estimate);
 
 }  // namespace plssvm::serve
 

@@ -59,8 +59,6 @@ std::string to_json(const serve_stats &stats) {
     append_field(json, "home_domain", stats.home_domain);
     append_field(json, "reloads", stats.reloads);
     append_field(json, "snapshot_version", static_cast<std::size_t>(stats.snapshot_version));
-    append_field(json, "flush_timer_wakeups", stats.flush_timer_wakeups);
-    append_field(json, "batch_saturation", stats.batch_saturation);
     json += "\"fault\": { ";
     json += "\"health\": \"";
     json += health_state_to_string(stats.fault.health);
@@ -114,7 +112,6 @@ std::string to_json(const serve_stats &stats) {
         }
         json += " }, ";
         append_field(json, "target_batch_size", c.target_batch_size);
-        append_field(json, "flush_delay_s", c.flush_delay_seconds);
         append_field(json, "retry_after_hint_s", c.retry_after_hint_seconds, false);
         json += cls == all_request_classes.back() ? " }" : " }, ";
     }
@@ -205,8 +202,6 @@ void collect_serve_stats(obs::prometheus_builder &builder, const serve_stats &st
     builder.add_gauge("plssvm_serve_home_domain", "NUMA domain the engine's lane is homed on", labels, static_cast<double>(stats.home_domain));
     builder.add_counter("plssvm_serve_reloads_total", "Snapshot swaps since engine start", labels, static_cast<double>(stats.reloads));
     builder.add_gauge("plssvm_serve_snapshot_version", "Version of the currently served model snapshot", labels, static_cast<double>(stats.snapshot_version));
-    builder.add_counter("plssvm_serve_flush_timer_wakeups_total", "Timed flush-wait expirations of the drain thread", labels, static_cast<double>(stats.flush_timer_wakeups));
-    builder.add_gauge("plssvm_serve_batch_saturation", "Adaptive batch tuner load signal in [0, 1]", labels, stats.batch_saturation);
     builder.add_gauge("plssvm_serve_health", "Engine health state (0 = healthy, 1 = degraded, 2 = critical)", labels, static_cast<double>(static_cast<int>(stats.fault.health)));
     builder.add_counter("plssvm_serve_health_transitions_total", "Health state transitions", labels, static_cast<double>(stats.fault.health_transitions));
     builder.add_counter("plssvm_serve_quarantined_requests_total", "Requests isolated by batch bisection", labels, static_cast<double>(stats.fault.quarantined_requests));
@@ -242,8 +237,7 @@ void collect_serve_stats(obs::prometheus_builder &builder, const serve_stats &st
         builder.add_counter("plssvm_serve_deadline_misses_total", "Requests fulfilled after their deadline", cl, static_cast<double>(c.deadline_misses));
         builder.add_counter("plssvm_serve_completed_total", "Requests fulfilled on the async path", cl, static_cast<double>(c.completed));
         builder.add_counter("plssvm_serve_class_batches_total", "Batches drained per request class", cl, static_cast<double>(c.batches));
-        builder.add_gauge("plssvm_serve_target_batch_size", "Current adaptive batch target", cl, static_cast<double>(c.target_batch_size));
-        builder.add_gauge("plssvm_serve_flush_delay_seconds", "Current adaptive flush deadline", cl, c.flush_delay_seconds);
+        builder.add_gauge("plssvm_serve_target_batch_size", "Most requests of the class one batch takes", cl, static_cast<double>(c.target_batch_size));
         builder.add_gauge("plssvm_serve_retry_after_hint_seconds", "Retry-after hint a rate-limited shed of this class would carry", cl, c.retry_after_hint_seconds);
     }
 }

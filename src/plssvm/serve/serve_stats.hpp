@@ -72,9 +72,8 @@ struct class_serve_stats {
     /// Per-stage latency breakdown (admission / queue_wait / dispatch /
     /// service), indexed by `obs::stage_index()`.
     std::array<stage_latency_stats, obs::num_trace_stages> stages{};
-    // --- live adaptive policy (filled in by the engines from the batcher) --
-    std::size_t target_batch_size{ 0 };  ///< current adaptive batch target
-    double flush_delay_seconds{ 0.0 };   ///< current adaptive flush deadline
+    // --- live batch cap (filled in by the engines from the batcher) --------
+    std::size_t target_batch_size{ 0 };  ///< most requests of the class one batch takes
     /// Current retry-after hint a rate-limited shed of this class would
     /// carry (seconds until the class's token bucket accrues a token;
     /// 0 = rate-unlimited). Filled in by the engines from the admission
@@ -131,10 +130,8 @@ struct serve_stats {
     std::size_t home_domain{ 0 };        ///< NUMA domain the engine's lane is homed on
     std::size_t reloads{ 0 };            ///< snapshot swaps since engine start
     std::uint64_t snapshot_version{ 0 }; ///< version of the currently served snapshot
-    // --- QoS control plane (admission + adaptive batching) -----------------
+    // --- QoS control plane (admission + batch caps) ------------------------
     per_class<class_serve_stats> classes{};  ///< per-request-class aggregates
-    std::size_t flush_timer_wakeups{ 0 };    ///< timed flush-wait expirations of the drain thread
-    double batch_saturation{ 0.0 };          ///< tuner load signal in [0, 1]
     // --- fault-tolerance plane (breakers, watchdog, quarantine, health) ----
     fault_serve_stats fault{};               ///< fault/health aggregates
 };

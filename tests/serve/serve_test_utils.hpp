@@ -20,12 +20,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>  // SYS_gettid
+#include <unistd.h>       // syscall
+
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -48,6 +57,99 @@ template <typename Predicate>
     }
     return true;
 }
+
+/// Kernel id of the calling thread.
+[[nodiscard]] inline long current_thread_id() {
+    return ::syscall(SYS_gettid);
+}
+
+/// Voluntary context switches of thread @p tid of this process so far: each
+/// one is a blocking wait that ended (0 if the thread is gone).
+[[nodiscard]] inline std::size_t voluntary_switches(const long tid) {
+    std::ifstream status{ "/proc/self/task/" + std::to_string(tid) + "/status" };
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+            return static_cast<std::size_t>(std::stoull(line.substr(24)));
+        }
+    }
+    return 0;
+}
+
+/// Voluntary context switches of every thread of this process but the
+/// calling one.
+[[nodiscard]] inline std::size_t voluntary_switches_of_other_threads() {
+    const long self = current_thread_id();
+    std::size_t total = 0;
+    for (const std::filesystem::directory_entry &task : std::filesystem::directory_iterator{ "/proc/self/task" }) {
+        const long tid = std::stol(task.path().filename().string());
+        if (tid != self) {
+            total += voluntary_switches(tid);
+        }
+    }
+    return total;
+}
+
+/**
+ * @brief Holds an engine's drain thread inside the completion callback of
+ *        one request until `release()`: the explicit signal with which a
+ *        test makes requests queue up and leave in one batch.
+ *
+ * The constructor submits the holding request and returns once the drain
+ * thread is inside its callback (`held()`), so the engine has nothing
+ * queued; requests submitted afterwards wait until `release()` (or the
+ * destructor), and a test waits for `pending_requests() == N` before
+ * releasing them. The holding request counts as one served request of the
+ * engine's default class.
+ */
+class drain_gate {
+  public:
+    template <typename Engine>
+    explicit drain_gate(Engine &engine) :
+        state_{ std::make_shared<state>() } {
+        engine.submit(std::vector<double>(engine.num_features(), 0.0), {}, nullptr,
+                      [s = state_](double, std::exception_ptr) { s->hold(); });
+        std::unique_lock lock{ state_->mutex };
+        held_ = state_->cv.wait_for(lock, std::chrono::seconds{ 10 }, [this] { return state_->entered; });
+    }
+
+    drain_gate(const drain_gate &) = delete;
+    drain_gate &operator=(const drain_gate &) = delete;
+
+    ~drain_gate() { release(); }
+
+    /// Whether the drain thread entered the holding callback.
+    [[nodiscard]] bool held() const noexcept { return held_; }
+
+    /// Let the drain thread go (idempotent).
+    void release() {
+        {
+            const std::lock_guard lock{ state_->mutex };
+            state_->released = true;
+        }
+        state_->cv.notify_all();
+    }
+
+  private:
+    /// Shared with the callback, which may still be returning from its wait
+    /// after the gate is gone.
+    struct state {
+        std::mutex mutex;
+        std::condition_variable cv;
+        bool entered{ false };
+        bool released{ false };
+
+        void hold() {
+            std::unique_lock lock{ mutex };
+            entered = true;
+            cv.notify_all();
+            cv.wait(lock, [this] { return released; });
+        }
+    };
+
+    std::shared_ptr<state> state_;
+    bool held_{ false };
+};
 
 /// Deterministic random matrix with entries ~ N(0, 1).
 [[nodiscard]] inline aos_matrix<double> random_matrix(const std::size_t rows, const std::size_t cols, const std::uint64_t seed) {

@@ -281,27 +281,35 @@ TEST(Executor, WorkerCanTearDownAnEngineItOwnsTheLastReferenceTo) {
     executor ex{ 1 };
     plssvm::serve::engine_config config;
     config.exec = &ex;
-    // long deadline + large batch: the submits below are still pending when
-    // the engine dies, so teardown must drain them (>= min_blocked_batch of
-    // them, so the drain would take the pooled path if it fanned out)
+    // large batch: the 16 submits below queue behind a held drain thread and
+    // are still pending when the engine dies, so teardown must drain them
+    // (>= min_blocked_batch of them, so the drain would take the pooled path
+    // if it fanned out)
     config.max_batch_size = 64;
-    config.batch_delay = std::chrono::microseconds{ 5'000'000 };
-    // static batching: the adaptive tuner would otherwise release small idle
-    // batches early and the submits would no longer be pending at teardown
-    config.qos.adaptive_batching = false;
     auto engine = std::make_shared<plssvm::serve::inference_engine<double>>(
         test::random_model(plssvm::kernel_type::rbf), config);
 
+    auto gate = std::make_unique<test::drain_gate>(*engine);
+    ASSERT_TRUE(gate->held());
     const plssvm::aos_matrix<double> points = test::random_matrix(16, 11, 13);
     std::vector<std::future<double>> pending;
     for (std::size_t p = 0; p < points.num_rows(); ++p) {
         pending.push_back(engine->submit(std::vector<double>(points.row_data(p), points.row_data(p) + points.num_cols())));
     }
+    ASSERT_TRUE(test::wait_until([&] { return engine->pending_requests() == points.num_rows(); }));
 
     executor::lane lane = ex.create_lane();
-    lane.enqueue([last_owner = std::move(engine)]() mutable {
+    std::promise<void> tearing_down;
+    std::future<void> torn_down = lane.enqueue([last_owner = std::move(engine), &tearing_down]() mutable {
+        tearing_down.set_value();
         last_owner.reset();  // ~inference_engine on the worker thread
-    }).get();
+    });
+    // the destructor shuts the batcher down right after this signal and then
+    // waits for the held drain thread, which the release lets go on to the
+    // 16 queued requests
+    tearing_down.get_future().wait();
+    gate.reset();
+    torn_down.get();
 
     for (std::future<double> &f : pending) {
         (void) f.get();  // drained during teardown, never dropped

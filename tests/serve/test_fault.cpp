@@ -61,29 +61,29 @@ using time_point = std::chrono::steady_clock::time_point;
     return time_point{} + 1h + offset;
 }
 
-/// Poll until @p predicate holds or ~1 s elapses (post-batch bookkeeping like
-/// the health refresh runs *after* the request futures settle).
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate &&predicate) {
-    for (int i = 0; i < 1000; ++i) {
-        if (predicate()) {
-            return true;
-        }
-        std::this_thread::sleep_for(1ms);
-    }
-    return predicate();
-}
-
-/// An engine config wired for deterministic fault tests: static batches of
-/// @p batch_size coalesced over a generous flush window, shared injector.
+/// An engine config for fault tests: batches of at most @p batch_size,
+/// shared injector. Tests that need one full batch hold the drain thread
+/// with a `test::drain_gate` while the batch queues up.
 [[nodiscard]] engine_config fault_test_config(std::shared_ptr<fault::injector> inject, const std::size_t batch_size = 8) {
     engine_config config;
     config.num_threads = 2;
     config.max_batch_size = batch_size;
-    config.batch_delay = std::chrono::microseconds{ 20ms };
-    config.qos.adaptive_batching = false;
     config.fault.inject = std::move(inject);
     return config;
+}
+
+/// Submit every row of @p points to @p engine behind a held drain thread, so
+/// they leave as ONE batch; returns their futures.
+template <typename Engine>
+[[nodiscard]] std::vector<std::future<double>> submit_as_one_batch(Engine &engine, const aos_matrix<double> &points) {
+    test::drain_gate gate{ engine };
+    EXPECT_TRUE(gate.held());
+    std::vector<std::future<double>> futures;
+    for (std::size_t i = 0; i < points.num_rows(); ++i) {
+        futures.push_back(engine.submit(std::vector<double>(points.row_data(i), points.row_data(i) + points.num_cols())));
+    }
+    EXPECT_TRUE(test::wait_until([&] { return engine.pending_requests() == points.num_rows(); }));
+    return futures;  // the gate releases the drain thread here
 }
 
 // ---------------------------------------------------------------------------
@@ -271,17 +271,15 @@ TEST(FaultEngine, TransientKernelFaultIsRetriedAndEveryRequestCompletes) {
 
 TEST(FaultEngine, PoisonedRequestIsQuarantinedAndTheRestComplete) {
     auto inject = std::make_shared<fault::injector>();
-    // the first request of every batch is poisoned: only ranges covering
-    // batch-local index 0 throw, so bisection isolates exactly that request
-    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .poison_index = 0 });
+    // the first request of every batch after the gate's is poisoned: only
+    // ranges covering batch-local index 0 throw, so bisection isolates
+    // exactly that request of the 8-request batch
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .after = 1, .poison_index = 0 });
     inference_engine<double> engine{ test::random_model(kernel_type::rbf), fault_test_config(inject) };
 
     const aos_matrix<double> points = test::random_matrix(8, 11, 5);
     const std::vector<double> expected = engine.predict(points);
-    std::vector<std::future<double>> futures;
-    for (std::size_t i = 0; i < points.num_rows(); ++i) {
-        futures.push_back(engine.submit(std::vector<double>(points.row_data(i), points.row_data(i) + points.num_cols())));
-    }
+    std::vector<std::future<double>> futures = submit_as_one_batch(engine, points);
     std::size_t quarantined = 0;
     for (std::size_t i = 0; i < futures.size(); ++i) {
         try {
@@ -298,8 +296,8 @@ TEST(FaultEngine, PoisonedRequestIsQuarantinedAndTheRestComplete) {
     EXPECT_EQ(stats.fault.quarantined_requests, quarantined);
     EXPECT_GE(stats.fault.batch_bisections, 1u);
     // one quarantine in the observation window degrades the engine's health
-    EXPECT_TRUE(eventually([&] { return engine.health() == health_state::degraded; }));
-    EXPECT_TRUE(eventually([&] { return engine.recorder().health_dumps() >= 1u; }));
+    EXPECT_TRUE(test::wait_until([&] { return engine.health() == health_state::degraded; }));
+    EXPECT_TRUE(test::wait_until([&] { return engine.recorder().health_dumps() >= 1u; }));
     EXPECT_NE(engine.last_health_dump().find("health:"), std::string::npos);
 }
 
@@ -350,7 +348,6 @@ TEST(FaultEngine, WatchdogFailsAStalledBatchAndRestartsTheLane) {
     auto inject = std::make_shared<fault::injector>();
     inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::worker_stall, .limit = 1, .stall = 500ms });
     engine_config config = fault_test_config(inject, 1);
-    config.batch_delay = std::chrono::microseconds{ 1ms };
     config.fault.watchdog.stall_timeout = std::chrono::microseconds{ 50ms };
     inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
 
@@ -363,8 +360,8 @@ TEST(FaultEngine, WatchdogFailsAStalledBatchAndRestartsTheLane) {
     }
     // the watchdog settles the stalled futures *before* recording the stall
     // counters, so the stats are eventually consistent here — poll
-    EXPECT_TRUE(eventually([&] { return engine.stats().fault.stall_restarts == 1u; }));
-    EXPECT_TRUE(eventually([&] { return engine.stats().fault.stall_failed_requests == 1u; }));
+    EXPECT_TRUE(test::wait_until([&] { return engine.stats().fault.stall_restarts == 1u; }));
+    EXPECT_TRUE(test::wait_until([&] { return engine.stats().fault.stall_failed_requests == 1u; }));
     // the restarted lane serves new traffic (the stall rule is exhausted)
     const aos_matrix<double> point = test::random_matrix(1, 11, 17);
     const std::vector<double> expected = engine.predict(point);
@@ -374,16 +371,59 @@ TEST(FaultEngine, WatchdogFailsAStalledBatchAndRestartsTheLane) {
     EXPECT_GE(engine.stats().fault.health_transitions, 1u);
 }
 
+// Asserts: a watchdog stall settles each unsettled request of the batch
+// with an error object of its own (callers on different threads must not
+// share one refcounted exception), each typed `worker_stall`. Strategy:
+// hold the drain thread, queue 4 requests so they leave as one batch, let
+// a 500 ms stall rule (skipping the gate's batch) trip a 50 ms watchdog,
+// and collect the error each completion callback receives.
+TEST(FaultEngine, StalledBatchSettlesOneErrorObjectPerSlot) {
+    auto inject = std::make_shared<fault::injector>();
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::worker_stall, .after = 1, .limit = 1, .stall = 500ms });
+    engine_config config = fault_test_config(inject, 4);
+    config.fault.watchdog.stall_timeout = std::chrono::microseconds{ 50ms };
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+
+    constexpr std::size_t batch_size = 4;
+    std::vector<std::promise<std::exception_ptr>> outcomes(batch_size);
+    {
+        test::drain_gate gate{ engine };
+        ASSERT_TRUE(gate.held());
+        for (std::size_t i = 0; i < batch_size; ++i) {
+            engine.submit(std::vector<double>(11, 0.5), {}, nullptr,
+                          [&outcome = outcomes[i]](double, std::exception_ptr error) { outcome.set_value(std::move(error)); });
+        }
+        ASSERT_TRUE(test::wait_until([&] { return engine.pending_requests() == batch_size; }));
+    }
+    std::vector<std::exception_ptr> errors;
+    for (std::promise<std::exception_ptr> &outcome : outcomes) {
+        errors.push_back(outcome.get_future().get());
+    }
+    for (std::size_t i = 0; i < batch_size; ++i) {
+        ASSERT_NE(errors[i], nullptr) << "slot " << i << " must fail with the stall";
+        try {
+            std::rethrow_exception(errors[i]);
+        } catch (const request_failed_exception &e) {
+            EXPECT_EQ(e.kind(), failure_kind::worker_stall) << "slot " << i;
+        }
+        for (std::size_t j = 0; j < i; ++j) {
+            EXPECT_NE(errors[i], errors[j]) << "slots " << j << " and " << i << " share one error object";
+        }
+    }
+    EXPECT_TRUE(test::wait_until([&] { return engine.stats().fault.stall_failed_requests == batch_size; }));
+}
+
 // ---------------------------------------------------------------------------
 // shutdown settlement (satellite: no promise is ever destroyed unsettled)
 // ---------------------------------------------------------------------------
 
 TEST(FaultShutdown, FailPendingSettlesQueuedPromisesWithTypedErrors) {
-    micro_batcher<double> batcher{ plssvm::serve::batch_policy{ 64, std::chrono::microseconds{ 1s } } };
+    micro_batcher<double> batcher{ 64 };
     std::vector<std::future<double>> futures;
     for (int i = 0; i < 3; ++i) {
-        futures.push_back(batcher.enqueue(std::vector<double>{ 1.0, 2.0 }, request_class::interactive,
-                                          std::chrono::microseconds{ 0 }, std::chrono::steady_clock::now(), 0));
+        auto [done, future] = plssvm::serve::promise_completion<double>();
+        batcher.enqueue(std::vector<double>{ 1.0, 2.0 }, std::move(done), request_class::interactive);
+        futures.push_back(std::move(future));
     }
     // waiters are already blocked on the futures when the batcher stops
     std::vector<std::thread> waiters;
@@ -397,7 +437,7 @@ TEST(FaultShutdown, FailPendingSettlesQueuedPromisesWithTypedErrors) {
             }
         });
     }
-    EXPECT_EQ(batcher.fail_pending(std::exception_ptr{}), 3u);
+    EXPECT_EQ(batcher.fail_pending(), 3u);
     for (std::thread &t : waiters) {
         t.join();
     }
@@ -407,20 +447,26 @@ TEST(FaultShutdown, FailPendingSettlesQueuedPromisesWithTypedErrors) {
             std::rethrow_exception(outcome);
         } catch (const request_failed_exception &e) {
             EXPECT_EQ(e.kind(), failure_kind::engine_shutdown);
+            EXPECT_EQ(e.failed_class(), request_class::interactive);
         }
     }
+    // one error object per request: waiters on different threads never
+    // share (and race on the refcount of) one exception
+    EXPECT_NE(outcomes[0], outcomes[1]);
+    EXPECT_NE(outcomes[0], outcomes[2]);
+    EXPECT_NE(outcomes[1], outcomes[2]);
     // the batcher is stopped now: a late enqueue fails typed too
-    EXPECT_THROW((void) batcher.enqueue(std::vector<double>{ 1.0 }, request_class::interactive,
-                                        std::chrono::microseconds{ 0 }, std::chrono::steady_clock::now(), 0),
+    EXPECT_THROW(batcher.enqueue(std::vector<double>{ 1.0 }, [](double, std::exception_ptr) {}, request_class::interactive),
                  request_failed_exception);
 }
 
 TEST(FaultShutdown, BatcherDestructionSettlesQueuedPromises) {
     std::future<double> orphan;
     {
-        micro_batcher<double> batcher{ plssvm::serve::batch_policy{ 64, std::chrono::microseconds{ 1s } } };
-        orphan = batcher.enqueue(std::vector<double>{ 1.0 }, request_class::background,
-                                 std::chrono::microseconds{ 0 }, std::chrono::steady_clock::now(), 0);
+        micro_batcher<double> batcher{ 64 };
+        auto [done, future] = plssvm::serve::promise_completion<double>();
+        batcher.enqueue(std::vector<double>{ 1.0 }, std::move(done), request_class::background);
+        orphan = std::move(future);
     }
     try {
         (void) orphan.get();
@@ -476,10 +522,7 @@ TEST(FaultEngine, TrippedPathReroutesTrafficDownTheLadder) {
 
     const aos_matrix<double> points = test::random_matrix(64, 11, 21);
     const std::vector<double> expected = engine.predict(points);  // sync path, unaffected
-    std::vector<std::future<double>> futures;
-    for (std::size_t i = 0; i < points.num_rows(); ++i) {
-        futures.push_back(engine.submit(std::vector<double>(points.row_data(i), points.row_data(i) + points.num_cols())));
-    }
+    std::vector<std::future<double>> futures = submit_as_one_batch(engine, points);
     // attempt 1 + 2 fail on host_blocked and trip its breaker (min_samples
     // 2); attempt 3 re-chooses under the new mask and lands on reference —
     // every request completes without quarantine
@@ -492,7 +535,7 @@ TEST(FaultEngine, TrippedPathReroutesTrafficDownTheLadder) {
     EXPECT_GE(stats.reference_batches, 1u) << "rerouted batches must show up in the path counts";
     EXPECT_EQ(stats.fault.quarantined_requests, 0u);
     // an open breaker drives the engine critical, visible in JSON too
-    EXPECT_TRUE(eventually([&] { return engine.health() == health_state::critical; }));
+    EXPECT_TRUE(test::wait_until([&] { return engine.health() == health_state::critical; }));
     const std::string json = engine.stats_json();
     EXPECT_NE(json.find("\"health\": \"critical\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"host_blocked\": \"open\""), std::string::npos) << json;
@@ -555,7 +598,7 @@ TEST(FaultHealth, RegistryAggregatesWorstEngineHealth) {
         } catch (const request_failed_exception &) {
         }
     }
-    EXPECT_TRUE(eventually([&] { return registry.health() == health_state::degraded; }));
+    EXPECT_TRUE(test::wait_until([&] { return registry.health() == health_state::degraded; }));
     EXPECT_EQ(registry.stats_json().rfind("{\"health\": \"degraded\"", 0), 0u);
     EXPECT_NE(registry.metrics_text().find("plssvm_serve_registry_health 1"), std::string::npos);
 }
@@ -600,16 +643,13 @@ TEST(FaultMulticlass, PoisonedRequestIsQuarantinedAndSurvivorsMatchSync) {
     const auto ensemble = trainer.fit(data, plssvm::solver_control{ .epsilon = 1e-8 });
 
     auto inject = std::make_shared<fault::injector>();
-    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .poison_index = 0 });
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .after = 1, .poison_index = 0 });
     engine_config config = fault_test_config(inject);
     inference_engine<double> engine{ ensemble, config };
 
     const aos_matrix<double> queries = test::random_matrix(8, 2, 99);
     const std::vector<double> expected = engine.predict(queries);
-    std::vector<std::future<double>> futures;
-    for (std::size_t i = 0; i < queries.num_rows(); ++i) {
-        futures.push_back(engine.submit(std::vector<double>{ queries(i, 0), queries(i, 1) }));
-    }
+    std::vector<std::future<double>> futures = submit_as_one_batch(engine, queries);
     std::size_t quarantined = 0;
     for (std::size_t i = 0; i < futures.size(); ++i) {
         try {
@@ -622,7 +662,7 @@ TEST(FaultMulticlass, PoisonedRequestIsQuarantinedAndSurvivorsMatchSync) {
     EXPECT_GE(quarantined, 1u);
     EXPECT_LT(quarantined, futures.size());
     EXPECT_EQ(engine.stats().fault.quarantined_requests, quarantined);
-    EXPECT_TRUE(eventually([&] { return engine.health() == health_state::degraded; }));
+    EXPECT_TRUE(test::wait_until([&] { return engine.health() == health_state::degraded; }));
 }
 
 }  // namespace

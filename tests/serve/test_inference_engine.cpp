@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstddef>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -59,7 +60,7 @@ TEST(InferenceEngine, PredictMapsToLabelDomain) {
 TEST(InferenceEngine, SubmitMatchesSyncPredict) {
     for (const kernel_type kernel : test::all_kernel_types()) {
         const model<double> m = test::random_model(kernel);
-        inference_engine<double> engine{ m, engine_config{ .num_threads = 2, .max_batch_size = 8, .batch_delay = 200us } };
+        inference_engine<double> engine{ m, engine_config{ .num_threads = 2, .max_batch_size = 8 } };
         const aos_matrix<double> points = test::random_matrix(20, 11, 5);
         const std::vector<double> expected = engine.predict(points);
 
@@ -96,7 +97,7 @@ TEST(InferenceEngine, SparseDecisionValuesMatchDense) {
 }
 
 TEST(InferenceEngine, SparseSubmitMatchesDenseSubmit) {
-    inference_engine<double> engine{ test::random_model(kernel_type::rbf), engine_config{ .num_threads = 2, .max_batch_size = 4, .batch_delay = 100us } };
+    inference_engine<double> engine{ test::random_model(kernel_type::rbf), engine_config{ .num_threads = 2, .max_batch_size = 4 } };
     // dense point {0, 1.5, 0, ..., -2.25 at index 7}
     std::vector<double> dense(11, 0.0);
     dense[1] = 1.5;
@@ -129,7 +130,7 @@ TEST(InferenceEngine, EmptyBatchIsFine) {
 // show up as a hang/broken promise, wrong routing as a value mismatch).
 TEST(InferenceEngine, MultiThreadedSubmitStressLosesNothing) {
     const model<double> m = test::random_model(kernel_type::rbf, 16, 8);
-    inference_engine<double> engine{ m, engine_config{ .num_threads = 4, .max_batch_size = 32, .batch_delay = 100us } };
+    inference_engine<double> engine{ m, engine_config{ .num_threads = 4, .max_batch_size = 32 } };
 
     constexpr std::size_t num_producers = 8;
     constexpr std::size_t requests_per_producer = 250;
@@ -175,13 +176,25 @@ TEST(InferenceEngine, DestructorDrainsInFlightRequests) {
     const aos_matrix<double> points = test::random_matrix(12, 11, 9);
     std::vector<std::future<double>> futures;
     {
-        // long deadline, large batch, static batching (the adaptive tuner
-        // would release small idle batches early): requests are pending when
-        // the engine is destroyed and must still be answered, not dropped
-        inference_engine<double> engine{ m, engine_config{ .num_threads = 2, .max_batch_size = 64, .batch_delay = std::chrono::microseconds{ 5'000'000 }, .qos = { .adaptive_batching = false } } };
+        // large batch, held drain thread: the requests are still queued when
+        // the engine is destroyed and must be answered, not dropped
+        auto engine = std::make_unique<inference_engine<double>>(m, engine_config{ .num_threads = 2, .max_batch_size = 64 });
+        auto gate = std::make_unique<test::drain_gate>(*engine);
+        ASSERT_TRUE(gate->held());
         for (std::size_t p = 0; p < points.num_rows(); ++p) {
-            futures.push_back(engine.submit(std::vector<double>(points.row_data(p), points.row_data(p) + points.num_cols())));
+            futures.push_back(engine->submit(std::vector<double>(points.row_data(p), points.row_data(p) + points.num_cols())));
         }
+        ASSERT_TRUE(test::wait_until([&] { return engine->pending_requests() == points.num_rows(); }));
+        // the destructor shuts the batcher down, then waits for the held
+        // drain thread: release it from a second thread once teardown began
+        std::promise<void> tearing_down;
+        std::thread releaser{ [&gate, destroying = tearing_down.get_future()]() {
+            destroying.wait();
+            gate.reset();
+        } };
+        tearing_down.set_value();
+        engine.reset();
+        releaser.join();
     }
     const plssvm::serve::compiled_model<double> compiled{ m };
     for (std::size_t p = 0; p < futures.size(); ++p) {

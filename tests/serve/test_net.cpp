@@ -133,25 +133,19 @@ class client {
     net::frame_decoder decoder_;  // client-side response reassembly
 };
 
-/// Poll until @p predicate holds or ~5 s elapses.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate &&predicate) {
-    for (int i = 0; i < 5000; ++i) {
-        if (predicate()) {
-            return true;
-        }
-        std::this_thread::sleep_for(1ms);
-    }
-    return predicate();
-}
-
 /// Engine config for fast, deterministic loopback tests.
 [[nodiscard]] engine_config net_test_config() {
     engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 16;
-    config.batch_delay = 500us;
-    config.qos.adaptive_batching = false;
+    return config;
+}
+
+/// @p config with an injector whose first batch sleeps @p stall inside the
+/// kernel hook: an engine held busy while its requests stay in flight.
+[[nodiscard]] engine_config held_engine_config(engine_config config, const std::chrono::microseconds stall) {
+    config.fault.inject = std::make_shared<fault::injector>();
+    config.fault.inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::slow_batch, .limit = 1, .stall = stall });
     return config;
 }
 
@@ -164,7 +158,6 @@ struct server_fixture {
         ensemble = registry.load("ensemble", test::random_ensemble(kernel_type::linear));
         net::net_server_config server_config;
         server_config.event_threads = event_threads;
-        server_config.completion_threads = 2;
         server = std::make_unique<net::net_server>(server_config, std::make_shared<net::registry_dispatcher<double>>(registry));
     }
 
@@ -542,7 +535,7 @@ TEST(NetServer, OversizedFrameGetsErrorThenClose) {
     EXPECT_EQ(resp.status, net::response_status::bad_request);
     EXPECT_NE(resp.error.find("frame limit"), std::string::npos);
     EXPECT_TRUE(c.at_eof()) << "server must close after an oversized frame";
-    EXPECT_TRUE(eventually([&] { return fx.server->counters().oversized_total == 1; }));
+    EXPECT_TRUE(test::wait_until([&] { return fx.server->counters().oversized_total == 1; }));
 }
 
 TEST(NetServer, NonProtocolBytesCloseTheConnection) {
@@ -550,16 +543,17 @@ TEST(NetServer, NonProtocolBytesCloseTheConnection) {
     client c{ fx.server->port() };
     c.send("GET / HTTP/1.1\r\n\r\n");
     EXPECT_TRUE(c.at_eof());
-    EXPECT_TRUE(eventually([&] { return fx.server->counters().bad_magic_total == 1; }));
+    EXPECT_TRUE(test::wait_until([&] { return fx.server->counters().bad_magic_total == 1; }));
 }
 
 TEST(NetServer, ConnectionChurnMidBatchLeavesSurvivorsIntact) {
-    // long flush window: requests from both connections are still queued in
+    // held drain thread: requests from both connections are still queued in
     // the micro-batcher when one connection dies
     engine_config config = net_test_config();
     config.max_batch_size = 64;
-    config.batch_delay = 50ms;
     server_fixture fx{ config };
+    auto gate = std::make_unique<test::drain_gate>(*fx.engine);
+    ASSERT_TRUE(gate->held());
 
     auto victim = std::make_unique<client>(fx.server->port());
     client survivor{ fx.server->port() };
@@ -567,7 +561,10 @@ TEST(NetServer, ConnectionChurnMidBatchLeavesSurvivorsIntact) {
         victim->send(binary_predict(100 + i, std::vector<double>(11, 0.25)));
         survivor.send(binary_predict(200 + i, std::vector<double>(11, 0.5)));
     }
+    ASSERT_TRUE(test::wait_until([&] { return fx.engine->pending_requests() == 8; }));
     victim.reset();  // close mid-batch: its responses have nowhere to go
+    ASSERT_TRUE(test::wait_until([&] { return fx.server->counters().connections_closed == 1; }));
+    gate.reset();
 
     std::vector<std::string> frames;
     ASSERT_TRUE(survivor.read_messages(frames, 4)) << "survivor must still get all responses";
@@ -581,7 +578,6 @@ TEST(NetServer, ConnectionChurnMidBatchLeavesSurvivorsIntact) {
     survivor.send(binary_predict(300, std::vector<double>(11, 0.75)));
     frames.clear();
     ASSERT_TRUE(survivor.read_messages(frames, 1));
-    EXPECT_TRUE(eventually([&] { return fx.server->counters().connections_closed >= 1; }));
     // all 8 submitted requests were accepted; the victim's 4 settled into
     // dropped responses, not crashes
     EXPECT_EQ(fx.server->counters().requests_total, 9u);
@@ -589,7 +585,6 @@ TEST(NetServer, ConnectionChurnMidBatchLeavesSurvivorsIntact) {
 
 TEST(NetServer, ShedMapsToRetryAfterWithNonzeroHint) {
     engine_config config = net_test_config();
-    config.batch_delay = 20ms;
     // 10 tokens/s, burst 1: the second immediate request must shed with a
     // ~100 ms retry-after hint
     config.qos.classes[plssvm::serve::class_index(request_class::interactive)].rate_limit = 10.0;
@@ -627,7 +622,6 @@ TEST(NetServer, ReadinessFlipsWhenInjectedFaultsTurnCritical) {
                        .path = plssvm::serve::predict_path::host_blocked });
     engine_config config = net_test_config();
     config.max_batch_size = 64;
-    config.batch_delay = 50ms;  // coalesce all 64 wire requests into one batch
     config.fault.inject = inject;
     config.fault.breaker.min_samples = 2;
     config.fault.breaker.window = 8;
@@ -646,14 +640,21 @@ TEST(NetServer, ReadinessFlipsWhenInjectedFaultsTurnCritical) {
     for (int i = 0; i < 64; ++i) {
         burst += "{\"model\": \"demo\", \"id\": " + std::to_string(i) + ", \"features\": " + features + "}\n";
     }
-    c.send(burst);
+    {
+        // coalesce all 64 wire requests into one batch behind a held drain
+        // thread (the gate's own 1-point batch takes the reference path)
+        test::drain_gate gate{ *fx.engine };
+        ASSERT_TRUE(gate.held());
+        c.send(burst);
+        ASSERT_TRUE(test::wait_until([&] { return fx.engine->pending_requests() == 64; }));
+    }
     lines.clear();
     ASSERT_TRUE(c.read_messages(lines, 64));
     for (const std::string &line : lines) {
         EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << "fallback ladder must complete the request: " << line;
     }
     // post-batch health bookkeeping runs after the futures settle
-    EXPECT_TRUE(eventually([&] { return fx.registry.health() == health_state::critical; }));
+    EXPECT_TRUE(test::wait_until([&] { return fx.registry.health() == health_state::critical; }));
     EXPECT_FALSE(fx.server->ready());
     c.send("{\"op\": \"ready\"}\n");
     lines.clear();
@@ -663,20 +664,112 @@ TEST(NetServer, ReadinessFlipsWhenInjectedFaultsTurnCritical) {
 }
 
 TEST(NetServer, StopWithInflightRequestsDrainsCleanly) {
-    engine_config config = net_test_config();
+    engine_config config = held_engine_config(net_test_config(), 50ms);
     config.max_batch_size = 64;
-    config.batch_delay = 50ms;
     server_fixture fx{ config };
     client c{ fx.server->port() };
     for (std::uint64_t i = 0; i < 8; ++i) {
         c.send(binary_predict(i, std::vector<double>(11, 0.3)));
     }
-    // stop mid-batch once every request is decoded and submitted (the 50 ms
-    // batch delay keeps them inflight): a sleep could instead close the
-    // socket on unread requests, which resets the connection
-    ASSERT_TRUE(eventually([&] { return fx.server->counters().requests_total == 8; }));
-    fx.server->stop();  // must drain the inflight futures without hanging
+    // stop mid-batch once every request is decoded and submitted (the held
+    // engine keeps them inflight): a sleep could instead close the socket on
+    // unread requests, which resets the connection
+    ASSERT_TRUE(test::wait_until([&] { return fx.server->counters().requests_total == 8; }));
+    fx.server->stop();  // must wait for the inflight callbacks without hanging
+    EXPECT_EQ(fx.server->inflight(), 0u);
     EXPECT_TRUE(c.at_eof());
+}
+
+// Asserts: a response that is ready is written at once, not queued behind
+// an earlier response that is not ready. Strategy: model "slow" is held by a
+// 500 ms slow_batch rule; two requests to it are in flight when a request
+// to "demo" arrives on another connection. Its answer must arrive while
+// both "slow" requests are still in flight and unanswered. A response
+// path that waits for responses in arrival order fails this.
+TEST(NetServer, ReadyResponseIsNotQueuedBehindAnUnreadyOne) {
+    server_fixture fx;
+    (void) fx.registry.load("slow", test::random_model(kernel_type::linear), held_engine_config(net_test_config(), 500ms));
+    client a{ fx.server->port() };
+    client b{ fx.server->port() };
+    a.send(binary_predict(1, std::vector<double>(11, 0.1), "slow"));
+    a.send(binary_predict(2, std::vector<double>(11, 0.2), "slow"));
+    ASSERT_TRUE(test::wait_until([&] { return fx.server->counters().requests_total == 2; }));
+    b.send(binary_predict(3, std::vector<double>(11, 0.3)));
+    std::vector<std::string> frames;
+    ASSERT_TRUE(b.read_messages(frames, 1));
+    EXPECT_GE(fx.server->inflight(), 2u) << "both held requests must still be in flight";
+    EXPECT_EQ(fx.server->counters().responses_ok, 1u) << "the ready response must not wait for the held ones";
+    net::net_response resp;
+    ASSERT_FALSE(net::decode_response_binary(frames[0], resp).has_value());
+    EXPECT_EQ(resp.id, 3u);
+    EXPECT_EQ(resp.status, net::response_status::ok) << resp.error;
+    // the held requests complete once their batch is done
+    frames.clear();
+    ASSERT_TRUE(a.read_messages(frames, 2));
+    for (const std::string &payload : frames) {
+        ASSERT_FALSE(net::decode_response_binary(payload, resp).has_value());
+        EXPECT_EQ(resp.status, net::response_status::ok) << resp.error;
+    }
+}
+
+// Asserts: the wire counters account for every decoded predict request:
+// at quiescence `requests_total` equals the predict responses plus
+// `inflight()`, after ok, shed, not-found, bad-request and malformed
+// traffic. Strategy: send each kind, wait until nothing is in flight and
+// every answer arrived, then check the identity; malformed and oversized
+// input never decodes into a request, so it is answered but not counted.
+TEST(NetServer, WireAccountingBalancesRequestsAgainstResponses) {
+    engine_config config = net_test_config();
+    // the batch class sheds after one request (10 tokens/s, burst 1)
+    config.qos.classes[plssvm::serve::class_index(request_class::batch)].rate_limit = 10.0;
+    config.qos.classes[plssvm::serve::class_index(request_class::batch)].burst = 1.0;
+    server_fixture fx{ config };
+    client c{ fx.server->port() };
+    const std::string features = "[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1]";
+    std::string traffic;
+    for (int i = 0; i < 4; ++i) {
+        traffic += "{\"model\": \"demo\", \"id\": " + std::to_string(i) + ", \"features\": " + features + "}\n";
+        traffic += "{\"model\": \"ensemble\", \"class\": \"batch\", \"features\": " + features + "}\n";
+    }
+    traffic += "{\"model\": \"no-such-model\", \"features\": " + features + "}\n";  // not found
+    traffic += "{\"model\": \"demo\", \"features\": [1.0, 2.0]}\n";                  // feature mismatch
+    traffic += "{\"model\": \"demo\", \"features\": [1, oops]}\n";                   // malformed
+    c.send(traffic);
+    std::vector<std::string> lines;
+    ASSERT_TRUE(c.read_messages(lines, 11));
+    ASSERT_TRUE(test::wait_until([&] { return fx.server->inflight() == 0; }));
+
+    const net::net_counters counters = fx.server->counters();
+    EXPECT_EQ(counters.requests_total, 10u);
+    EXPECT_EQ(counters.malformed_total, 1u);
+    EXPECT_GE(counters.responses_ok, 5u);
+    EXPECT_GE(counters.responses_retry_after, 1u) << "the batch class must shed";
+    EXPECT_EQ(counters.responses_not_found, 1u);
+    const std::uint64_t predict_responses = counters.responses_ok + counters.responses_retry_after + counters.responses_failed
+                                            + counters.responses_not_found
+                                            + (counters.responses_bad_request - counters.malformed_total - counters.oversized_total);
+    EXPECT_EQ(counters.requests_total, predict_responses + fx.server->inflight());
+}
+
+// Asserts: destroying the server right after stop(), while requests were in
+// flight on a held engine, is clean: stop() returns only after every
+// completion callback ran, so no callback touches the destroyed server (run
+// under ASan to see a use-after-free). Strategy: hold the engine with a
+// 50 ms slow_batch rule, submit 8 requests, then stop and destroy the
+// server at once; the registry's engine must still serve afterwards.
+TEST(NetServer, DestroyingTheServerRightAfterStopWithInflightRequestsIsClean) {
+    engine_config config = held_engine_config(net_test_config(), 50ms);
+    server_fixture fx{ config };
+    client c{ fx.server->port() };
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        c.send(binary_predict(i, std::vector<double>(11, 0.3)));
+    }
+    ASSERT_TRUE(test::wait_until([&] { return fx.server->counters().requests_total == 8; }));
+    EXPECT_GE(fx.server->inflight(), 1u) << "the held engine keeps requests in flight";
+    fx.server->stop();
+    EXPECT_EQ(fx.server->inflight(), 0u) << "stop() must wait for every callback";
+    fx.server.reset();
+    EXPECT_NO_THROW((void) fx.engine->submit(std::vector<double>(11, 0.3)).get());
 }
 
 TEST(NetServer, MetricsExpositionIncludesNetSamples) {

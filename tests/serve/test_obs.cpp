@@ -438,7 +438,7 @@ TEST(ObsFlightRecorder, DeadlineMissDumpRetainsTheCompleteTrace) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsEngine, CompletedAsyncRequestsCarryMonotoneLifecycleSpans) {
-    inference_engine<double> engine{ test::random_model(kernel_type::linear), engine_config{ .max_batch_size = 4, .batch_delay = 100us } };
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), engine_config{ .max_batch_size = 4 } };
     std::vector<std::future<double>> futures;
     for (int i = 0; i < 32; ++i) {
         futures.push_back(engine.submit(std::vector<double>(engine.num_features(), 0.25)));

@@ -69,18 +69,6 @@ using namespace std::chrono_literals;
     return std::chrono::steady_clock::time_point{} + std::chrono::seconds{ 10'000 + seconds };
 }
 
-/// Poll until @p predicate holds or ~5 s elapses.
-template <typename Predicate>
-[[nodiscard]] bool eventually(Predicate &&predicate) {
-    for (int i = 0; i < 5000; ++i) {
-        if (predicate()) {
-            return true;
-        }
-        std::this_thread::sleep_for(1ms);
-    }
-    return predicate();
-}
-
 // ---------------------------------------------------------------------------
 // rolling time-series store (fake clock: fully deterministic)
 // ---------------------------------------------------------------------------
@@ -319,8 +307,6 @@ TEST(ObsSloHealth, InjectedSloBurnEscalatesEngineHealthAndDumps) {
     engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 8;
-    config.batch_delay = 200us;
-    config.qos.adaptive_batching = false;
     config.fault.inject = std::make_shared<fault::injector>();
     config.fault.inject->add_rule({ .site = fault::fault_site::batch_kernel,
                                     .kind = fault::fault_kind::slow_batch,
@@ -451,8 +437,6 @@ class client {
     engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 16;
-    config.batch_delay = 500us;
-    config.qos.adaptive_batching = false;
     return config;
 }
 
@@ -465,7 +449,6 @@ struct obs_server_fixture {
         engine = registry.load("demo", test::random_model(kernel_type::linear));
         ensemble = registry.load("ensemble", test::random_ensemble(kernel_type::linear));
         server_config.event_threads = 1;
-        server_config.completion_threads = 2;
         server = std::make_unique<net::net_server>(server_config, std::make_shared<net::registry_dispatcher<double>>(registry));
     }
 
@@ -519,7 +502,7 @@ TEST(ObsWireTrace, BinaryTraceIdRoundTripsWithNineStamps) {
 
     client tracer{ fx.server->port() };
     std::string dump;
-    ASSERT_TRUE(eventually([&] { return trace_dump_contains(tracer, "\"id\": 424242", &dump); })) << dump;
+    ASSERT_TRUE(test::wait_until([&] { return trace_dump_contains(tracer, "\"id\": 424242", &dump); })) << dump;
     // the client-supplied id owns a full wire-to-wire record: 5 engine
     // lifecycle stamps + 6 net stamps, all in the engine's recorder epoch
     EXPECT_NE(dump.find("\"t_admit_ns\""), std::string::npos);
@@ -532,7 +515,7 @@ TEST(ObsWireTrace, BinaryTraceIdRoundTripsWithNineStamps) {
     // a one-vs-all ensemble request owns the same full wire-to-wire record
     predictor.send(binary_predict_traced(8, 434'343, std::vector<double>(11, 0.25), "ensemble"));
     ASSERT_TRUE(predictor.read_messages(responses, 2));
-    EXPECT_TRUE(eventually([&] { return retains_wire_trace(*fx.ensemble, 434'343); }))
+    EXPECT_TRUE(test::wait_until([&] { return retains_wire_trace(*fx.ensemble, 434'343); }))
         << fx.ensemble->dump_traces();
 }
 
@@ -547,7 +530,7 @@ TEST(ObsWireTrace, JsonTraceIdParity) {
 
     // the same (JSON) connection can pull the trace dump
     std::string dump;
-    ASSERT_TRUE(eventually([&] { return trace_dump_contains(c, "\"id\": 777421", &dump); })) << dump;
+    ASSERT_TRUE(test::wait_until([&] { return trace_dump_contains(c, "\"id\": 777421", &dump); })) << dump;
     EXPECT_NE(dump.find("\"wire_complete\": true"), std::string::npos) << dump;
 
     // JSON requests to a one-vs-all ensemble are wire-traced the same way
@@ -555,7 +538,7 @@ TEST(ObsWireTrace, JsonTraceIdParity) {
            "\n");
     ASSERT_TRUE(c.read_messages(responses, 2));
     EXPECT_NE(responses.back().find("\"status\": \"ok\""), std::string::npos) << responses.back();
-    EXPECT_TRUE(eventually([&] { return retains_wire_trace(*fx.ensemble, 787'878); }))
+    EXPECT_TRUE(test::wait_until([&] { return retains_wire_trace(*fx.ensemble, 787'878); }))
         << fx.ensemble->dump_traces();
 }
 
@@ -570,7 +553,7 @@ TEST(ObsWireTrace, ClientTraceIdForcesTracingWhenSamplingIsOff) {
 
     client tracer{ fx.server->port() };
     std::string dump;
-    ASSERT_TRUE(eventually([&] { return trace_dump_contains(tracer, "\"id\": 515151", &dump); }))
+    ASSERT_TRUE(test::wait_until([&] { return trace_dump_contains(tracer, "\"id\": 515151", &dump); }))
         << "a client-supplied trace id must override sampling: " << dump;
 }
 
@@ -585,7 +568,7 @@ TEST(ObsWireTrace, DisabledWireTracingLeavesNoNetStamps) {
 
     // the engine still samples its own (in-process) traces, but no net
     // stamps and no client-correlated id can exist
-    ASSERT_TRUE(eventually([&] { return fx.engine->recorder().traces(request_class::interactive).size() > 0; }));
+    ASSERT_TRUE(test::wait_until([&] { return fx.engine->recorder().traces(request_class::interactive).size() > 0; }));
     client tracer{ fx.server->port() };
     std::string dump;
     (void) trace_dump_contains(tracer, "unmatchable", &dump);
@@ -657,7 +640,7 @@ TEST(ObsDrain, BeginDrainFlipsReadinessAndRejectsNewConnections) {
     EXPECT_NE(responses.back().find("\"ready\": false"), std::string::npos) << responses.back();
     // ...and new connections are turned away at accept
     client late{ fx.server->port() };
-    EXPECT_TRUE(eventually([&] { return late.at_eof(); }));
+    EXPECT_TRUE(test::wait_until([&] { return late.at_eof(); }));
     EXPECT_EQ(fx.server->inflight(), 0U);
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * @brief QoS subsystem tests (ctest label `qos`, all suites prefixed `Qos`):
- *        token-bucket accuracy with a fake clock, queue-depth load shedding,
- *        per-class priority ordering and deadline clamping in the
- *        micro-batcher, deterministic adaptive batch growth/shrink,
+ * @brief QoS subsystem tests (all suites prefixed `Qos`): token-bucket
+ *        accuracy with a fake clock, queue-depth load shedding, per-class
+ *        priority ordering in the micro-batcher, the deadline batch cap,
  *        stats-JSON snapshot format, idle-wakeup regression, and
  *        reload-under-QoS consistency.
  */
@@ -24,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <exception>
 #include <future>
 #include <string>
 #include <thread>
@@ -37,9 +37,6 @@ using plssvm::model;
 using plssvm::serve::admission_controller;
 using plssvm::serve::admission_decision;
 using plssvm::serve::all_request_classes;
-using plssvm::serve::batch_policy;
-using plssvm::serve::batch_tuner;
-using plssvm::serve::class_batch_policy;
 using plssvm::serve::class_index;
 using plssvm::serve::engine_config;
 using plssvm::serve::inference_engine;
@@ -54,6 +51,9 @@ namespace test = plssvm::test;
 using namespace std::chrono_literals;
 
 using time_point = std::chrono::steady_clock::time_point;
+
+/// A callback for requests whose outcome the test does not read.
+void ignore(double, std::exception_ptr) {}
 
 /// Fake-clock origin: the bucket only ever sees the time points we hand it.
 [[nodiscard]] time_point fake_now(const std::chrono::microseconds offset = 0us) {
@@ -147,16 +147,16 @@ TEST(QosAdmission, RateLimitIsPerClassAndQueueCheckBurnsNoToken) {
 }
 
 // ---------------------------------------------------------------------------
-// per-class priority ordering + deadline clamping in the micro-batcher
+// per-class priority ordering in the micro-batcher
 // ---------------------------------------------------------------------------
 
 TEST(QosBatcher, HighestPriorityReadyClassIsReleasedFirst) {
-    micro_batcher<double> batcher{ batch_policy{ 64, std::chrono::microseconds{ 10'000'000 } } };
-    (void) batcher.enqueue({ 3.0 }, request_class::background);
-    (void) batcher.enqueue({ 2.0 }, request_class::batch);
-    (void) batcher.enqueue({ 1.0 }, request_class::interactive);
-    (void) batcher.enqueue({ 1.5 }, request_class::interactive);
-    batcher.shutdown();  // everything ready: drain order = priority order
+    micro_batcher<double> batcher{ 64 };
+    batcher.enqueue({ 3.0 }, ignore, request_class::background);
+    batcher.enqueue({ 2.0 }, ignore, request_class::batch);
+    batcher.enqueue({ 1.0 }, ignore, request_class::interactive);
+    batcher.enqueue({ 1.5 }, ignore, request_class::interactive);
+    batcher.shutdown();  // drain order = priority order
     auto first = batcher.next_batch();
     EXPECT_EQ(first.cls, request_class::interactive);
     ASSERT_EQ(first.size(), 2u);
@@ -169,9 +169,9 @@ TEST(QosBatcher, HighestPriorityReadyClassIsReleasedFirst) {
 
 TEST(QosBatcher, PerClassPendingCounters) {
     micro_batcher<double> batcher;
-    (void) batcher.enqueue({ 1.0 }, request_class::interactive);
-    (void) batcher.enqueue({ 2.0 }, request_class::background);
-    (void) batcher.enqueue({ 3.0 }, request_class::background);
+    batcher.enqueue({ 1.0 }, ignore, request_class::interactive);
+    batcher.enqueue({ 2.0 }, ignore, request_class::background);
+    batcher.enqueue({ 3.0 }, ignore, request_class::background);
     EXPECT_EQ(batcher.pending(), 3u);
     EXPECT_EQ(batcher.pending(request_class::interactive), 1u);
     EXPECT_EQ(batcher.pending(request_class::batch), 0u);
@@ -181,138 +181,29 @@ TEST(QosBatcher, PerClassPendingCounters) {
     }
 }
 
-TEST(QosBatcher, DeadlineBudgetOverridesFlushDelay) {
-    // flush delay is 10 s, but the request's 20 ms deadline (minus the
-    // estimated batch latency) must flush it long before that
-    micro_batcher<double> batcher{ batch_policy{ 64, std::chrono::microseconds{ 10'000'000 } } };
-    per_class<class_batch_policy> policies{};
-    for (class_batch_policy &p : policies) {
-        p = class_batch_policy{ 64, std::chrono::microseconds{ 10'000'000 }, 5ms };
-    }
-    batcher.set_class_policies(policies);
-    auto future = batcher.enqueue({ 1.0 }, request_class::interactive, 20ms);
-    const auto start = std::chrono::steady_clock::now();
-    auto batch = batcher.next_batch();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_LT(elapsed, 1s) << "a deadline-carrying request must not wait out the full flush delay";
-    EXPECT_NE(batch.requests[0].deadline, plssvm::serve::no_deadline);
-    batch.requests[0].result.set_value(0.0);
-    (void) future.get();
-    batcher.shutdown();
-}
-
-TEST(QosBatcher, TighterDeadlineOfNewerRequestOverridesOldestFlush) {
-    // regression: the flush deadline must honor the TIGHTEST queued
-    // deadline of the class, not just the oldest request's — a
-    // deadline-free request at the queue head must not hold a later
-    // deadline-carrying request for the full flush delay
-    micro_batcher<double> batcher{ batch_policy{ 64, std::chrono::microseconds{ 10'000'000 } } };
-    (void) batcher.enqueue({ 1.0 }, request_class::interactive);         // no deadline
-    auto urgent = batcher.enqueue({ 2.0 }, request_class::interactive, 20ms);
-    const auto start = std::chrono::steady_clock::now();
-    auto batch = batcher.next_batch();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    ASSERT_EQ(batch.size(), 2u) << "both requests flush together";
-    EXPECT_LT(elapsed, 1s) << "the newer request's deadline must trigger the flush";
-    batch.requests[0].result.set_value(0.0);
-    batch.requests[1].result.set_value(0.0);
-    (void) urgent.get();
-    batcher.shutdown();
-}
-
-TEST(QosBatcher, ShrinkingTargetViaPolicySwapReleasesWaitingBatch) {
-    micro_batcher<double> batcher{ batch_policy{ 64, std::chrono::microseconds{ 10'000'000 } } };
-    (void) batcher.enqueue({ 1.0 });
-    (void) batcher.enqueue({ 2.0 });
-    std::thread consumer{ [&batcher]() {
-        const auto batch = batcher.next_batch();
-        EXPECT_EQ(batch.size(), 2u);
-    } };
-    std::this_thread::sleep_for(20ms);  // consumer waits: 2 < target 64
-    per_class<class_batch_policy> policies{};
-    for (class_batch_policy &p : policies) {
-        p = class_batch_policy{ 2, std::chrono::microseconds{ 10'000'000 }, 0us };
-    }
-    batcher.set_class_policies(policies);  // 2 >= new target: ready now
-    consumer.join();
-    batcher.shutdown();
-}
-
 // ---------------------------------------------------------------------------
-// adaptive tuner (deterministic: pure function of the observed counters)
+// deadline batch cap (deterministic: a pure function of config and estimate)
 // ---------------------------------------------------------------------------
 
-TEST(QosAdaptive, ResolvesAutoKnobsAgainstBasePolicy) {
-    const batch_tuner tuner{ qos_config{}, batch_policy{ 64, 250us }, nullptr };
-    const qos_config &resolved = tuner.config();
-    EXPECT_EQ(resolved.adaptive.min_batch_size, 8u);    // 64 / 8
-    EXPECT_EQ(resolved.adaptive.max_batch_size, 256u);  // 64 * 4
-    EXPECT_DOUBLE_EQ(resolved.adaptive.backlog_at_max, 512.0);
-    EXPECT_EQ(resolved.classes[class_index(request_class::interactive)].base_flush_delay, 250us);
-    EXPECT_EQ(resolved.classes[class_index(request_class::batch)].base_flush_delay, 1000us);
-    EXPECT_EQ(resolved.classes[class_index(request_class::background)].base_flush_delay, 4000us);
-    EXPECT_EQ(resolved.classes[class_index(request_class::interactive)].max_flush_delay, 2000us);
-}
-
-TEST(QosAdaptive, TargetsGrowUnderLoadAndShrinkWhenIdle) {
-    batch_tuner tuner{ qos_config{}, batch_policy{ 64, 250us }, nullptr };
-    const std::size_t idle_target = tuner.policies()[class_index(request_class::interactive)].target_batch_size;
-    EXPECT_EQ(idle_target, 8u) << "no observations yet: the idle minimum";
-
-    // sustained overload: backlog beyond the saturation point (512) drives
-    // the target to the maximum, monotonically
-    std::size_t previous = idle_target;
-    for (int i = 0; i < 64; ++i) {
-        tuner.observe(/*backlog=*/1024, /*lane_queue_depth=*/0, /*cross_lane_queued=*/0);
-        const std::size_t target = tuner.policies()[class_index(request_class::interactive)].target_batch_size;
-        EXPECT_GE(target, previous) << "growth must be monotone under constant overload";
-        previous = target;
-    }
-    EXPECT_EQ(previous, 256u) << "fully saturated: the adaptive maximum";
-    EXPECT_GE(previous, 2 * idle_target);
-    EXPECT_DOUBLE_EQ(tuner.saturation(), 1.0);
-    // flush deadlines stretch with the load
-    EXPECT_EQ(tuner.policies()[class_index(request_class::interactive)].flush_delay, 2000us);
-
-    // back to idle: the EWMA decays the target to the minimum again
-    for (int i = 0; i < 512; ++i) {
-        tuner.observe(0, 0, 0);
-    }
-    EXPECT_EQ(tuner.policies()[class_index(request_class::interactive)].target_batch_size, idle_target);
-    EXPECT_LT(tuner.saturation(), 0.01);
-}
-
+// Asserts: a class with a deadline budget caps its batches where the cost
+// model says one batch would eat its execution share of the budget, while
+// classes without a deadline keep the engine's max_batch_size. Strategy: a
+// fake estimator of 1 ms per point against a 4 ms budget at the default
+// execution fraction 0.5 affords 2 points.
 TEST(QosAdaptive, DeadlineBudgetCapsTargetThroughCostModel) {
     qos_config config;
     config.classes[class_index(request_class::interactive)].deadline_budget = 4ms;
-    // fake cost model: 1 ms per point — a 4 ms budget at exec fraction 0.5
-    // affords a 2-point batch
-    batch_tuner tuner{ config, batch_policy{ 64, 250us },
-                       [](const std::size_t batch) { return 1e-3 * static_cast<double>(batch); } };
-    for (int i = 0; i < 64; ++i) {
-        tuner.observe(4096, 0, 0);  // overload: unconstrained classes max out
-    }
-    const auto policies = tuner.policies();
-    EXPECT_EQ(policies[class_index(request_class::batch)].target_batch_size, 256u)
-        << "no deadline: full adaptive growth";
-    EXPECT_LE(policies[class_index(request_class::interactive)].target_batch_size, 8u)
-        << "the deadline budget must cap growth through the cost model";
-    EXPECT_LE(policies[class_index(request_class::interactive)].estimated_batch_latency, 8ms);
-}
-
-TEST(QosAdaptive, StaticModeIgnoresLoad) {
-    qos_config config;
-    config.adaptive_batching = false;
-    batch_tuner tuner{ config, batch_policy{ 32, 150us }, nullptr };
-    for (int i = 0; i < 32; ++i) {
-        tuner.observe(100'000, 100, 100);
-    }
-    for (const request_class cls : all_request_classes) {
-        EXPECT_EQ(tuner.policies()[class_index(cls)].target_batch_size, 32u);
-        EXPECT_EQ(tuner.policies()[class_index(cls)].flush_delay, 150us);
-    }
-    EXPECT_DOUBLE_EQ(tuner.saturation(), 0.0);
+    const per_class<std::size_t> caps = plssvm::serve::class_batch_caps(
+        config, 64, [](const std::size_t batch) { return 1e-3 * static_cast<double>(batch); });
+    EXPECT_EQ(caps[class_index(request_class::batch)], 64u) << "no deadline: the full cap";
+    EXPECT_EQ(caps[class_index(request_class::background)], 64u);
+    EXPECT_EQ(caps[class_index(request_class::interactive)], 2u)
+        << "the deadline budget must cap the batch through the cost model";
+    // a budget no batch fits still leaves a cap of one request
+    config.classes[class_index(request_class::interactive)].deadline_budget = 1us;
+    EXPECT_EQ(plssvm::serve::class_batch_caps(config, 64, [](const std::size_t) { return 1.0; })[class_index(request_class::interactive)], 1u);
+    // without an estimator nothing is capped
+    EXPECT_EQ(plssvm::serve::class_batch_caps(config, 64, nullptr)[class_index(request_class::interactive)], 64u);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +244,6 @@ TEST(QosEngine, OverloadShedsOnQueueDepthButServesEveryAdmittedRequest) {
     engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 16;
-    config.batch_delay = 100us;
     config.qos.classes[class_index(request_class::interactive)].max_pending = 8;
     inference_engine<double> engine{ test::random_model(kernel_type::rbf), config };
     const aos_matrix<double> points = test::random_matrix(64, 11, 21);
@@ -411,46 +301,28 @@ TEST(QosEngine, DeadlineMissesAreCountedPerClass) {
     EXPECT_EQ(stats.classes[class_index(request_class::interactive)].completed, 1u);
 }
 
-// Satellite regression: an engine with NO traffic must not wake its drain
-// thread periodically (the flush wait is deadline-driven, not polled).
+// Asserts: an engine with NO traffic does not wake its threads: the drain
+// thread waits untimed in the batcher and the executor's workers wait
+// untimed for tasks. Strategy: sum the voluntary context switches of every
+// thread but this one over a 100 ms window by design; a drain thread that
+// polled even every 1 ms would add about 100.
 TEST(QosEngine, IdleEngineNoSpuriousWakeups) {
     engine_config config;
     config.num_threads = 2;
-    config.batch_delay = 50us;  // a poller would wake ~2000 times in 100 ms
     inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+    // one served request: the drain thread and the workers have run and
+    // are back to waiting
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    ASSERT_TRUE(test::wait_until([&] { return engine.pending_requests() == 0; }));
+    const std::size_t before = test::voluntary_switches_of_other_threads();
     std::this_thread::sleep_for(100ms);
-    EXPECT_EQ(engine.stats().flush_timer_wakeups, 0u);
-}
-
-// Regression: a lone request waits out the flush delay before it is
-// served. That wait is not load, so an engine that only ever sees lone
-// requests must stay idle: saturation 0, the idle flush delay and the
-// minimum target — not stretch its flush delay toward the ceiling.
-TEST(QosEngine, LoneRequestsLeaveTheTunerIdle) {
-    plssvm::serve::executor exec{ 2 };  // private: no other tenant's queue
-    engine_config config;
-    config.exec = &exec;
-    config.max_batch_size = 64;
-    config.batch_delay = 250us;
-    config.qos.adaptive.min_batch_size = 4;
-    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
-    const aos_matrix<double> points = test::random_matrix(32, 11, 29);
-    for (std::size_t p = 0; p < points.num_rows(); ++p) {
-        (void) engine.submit(std::vector<double>(points.row_data(p), points.row_data(p) + points.num_cols())).get();
-    }
-    // the drain thread retunes before it settles a batch, so every one of
-    // the 32 observations is in by the time the last get() returned
-    const plssvm::serve::serve_stats stats = engine.stats();
-    EXPECT_EQ(stats.total_batches, points.num_rows()) << "every request must have been served alone";
-    EXPECT_DOUBLE_EQ(stats.batch_saturation, 0.0);
-    const auto &interactive = stats.classes[class_index(request_class::interactive)];
-    EXPECT_DOUBLE_EQ(interactive.flush_delay_seconds, std::chrono::duration<double>(config.batch_delay).count());
-    EXPECT_EQ(interactive.target_batch_size, 4u);
+    const std::size_t after = test::voluntary_switches_of_other_threads();
+    EXPECT_LE(after - before, 4u) << "an idle engine must not poll";
 }
 
 TEST(QosEngine, ClassTaggedSubmitsMatchSyncPredictions) {
     const model<double> m = test::random_model(kernel_type::polynomial);
-    inference_engine<double> engine{ m, engine_config{ .num_threads = 2, .max_batch_size = 8, .batch_delay = 100us } };
+    inference_engine<double> engine{ m, engine_config{ .num_threads = 2, .max_batch_size = 8 } };
     const aos_matrix<double> points = test::random_matrix(24, 11, 33);
     const std::vector<double> expected = engine.predict(points);
     std::vector<std::future<double>> futures;
@@ -553,7 +425,6 @@ TEST(QosEngine, ReloadUnderQosServesEveryAdmittedRequestConsistently) {
     engine_config config;
     config.num_threads = 2;
     config.max_batch_size = 16;
-    config.batch_delay = 100us;
     config.qos.classes[class_index(request_class::interactive)].max_pending = 64;
     config.qos.classes[class_index(request_class::interactive)].deadline_budget = 50ms;
     inference_engine<double> engine{ versions[0], config };

@@ -213,7 +213,7 @@ TEST(SnapshotLifecycle, ConcurrentReloadStressEveryResponseMatchesOneSnapshot) {
         return std::abs(a - b) <= 1e-12 * (1.0 + std::abs(b));
     };
 
-    inference_engine<double> engine{ versions[0], engine_config{ .num_threads = 2, .max_batch_size = 16, .batch_delay = 100us } };
+    inference_engine<double> engine{ versions[0], engine_config{ .num_threads = 2, .max_batch_size = 16 } };
 
     std::atomic<std::size_t> answered{ 0 };
     std::atomic<std::size_t> inconsistent{ 0 };
