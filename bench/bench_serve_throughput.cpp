@@ -26,11 +26,16 @@
  *     steady-state p99 and zero failed requests (zero-downtime reload).
  *
  *  4. Sparsity sweep (PR 4's experiment): points/s of the sparse
- *     execution paths (CSR queries against the sparse-compiled SV panel)
- *     vs. the dense-blocked kernels on the same data at 95/99/99.9% zeros,
- *     for the linear and RBF kernels on a text-shaped model (wide feature
- *     dimension). Gates: sparse-linear >= 2x dense-blocked at 99% sparsity,
- *     and the nnz-aware dispatcher auto-selects the sparse path there.
+ *     execution paths vs. the dense-blocked kernels on the same data, on a
+ *     text-shaped model (wide feature dimension), for the three sparse
+ *     forms `serve::choose_path` routes: CSR queries x linear `w` (50% to
+ *     99.9% zeros), CSR queries x the sparse-compiled RBF SV panel (95% to
+ *     99.9% zeros), and fully populated dense queries — the form every
+ *     async batch takes — x the sparse-compiled RBF panel (80% to 99% SV
+ *     zeros). The density thresholds of `choose_path` are read off these
+ *     crossovers. Gates: sparse-linear >= 2x dense-blocked at 99% sparsity,
+ *     and on every row where one path is at least 1.5x faster than the
+ *     other, `choose_path` dispatches the faster one.
  *
  *  5. QoS overload sweep (PR 5's experiment): open-loop interactive
  *     traffic at 1x/2x/4x offered load against a QoS-configured engine
@@ -83,10 +88,8 @@
  *
  * Besides the human-readable tables the benchmark writes a machine-readable
  * `BENCH_serve.json` into the working directory so the serving perf
- * trajectory can be tracked across commits. The JSON also records the
- * measured `host_profile` (blocked-kernel GFLOP/s, stream bandwidth), which
- * `serve::calibrated_host_profile` feeds back into the predict dispatcher
- * on the next engine start.
+ * trajectory can be tracked across commits. Nothing in the library reads
+ * it back.
  */
 
 #include "common/bench_utils.hpp"
@@ -202,6 +205,7 @@ struct path_result {
 /// One sparsity-sweep row of the JSON report.
 struct sparse_result {
     std::string kernel;
+    std::string queries;  ///< "csr" or "dense"
     double density;
     double dense_blocked_pps;
     double sparse_pps;
@@ -323,7 +327,7 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
                 const bool quick, const std::vector<engine_result> &engines, const std::vector<path_result> &paths,
                 const std::vector<sparse_result> &sparse, const qos_result &qos, const obs_result &obs,
                 const fault_result &fault, const reload_result &reload, const executor_result &exec_scaling,
-                const net_result &net, const obs_wire_result &obs_wire, const plssvm::sim::host_profile &host_profile,
+                const net_result &net, const obs_wire_result &obs_wire,
                 const double rbf256_speedup, const double rbf256_target,
                 const bool blocked_beats_reference, const double worst_sync_speedup,
                 const bool reload_pass, const double sparse_linear_99_speedup, const bool sparse_dispatch_auto,
@@ -355,8 +359,8 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
     std::fprintf(f, "  ],\n  \"sparse\": [\n");
     for (std::size_t i = 0; i < sparse.size(); ++i) {
         const sparse_result &r = sparse[i];
-        std::fprintf(f, "    { \"kernel\": \"%s\", \"density\": %.4f, \"dense_blocked_pps\": %.1f, \"sparse_pps\": %.1f, \"sparse_speedup\": %.2f, \"dispatched_path\": \"%s\" }%s\n",
-                     r.kernel.c_str(), r.density, r.dense_blocked_pps, r.sparse_pps, r.sparse_speedup,
+        std::fprintf(f, "    { \"kernel\": \"%s\", \"queries\": \"%s\", \"density\": %.4f, \"dense_blocked_pps\": %.1f, \"sparse_pps\": %.1f, \"sparse_speedup\": %.2f, \"dispatched_path\": \"%s\" }%s\n",
+                     r.kernel.c_str(), r.queries.c_str(), r.density, r.dense_blocked_pps, r.sparse_pps, r.sparse_speedup,
                      r.dispatched_path.c_str(), i + 1 < sparse.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -395,8 +399,6 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
     std::fprintf(f, "  \"obs_wire\": { \"traced_rps\": %.1f, \"untraced_rps\": %.1f, \"ratio\": %.3f, \"wire_traces\": %zu, \"connections\": %zu, \"requests_per_side\": %zu, \"failed\": %zu, \"lost\": %zu, \"repeats\": %zu },\n",
                  obs_wire.traced_rps, obs_wire.untraced_rps, obs_wire.ratio, obs_wire.wire_traces,
                  obs_wire.connections, obs_wire.requests_per_side, obs_wire.failed, obs_wire.lost, obs_wire.repeats);
-    std::fprintf(f, "  \"host_profile\": { \"effective_gflops\": %.3f, \"effective_bandwidth_gbs\": %.3f },\n",
-                 host_profile.effective_gflops, host_profile.effective_bandwidth_gbs);
     std::fprintf(f, "  \"gates\": { \"rbf_batch256_blocked_speedup\": %.2f, \"rbf_batch256_target\": %.2f, \"blocked_beats_reference_at_64plus\": %s, \"worst_engine_sync_speedup\": %.2f, \"reload_p99_within_2x\": %s, \"sparse_linear_99pct_speedup\": %.2f, \"sparse_dispatcher_auto\": %s, \"qos_interactive_p99_ratio_4x\": %.2f, \"qos_shed_fraction_4x\": %.3f, \"qos_batch_growth_4x\": %.2f, \"qos_pass\": %s, \"obs_overhead_ratio\": %.3f, \"obs_pass\": %s, \"fault_throughput_ratio\": %.3f, \"fault_pass\": %s, \"executor_engines8_vs_1\": %.2f, \"executor_scaling_target\": %.2f, \"executor_pass\": %s, \"net_p99_ratio\": %.2f, \"net_pass\": %s, \"obs_wire_ratio\": %.3f, \"obs_wire_pass\": %s, \"pass\": %s }\n",
                  rbf256_speedup, rbf256_target, blocked_beats_reference ? "true" : "false", worst_sync_speedup,
                  reload_pass ? "true" : "false", sparse_linear_99_speedup, sparse_dispatch_auto ? "true" : "false",
@@ -508,7 +510,6 @@ int main(int argc, char **argv) {
     std::printf("\nexecution paths (points/s; serial host):\n\n");
     plssvm::bench::table_printer path_table{ { "kernel", "batch", "reference pts/s", "blocked pts/s", "blocked speedup", "dispatch" } };
     std::vector<path_result> path_results;
-    const plssvm::serve::predict_dispatcher default_dispatcher{};
 
     const std::vector<std::size_t> batch_sizes = options.quick
                                                      ? std::vector<std::size_t>{ 1, 64, 256 }
@@ -554,7 +555,7 @@ int main(int argc, char **argv) {
 
             const double points = static_cast<double>(batch * inner);
             const double speedup = reference.min / blocked.min;
-            const plssvm::serve::predict_path dispatched = default_dispatcher.choose(batch, num_sv, dim, kernel);
+            const plssvm::serve::predict_path dispatched = plssvm::serve::choose_path(plssvm::serve::predict_shape{ batch, num_sv, dim, kernel });
 
             if (kernel == kernel_type::rbf && batch == 256) {
                 rbf256_speedup = speedup;
@@ -689,8 +690,8 @@ int main(int argc, char **argv) {
     // ------------------------------------------------------------------
     // experiment 4: sparsity sweep (sparse SV-side kernels vs dense-blocked)
     // ------------------------------------------------------------------
-    std::printf("\nsparsity sweep (text-shaped model; CSR queries x sparse-compiled SV panel vs dense-blocked):\n\n");
-    plssvm::bench::table_printer sparse_table{ { "kernel", "zeros", "dense-blocked pts/s", "sparse pts/s", "sparse speedup", "dispatch" } };
+    std::printf("\nsparsity sweep (text-shaped model; sparse sweeps vs dense-blocked, per query form):\n\n");
+    plssvm::bench::table_printer sparse_table{ { "kernel", "queries", "zeros", "dense-blocked pts/s", "sparse pts/s", "sparse speedup", "dispatch" } };
     std::vector<sparse_result> sparse_results;
     double sparse_linear_99_speedup = 0.0;
     bool sparse_dispatch_auto = true;
@@ -701,67 +702,93 @@ int main(int argc, char **argv) {
         const std::size_t sparse_num_sv = 256;
         const std::size_t sparse_dim = options.quick ? 512 : 1024;
         const std::size_t sparse_batch = 256;
-        // the gate asks what a real engine would do: resolve the dispatch
-        // params exactly like inference_engine does at start (calibrated
-        // host profile, element size), not the hard-coded defaults
-        const plssvm::serve::predict_dispatcher sparse_dispatcher{
-            plssvm::serve::resolved_dispatch(plssvm::serve::dispatch_params{}, /*pool_threads=*/1, sizeof(double))
+        // best-over-repeats, the two paths interleaved, like experiment 2:
+        // the dispatch gate compares the two on every decisive row
+        const std::size_t sparse_repeats = std::max<std::size_t>(repeats, 3);
+
+        struct sweep_row {
+            kernel_type kernel;
+            bool csr_queries;
+            double density;  ///< SV panel and CSR queries alike; dense queries are fully populated
         };
+        std::vector<sweep_row> rows;
+        for (const double density : { 0.5, 0.25, 0.05, 0.01, 0.001 }) {  // 50 ... 99.9 % zeros
+            rows.push_back({ kernel_type::linear, true, density });
+        }
+        for (const double density : { 0.05, 0.01, 0.001 }) {
+            rows.push_back({ kernel_type::rbf, true, density });
+        }
+        for (const double density : { 0.2, 0.1, 0.05, 0.01 }) {  // both sides of the dense-query threshold
+            rows.push_back({ kernel_type::rbf, false, density });
+        }
 
-        for (const kernel_type kernel : { kernel_type::linear, kernel_type::rbf }) {
-            for (const double density : { 0.05, 0.01, 0.001 }) {  // 95 / 99 / 99.9 % zeros
-                const model<double> trained = make_sparse_model(kernel, sparse_num_sv, sparse_dim, density, options.seed + 31);
-                // dense-blocked baseline: the panel compiled dense, dense queries
-                const plssvm::serve::compiled_model<double> dense_compiled{ trained, plssvm::serve::compile_options{ .sparse_density_threshold = 0.0 } };
-                // sparse contender: the same panel compiled sparse, CSR queries
-                const plssvm::serve::compiled_model<double> sparse_compiled{ trained, plssvm::serve::compile_options{ .sparse_density_threshold = 1.5 } };
-                const aos_matrix<double> queries = sparse_random_matrix(sparse_batch, sparse_dim, density, options.seed + 37);
-                const plssvm::csr_matrix<double> csr_queries{ queries };
-                std::vector<double> out(sparse_batch);
+        for (const sweep_row &row : rows) {
+            const model<double> trained = make_sparse_model(row.kernel, sparse_num_sv, sparse_dim, row.density, options.seed + 31);
+            // dense-blocked baseline: the panel compiled dense, dense queries
+            const plssvm::serve::compiled_model<double> dense_compiled{ trained, plssvm::serve::compile_options{ .sparse_density_threshold = 0.0 } };
+            // sparse contender: the same panel compiled sparse
+            const plssvm::serve::compiled_model<double> sparse_compiled{ trained, plssvm::serve::compile_options{ .sparse_density_threshold = 1.5 } };
+            const aos_matrix<double> queries = row.csr_queries ? sparse_random_matrix(sparse_batch, sparse_dim, row.density, options.seed + 37)
+                                                               : random_matrix(sparse_batch, sparse_dim, options.seed + 37);
+            const plssvm::csr_matrix<double> csr_queries{ queries };
+            std::vector<double> out(sparse_batch);
 
-                const std::size_t target_points = kernel == kernel_type::linear
-                                                      ? (options.quick ? 16384 : 65536)
-                                                      : (options.quick ? 1024 : 4096);
-                const std::size_t inner = std::max<std::size_t>(1, target_points / sparse_batch);
-                const auto time_path = [&](auto &&evaluate) {
-                    return plssvm::bench::measure(repeats, [&]() {
-                        plssvm::bench::stopwatch timer;
-                        for (std::size_t r = 0; r < inner; ++r) {
-                            evaluate();
-                            volatile double sink = out.front();
-                            (void) sink;
-                        }
-                        return timer.seconds();
-                    });
-                };
-
-                const auto dense_blocked = time_path([&]() { dense_compiled.decision_values_into(queries, 0, sparse_batch, out.data()); });
-                const auto sparse = time_path([&]() { sparse_compiled.decision_values_into(csr_queries, 0, sparse_batch, out.data()); });
-
-                const double points = static_cast<double>(sparse_batch * inner);
-                const double speedup = dense_blocked.mean / sparse.mean;
-
-                // what would the engine's nnz-aware dispatcher pick for this batch?
-                plssvm::serve::predict_shape shape{ sparse_batch, sparse_num_sv, sparse_dim, kernel,
-                                                    sparse_compiled.sparse_sv() ? sparse_compiled.sv_nnz() : 0,
-                                                    /*sparse_query=*/true, csr_queries.num_nonzeros() };
-                const plssvm::serve::predict_path dispatched = sparse_dispatcher.choose(shape);
-
-                if (kernel == kernel_type::linear && density == 0.01) {
-                    sparse_linear_99_speedup = speedup;
-                    sparse_dispatch_auto = dispatched == plssvm::serve::predict_path::host_sparse;
+            const std::size_t target_points = row.kernel == kernel_type::linear
+                                                  ? (options.quick ? 16384 : 65536)
+                                                  : (options.quick ? 1024 : 4096);
+            const std::size_t inner = std::max<std::size_t>(1, target_points / sparse_batch);
+            const auto time_once = [&](auto &&evaluate) {
+                plssvm::bench::stopwatch timer;
+                for (std::size_t r = 0; r < inner; ++r) {
+                    evaluate();
+                    volatile double sink = out.front();
+                    (void) sink;
                 }
-
-                sparse_results.push_back(sparse_result{ std::string{ plssvm::kernel_type_to_string(kernel) }, density,
-                                                        points / dense_blocked.mean, points / sparse.mean, speedup,
-                                                        std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
-                sparse_table.add_row({ std::string{ plssvm::kernel_type_to_string(kernel) },
-                                       plssvm::bench::format_double(100.0 * (1.0 - density), 1) + "%",
-                                       plssvm::bench::format_double(points / dense_blocked.mean, 0),
-                                       plssvm::bench::format_double(points / sparse.mean, 0),
-                                       plssvm::bench::format_double(speedup, 2) + "x",
-                                       std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
+                return timer.seconds();
+            };
+            double dense_blocked = std::numeric_limits<double>::max();
+            double sparse = std::numeric_limits<double>::max();
+            for (std::size_t r = 0; r < sparse_repeats; ++r) {
+                dense_blocked = std::min(dense_blocked, time_once([&]() { dense_compiled.decision_values_into(queries, 0, sparse_batch, out.data()); }));
+                sparse = std::min(sparse, time_once([&]() {
+                    if (row.csr_queries) {
+                        sparse_compiled.decision_values_into(csr_queries, 0, sparse_batch, out.data());
+                    } else {
+                        sparse_compiled.decision_values_sparse_into(queries, 0, sparse_batch, out.data());
+                    }
+                }));
             }
+
+            const double points = static_cast<double>(sparse_batch * inner);
+            const double speedup = dense_blocked / sparse;
+
+            // what would the engine dispatch for this batch?
+            const plssvm::serve::predict_shape shape{ sparse_batch, sparse_num_sv, sparse_dim, row.kernel,
+                                                      sparse_compiled.sparse_sv() ? sparse_compiled.sv_nnz() : 0,
+                                                      row.csr_queries, row.csr_queries ? csr_queries.num_nonzeros() : 0 };
+            const plssvm::serve::predict_path dispatched = plssvm::serve::choose_path(shape);
+
+            if (row.kernel == kernel_type::linear && row.density == 0.01) {
+                sparse_linear_99_speedup = speedup;
+            }
+            // a row is decisive when one path is at least 1.5x faster; the
+            // dispatched path must then be the faster one
+            if ((speedup >= 1.5 && dispatched != plssvm::serve::predict_path::host_sparse)
+                || (speedup <= 1.0 / 1.5 && dispatched != plssvm::serve::predict_path::host_blocked)) {
+                sparse_dispatch_auto = false;
+            }
+
+            const std::string queries_name = row.csr_queries ? "csr" : "dense";
+            sparse_results.push_back(sparse_result{ std::string{ plssvm::kernel_type_to_string(row.kernel) }, queries_name, row.density,
+                                                    points / dense_blocked, points / sparse, speedup,
+                                                    std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
+            sparse_table.add_row({ std::string{ plssvm::kernel_type_to_string(row.kernel) },
+                                   queries_name,
+                                   plssvm::bench::format_double(100.0 * (1.0 - row.density), 1) + "%",
+                                   plssvm::bench::format_double(points / dense_blocked, 0),
+                                   plssvm::bench::format_double(points / sparse, 0),
+                                   plssvm::bench::format_double(speedup, 2) + "x",
+                                   std::string{ plssvm::serve::predict_path_to_string(dispatched) } });
         }
         sparse_table.print();
     }
@@ -1759,10 +1786,6 @@ int main(int argc, char **argv) {
         untraced_server.stop();
     }
 
-    // the measured host profile closes the calibration loop: the next engine
-    // start in this directory picks it up via serve::calibrated_host_profile
-    const plssvm::sim::host_profile measured_host = plssvm::serve::measure_host_profile(sizeof(double));
-
     // ------------------------------------------------------------------
     // gates + JSON report
     // ------------------------------------------------------------------
@@ -1801,7 +1824,7 @@ int main(int argc, char **argv) {
                                && obs_wire.ratio >= 0.95;
     const bool pass = worst_sync_speedup >= 3.0 && rbf256_speedup >= rbf256_target && blocked_beats_reference && reload_pass && sparse_pass && qos_pass && obs_pass && fault_pass && executor_pass && net_pass && obs_wire_pass;
     write_json("BENCH_serve.json", num_sv, dim, num_queries, engine_threads, repeats, options.quick,
-               engine_results, path_results, sparse_results, qos, obs, fault, reload, exec_scaling, net, obs_wire, measured_host,
+               engine_results, path_results, sparse_results, qos, obs, fault, reload, exec_scaling, net, obs_wire,
                rbf256_speedup, rbf256_target, blocked_beats_reference, worst_sync_speedup, reload_pass,
                sparse_linear_99_speedup, sparse_dispatch_auto,
                qos_p99_ratio, qos_shed_fraction_4x, qos_batch_growth, qos_pass, obs_pass, fault_pass,
@@ -1812,7 +1835,7 @@ int main(int argc, char **argv) {
     std::printf("blocked beats reference at batch >= 64 for every non-linear kernel: %s\n", blocked_beats_reference ? "yes" : "NO");
     std::printf("p99 during reload: %.0f us vs steady %.0f us -> %.2fx (gate: <= 2x, %zu swaps, %zu failed requests)\n",
                 1e6 * reload.reload_p99_s, 1e6 * reload.steady_p99_s, reload.p99_ratio, reload.reloads, reload.failed_requests);
-    std::printf("sparse-linear speedup over dense-blocked at 99%% sparsity: %.2fx (gate: >= 2x, dispatcher picks sparse: %s)\n",
+    std::printf("sparse-linear speedup over dense-blocked at 99%% sparsity: %.2fx (gate: >= 2x); dispatch picks the faster path on every row with a 1.5x winner: %s\n",
                 sparse_linear_99_speedup, sparse_dispatch_auto ? "yes" : "NO");
     std::printf("interactive p99 at 4x overload: %.2fx its 1x value (gate: <= 3x), shed fraction %.1f%% (gate: <= 90%%)\n",
                 qos_p99_ratio, 100.0 * qos_shed_fraction_4x);

@@ -26,8 +26,8 @@
  * row pairs, dense-query x transposed-CSR accumulation) instead of
  * re-streaming mostly-zero dense panels. The dense SoA copy is kept
  * alongside so the per-point reference sweep stays available as the parity
- * baseline; the dispatcher decides per batch which execution wins
- * (`predict_path::host_sparse`).
+ * baseline; `choose_path` decides per batch, by the stored-entry density,
+ * which execution runs (`predict_path::host_sparse`).
  *
  * The batch entry point is deliberately split into a serial range method
  * (`decision_values_into`) and a parallel convenience wrapper so that the
@@ -38,8 +38,8 @@
  * `serve::predict_path`): the blocked host kernels of `serve/batch_kernels`
  * (`decision_values_into`, the default), the per-point scalar sweep
  * (`decision_values_reference_into`, parity baseline and tiny batches), and
- * the sparse O(nnz) sweeps (`decision_values_sparse_into`). The
- * `predict_dispatcher` picks between them per batch.
+ * the sparse O(nnz) sweeps (`decision_values_sparse_into`). `choose_path`
+ * picks between them per batch from its shape.
  */
 
 #ifndef PLSSVM_SERVE_COMPILED_MODEL_HPP_
@@ -231,7 +231,7 @@ class compiled_model {
     /**
      * @brief Per-point scalar sweep over the same range: the parity baseline
      *        of the blocked kernels, and the execution path of tiny batches
-     *        (below `dispatch_params::min_blocked_batch`).
+     *        (below `min_blocked_batch`).
      */
     void decision_values_reference_into(const aos_matrix<T> &points, const std::size_t row_begin, const std::size_t row_end, T *out) const {
         validate_features(points.num_cols());
@@ -297,9 +297,9 @@ class compiled_model {
      * @brief Densify-tiles execution of CSR query rows: scatter fixed-size
      *        row tiles into dense scratch and run the blocked dense kernels.
      *
-     * The CSR execution of dense-form models, and of sparse-form batches the
-     * dispatcher routes to the dense tiles (dense-ish queries, merge-hostile
-     * panels). Scratch stays O(tile x dim) regardless of the batch size, so
+     * The CSR execution of dense-form models, and of sparse-form batches
+     * `choose_path` routes to the dense tiles (too dense for the merge-join
+     * to win). Scratch stays O(tile x dim) regardless of the batch size, so
      * wide-feature models never materialize the whole batch densely.
      */
     void decision_values_densified_into(const csr_matrix<T> &points, const std::size_t row_begin, const std::size_t row_end, T *out) const {

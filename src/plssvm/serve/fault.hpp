@@ -15,15 +15,17 @@
  *    poisoned request is isolated and quarantined; the rest of the batch
  *    completes normally.
  *  - a **lane watchdog** (`drain_supervisor`): the drain thread publishes a
- *    per-batch deadline before evaluating; a watchdog thread fails the
- *    in-flight batch with `failure_kind::worker_stall` and restarts the lane
- *    on a fresh generation when the deadline passes. Off by default
+ *    per-batch deadline before evaluating — `stall_timeout`, or
+ *    `estimate_factor` times the engine's measured estimate of the batch if
+ *    that is longer; a watchdog thread fails the in-flight batch with
+ *    `failure_kind::worker_stall` and restarts the lane on a fresh
+ *    generation when the deadline passes. Off by default
  *    (`watchdog_config::stall_timeout == 0`).
  *  - a **retry + fallback ladder** (`retry_config`, `circuit_breaker`,
  *    `path_ladder`): transient batch failures retry with bounded exponential
  *    backoff + deterministic jitter; each `predict_path` carries an
- *    error-rate-windowed breaker (closed -> open -> half-open) and the
- *    dispatcher only chooses among non-tripped paths, demoting
+ *    error-rate-windowed breaker (closed -> open -> half-open) and
+ *    `choose_path` only chooses among non-tripped paths, demoting
  *    host_blocked/host_sparse -> reference. `reference` is the
  *    unconditional last resort and never masked.
  *  - a **health state machine** (`health_monitor`): healthy / degraded /
@@ -512,7 +514,7 @@ struct path_mask {
 
 /// One breaker per dispatch path; the fallback ladder
 /// host_blocked/host_sparse -> reference emerges from masking tripped paths
-/// out of the dispatcher's cost comparison. `reference` is never masked —
+/// out of `choose_path`. `reference` is never masked —
 /// it is the last resort, and with every other path open it still serves.
 class path_ladder {
   public:
@@ -521,7 +523,7 @@ class path_ladder {
     explicit path_ladder(const breaker_config config = {}) :
         breakers_{ circuit_breaker{ config }, circuit_breaker{ config }, circuit_breaker{ config } } {}
 
-    /// Mask of paths the dispatcher may choose right now.
+    /// Mask of paths `choose_path` may choose right now.
     [[nodiscard]] path_mask allowed(const clock::time_point now) {
         path_mask mask{};
         mask.allowed[static_cast<std::size_t>(predict_path::reference)] = true;
@@ -585,16 +587,16 @@ struct retry_config {
 // ---------------------------------------------------------------------------
 
 /// Lane-watchdog tuning. Disabled by default: serving threads are trusted
-/// unless the deployment opts into stall detection.
+/// unless the deployment opts into stall detection. The watchdog is event
+/// driven (a condition variable keyed on publish/clear), so it never polls.
 struct watchdog_config {
     /// A batch whose evaluation exceeds max(stall_timeout, estimate_factor *
-    /// estimated_seconds) is declared stalled; 0 disables the watchdog.
+    /// estimated seconds) is declared stalled; 0 disables the watchdog.
     std::chrono::microseconds stall_timeout{ 0 };
-    /// Reserved watchdog poll granularity; the implementation is fully
-    /// event-driven (condition variable keyed on publish/clear), so this is
-    /// currently unused.
-    std::chrono::microseconds check_interval{ 0 };
-    /// Headroom multiplier on the cost model's per-batch estimate.
+    /// Headroom multiplier over the engine's measured estimate of the batch
+    /// (its size times the measured seconds per request of its path). Until
+    /// that path has run a clean batch there is no estimate, and
+    /// `stall_timeout` alone bounds the batch.
     double estimate_factor{ 8.0 };
 };
 

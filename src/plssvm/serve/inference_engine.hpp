@@ -25,8 +25,14 @@
  *    `request_shed_exception`, counted per class in `serve_stats`).
  *    Batching is natural: the drain thread takes whatever queued while it
  *    was busy, up to `max_batch_size` per class (less for a class whose
- *    deadline budget the cost model says a full batch would overrun), so a
- *    lone request runs at once.
+ *    deadline budget a full batch would overrun at the engine's measured
+ *    rate), so a lone request runs at once.
+ *
+ * Every batch runs along the path `choose_path` picks from its shape. The
+ * engine estimates a batch from its own clean batches: one running mean of
+ * the seconds per request per path, reset by every reload. The estimate
+ * feeds the deadline batch caps, the watchdog budget and the estimate-error
+ * metric; until a path has been measured there is no estimate.
  *
  * Threads are NOT owned per engine: all engines of a process share one
  * `serve::executor` (`engine_config::exec`, defaulting to the process-wide
@@ -59,7 +65,6 @@
 #include "plssvm/exceptions.hpp"
 #include "plssvm/ext/multiclass.hpp"
 #include "plssvm/serve/admission.hpp"
-#include "plssvm/serve/calibration.hpp"
 #include "plssvm/serve/compiled_model.hpp"
 #include "plssvm/serve/executor.hpp"
 #include "plssvm/serve/fault.hpp"
@@ -72,6 +77,7 @@
 #include "plssvm/serve/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -94,8 +100,6 @@ struct engine_config {
     std::size_t num_threads{ 0 };
     /// Most requests of one class the async path evaluates in one batch.
     std::size_t max_batch_size{ 64 };
-    /// Cost-model parameters of the per-batch execution-path dispatch.
-    dispatch_params dispatch{};
     /// Model compile knobs (sparse SV-panel density threshold); applied by
     /// the engine constructor AND every `reload`, so a reload can move a
     /// model between the dense and sparse compiled forms.
@@ -125,22 +129,9 @@ struct engine_config {
     slo_config slo{};
 };
 
-/// Resolve the "auto" parts of @p params against the engine's actual lane
-/// concurrency and element type so the cost estimates match the host that
-/// will run the batch. A default host profile is replaced with calibrated
-/// numbers unless calibration was switched off.
-[[nodiscard]] inline dispatch_params resolved_dispatch(dispatch_params params, const std::size_t pool_threads, const std::size_t real_bytes) {
-    if (params.calibrate_host && is_default_host_profile(params.host)) {
-        params.host = calibrated_host_profile(real_bytes == 0 ? sizeof(double) : real_bytes);
-    }
-    if (params.host.num_threads == 0) {
-        params.host.num_threads = pool_threads;
-    }
-    if (params.real_bytes == 0) {
-        params.real_bytes = real_bytes;
-    }
-    return params;
-}
+/// Weight of the newest batch in the running mean of the measured seconds
+/// per request of a path.
+inline constexpr double measured_rate_weight = 0.125;
 
 /// Partition @p num_rows of @p points across @p lane and run the serial range
 /// kernel @p serial (`serial(points, begin, end, out + begin)`) per chunk,
@@ -252,7 +243,6 @@ class inference_engine {
     [[nodiscard]] snapshot_ptr snapshot() const { return snapshot_.load(); }
 
     [[nodiscard]] const engine_config &config() const noexcept { return config_; }
-    [[nodiscard]] const predict_dispatcher &dispatcher() const noexcept { return dispatcher_; }
     [[nodiscard]] executor &shared_executor() const noexcept { return *exec_; }
     [[nodiscard]] std::size_t num_features() const noexcept { return num_features_; }
     /// Whether the engine serves a one-vs-all ensemble (fixed for its lifetime).
@@ -270,6 +260,12 @@ class inference_engine {
     [[nodiscard]] std::size_t pending_requests() const { return batcher_.pending(); }
     /// Version tag of the currently served snapshot (starts at 1).
     [[nodiscard]] std::uint64_t snapshot_version() const { return snapshot_.load()->version; }
+    /// Running mean of the seconds per request of the async batches that ran
+    /// @p path cleanly (no retry, no bisection) on the current snapshot; 0
+    /// until such a batch has run.
+    [[nodiscard]] double measured_seconds_per_request(const predict_path path) const noexcept {
+        return seconds_per_request_[static_cast<std::size_t>(path)].load();
+    }
 
     /**
      * @brief Zero-downtime model replacement: compile @p trained into a fresh
@@ -329,11 +325,12 @@ class inference_engine {
      * `compiled_model` (the merge-join against the sparse `w` when the
      * sparse compiled form is active); non-linear sparse-compiled models run
      * the true CSR-query x CSR-SV row-pair sweep, dense-compiled ones
-     * densify tiles internally and run the blocked kernels. The dispatcher
+     * densify tiles internally and run the blocked kernels. `choose_path`
      * decides per batch between serial (`reference`, tiny batches) and the
-     * pooled host paths (`host_blocked` / `host_sparse`) from the nnz-aware
-     * cost terms. A snapshot-attached scaling densifies the batch (explicit
-     * zeros scale to non-zero values) and takes the dense path.
+     * pooled host paths (`host_blocked` / `host_sparse`) from the batch size
+     * and the stored-entry density. A snapshot-attached scaling densifies
+     * the batch (explicit zeros scale to non-zero values) and takes the
+     * dense path.
      */
     [[nodiscard]] std::vector<T> decision_values(const csr_matrix<T> &points) {
         require_binary();
@@ -354,7 +351,7 @@ class inference_engine {
         predict_shape shape = batch_shape(*snap, num_rows);
         shape.sparse_query = true;
         shape.query_nnz = points.num_nonzeros();
-        predict_path path = dispatcher_.choose(shape);
+        predict_path path = choose_path(shape);
         if (path == predict_path::reference) {
             // too small to be worth the lane round trip: run on this thread
             compiled.decision_values_into(points, 0, num_rows, values.data());
@@ -363,10 +360,9 @@ class inference_engine {
             // (or the O(nnz) linear fast path) over lane-partitioned chunks
             pooled_decision_values(compiled, lane_, points, values.data());
         } else {
-            // the nnz-aware cost terms prefer the dense blocked sweep for
-            // this shape (dense-ish batch, or merge-join-hostile panel):
-            // densify per fixed-size tile — never the whole batch — and run
-            // the tiled kernels
+            // the batch is too dense for the sparse sweeps to win (or the
+            // model has no sparse form): densify per fixed-size tile — never
+            // the whole batch — and run the tiled kernels
             path = predict_path::host_blocked;
             pooled_evaluate(lane_, points, values.data(),
                             [&compiled](const csr_matrix<T> &pts, const std::size_t begin, const std::size_t end, T *o) {
@@ -616,7 +612,8 @@ class inference_engine {
         num_heads_{ initial.heads.size() },
         ensemble_{ initial.ensemble() },
         snapshot_{ versioned(std::move(initial), 1) },
-        dispatcher_{ resolved_dispatch(config.dispatch, lane_.max_concurrency(), sizeof(T)) },
+        deadline_budgets_{ std::any_of(config.qos.classes.begin(), config.qos.classes.end(),
+                                       [](const class_qos_config &c) { return c.deadline_budget.count() > 0; }) },
         admission_{ config.qos },
         batcher_{ config.max_batch_size },
         recorder_{ config.obs },
@@ -654,16 +651,22 @@ class inference_engine {
     /// Version assignment and publication under one lock: concurrent
     /// installs must not publish out of version order (a reader could
     /// otherwise see the version counter regress).
+    /// The measured rates belong to the replaced snapshot, so they reset and
+    /// the batch caps return to `max_batch_size` until the new one is
+    /// measured.
     void publish(snapshot_type fresh) {
         const std::lock_guard lock{ install_mutex_ };
         snapshot_.store(versioned(std::move(fresh), ++last_version_));
+        for (std::atomic<double> &rate : seconds_per_request_) {
+            rate.store(0.0);
+        }
         update_batch_caps();
         metrics_.record_reload();
     }
 
-    /// Recompute the per-class batch caps from the cost-model estimate of
-    /// the current snapshot (at start and after every reload: nothing else
-    /// moves the estimate).
+    /// Recompute the per-class batch caps from the measured estimate (at
+    /// start, on every reload, and after every clean batch while some class
+    /// has a deadline budget).
     void update_batch_caps() {
         batcher_.set_class_caps(class_batch_caps(config_.qos, config_.max_batch_size,
                                                  [this](const std::size_t batch_size) { return estimated_batch_seconds(batch_size); }));
@@ -678,8 +681,8 @@ class inference_engine {
     /// The dispatch shape of one dense batch. Every head shares (batch,
     /// num_sv, dim, kernel), but the sparse compiled form is decided *per
     /// head* by its own density — so the sparse path is only on offer when
-    /// EVERY head has it, and the cost term covers the densest head's panel
-    /// (all heads run the same chosen path).
+    /// EVERY head has it, and the density rule reads the densest head's
+    /// panel (all heads run the same chosen path).
     [[nodiscard]] static predict_shape batch_shape(const snapshot_type &snap, const std::size_t batch_size) {
         const compiled_model<T> &front = snap.heads.front();
         predict_shape shape{ batch_size, front.num_support_vectors(), front.num_features(), front.params().kernel };
@@ -724,7 +727,7 @@ class inference_engine {
             return scores;
         }
         const auto start = std::chrono::steady_clock::now();
-        const predict_path path = dispatcher_.choose(batch_shape(snap, points.num_rows()));
+        const predict_path path = choose_path(batch_shape(snap, points.num_rows()));
         if (snap.input_scaling != nullptr) {
             aos_matrix<T> scaled = points;  // never mutate the caller's batch
             snap.input_scaling->transform(scaled);
@@ -781,7 +784,9 @@ class inference_engine {
      * other request of the batch completes normally. Each attempt records
      * success/failure into the per-path circuit breakers, and each attempt
      * re-chooses its path among the non-tripped ones, so a persistently
-     * failing path demotes traffic down the ladder mid-batch.
+     * failing path demotes traffic down the ladder mid-batch. A batch whose
+     * one attempt succeeded (no retry, no bisection) folds its seconds per
+     * request into the running mean of its path before its requests settle.
      *
      * Watchdog protocol: before evaluating, the batch's completion
      * callbacks are wrapped in a settle-once `fault::inflight_batch` and
@@ -844,6 +849,8 @@ class inference_engine {
                 std::vector<T> labels(batch_size);
                 std::vector<std::exception_ptr> errors(batch_size);
                 predict_path batch_path = predict_path::reference;
+                std::uint64_t batch_version = 0;  // snapshot the last successful attempt ran on
+                bool clean = true;                // no attempt failed: no retry, no bisection
 
                 // one evaluation attempt series over requests [begin, end):
                 // retry-with-backoff while allowed, each attempt on a freshly
@@ -861,7 +868,7 @@ class inference_engine {
                             // orientation, labels and scaling always belong
                             // together
                             const snapshot_ptr snap = snapshot_.load();
-                            path = dispatcher_.choose(batch_shape(*snap, end - begin), fault_plane_.ladder().allowed(std::chrono::steady_clock::now()));
+                            path = choose_path(batch_shape(*snap, end - begin), fault_plane_.ladder().allowed(std::chrono::steady_clock::now()));
                             chosen = true;
                             fault::hook_allocation(fault_plane_.inject());
                             // fresh sub-matrix per attempt: the snapshot's
@@ -884,8 +891,10 @@ class inference_engine {
                             std::copy(values.begin(), values.end(), labels.begin() + static_cast<std::ptrdiff_t>(begin));
                             fault_plane_.ladder().record(path, true, std::chrono::steady_clock::now());
                             batch_path = path;
+                            batch_version = snap->version;
                             return nullptr;
                         } catch (...) {
+                            clean = false;
                             if (chosen) {
                                 fault_plane_.ladder().record(path, false, std::chrono::steady_clock::now());
                             }
@@ -928,6 +937,9 @@ class inference_engine {
                 metrics_.record_path(batch_path);
                 metrics_.record_batch_estimate(estimated_seconds, service_seconds);
                 const bool abandoned = inflight->abandoned();
+                if (clean && !abandoned) {
+                    record_measured_rate(batch_path, batch_version, service_seconds / static_cast<double>(batch_size));
+                }
                 for (std::size_t i = 0; i < batch_size; ++i) {
                     typename micro_batcher<T>::request &req = batch.requests[i];
                     if (errors[i] != nullptr) {
@@ -1036,13 +1048,30 @@ class inference_engine {
         }
     }
 
-    /// Cost-model estimate of one batch of @p batch_size against the current
-    /// snapshot, along the path the dispatcher would pick: every head runs
-    /// that path over the same batch, so one head's estimate times the head
-    /// count (deadline batch caps, trace attribution, watchdog budget).
+    /// Measured estimate of one batch of @p batch_size against the current
+    /// snapshot: the batch size times the measured seconds per request of
+    /// the path `choose_path` picks for it (deadline batch caps, watchdog
+    /// budget, estimate-error metric and trace attribution). 0 — no
+    /// estimate — until that path has run a clean batch.
     [[nodiscard]] double estimated_batch_seconds(const std::size_t batch_size) const {
-        const snapshot_ptr snap = snapshot_.load();
-        return static_cast<double>(snap->heads.size()) * dispatcher_.estimated_seconds(batch_shape(*snap, batch_size));
+        const predict_path path = choose_path(batch_shape(*snapshot_.load(), batch_size));
+        return static_cast<double>(batch_size) * measured_seconds_per_request(path);
+    }
+
+    /// Fold the seconds per request of one clean batch on @p path into the
+    /// path's running mean, unless a reload replaced the snapshot
+    /// (@p version) the batch ran on; then re-derive the batch caps if some
+    /// class has a deadline budget. Called by the drain thread only.
+    void record_measured_rate(const predict_path path, const std::uint64_t version, const double seconds) {
+        if (snapshot_.load()->version != version) {
+            return;
+        }
+        std::atomic<double> &rate = seconds_per_request_[static_cast<std::size_t>(path)];
+        const double mean = rate.load();
+        rate.store(mean > 0.0 ? mean + measured_rate_weight * (seconds - mean) : seconds);
+        if (deadline_budgets_) {
+            update_batch_caps();
+        }
     }
 
     engine_config config_;
@@ -1054,7 +1083,10 @@ class inference_engine {
     snapshot_handle<snapshot_type> snapshot_;
     std::mutex install_mutex_;         ///< serializes version bump + publication
     std::uint64_t last_version_{ 1 };  ///< guarded by install_mutex_
-    predict_dispatcher dispatcher_;
+    /// Measured seconds per request of each path on the current snapshot,
+    /// indexed by `predict_path` (0 = not measured yet).
+    std::array<std::atomic<double>, 3> seconds_per_request_{};
+    bool deadline_budgets_;            ///< some class has a deadline budget: caps follow the measured rate
     admission_controller admission_;   ///< QoS admission gate of the submit paths
     micro_batcher<T> batcher_;
     serve_metrics metrics_;

@@ -14,9 +14,8 @@ constexpr std::uint8_t flag_sparse = 0x01;
 constexpr std::uint8_t flag_deadline = 0x02;
 constexpr std::uint8_t flag_trace = 0x04;
 
-// hard cap on entries a single request may carry, so a hostile length field
-// inside an accepted frame cannot trigger a huge allocation (the frame size
-// bound already limits the actual bytes, this limits the *claimed* count)
+// hard cap on entries a single request may carry, whatever its payload size
+// (the decoder also bounds a claimed count by the bytes actually carried)
 constexpr std::uint32_t max_request_entries = 1u << 22;
 
 [[nodiscard]] std::string format_double(const double v) {
@@ -128,6 +127,13 @@ std::optional<std::string> decode_request_binary(const std::string &payload, net
     }
     if (count > max_request_entries) {
         return "request claims " + std::to_string(count) + " entries (limit " + std::to_string(max_request_entries) + ")";
+    }
+    // the claimed entries must fit the bytes left before anything is
+    // reserved: a short frame cannot make the decoder allocate for a count
+    // it never carries
+    const std::size_t entry_bytes = out.sparse ? sizeof(std::uint32_t) + sizeof(double) : sizeof(double);
+    if (count > r.remaining() / entry_bytes) {
+        return "request claims " + std::to_string(count) + " entries but carries " + std::to_string(r.remaining()) + " payload bytes";
     }
     if (out.sparse) {
         out.sparse_entries.reserve(count);

@@ -6,7 +6,7 @@
  *        recorder.
  *
  * The serving stack (admission control, micro-batching, executor
- * lanes, cost-model dispatch) previously exposed only end-to-end p50/p99 per
+ * lanes, shape-based dispatch) previously exposed only end-to-end p50/p99 per
  * class — when a QoS gate blew there was no way to tell whether the time
  * went to admission, queue wait, batch formation, or the kernel. This header
  * adds the three missing primitives:
@@ -50,9 +50,9 @@
 
 namespace plssvm::serve {
 
-/// Execution path a prediction batch was routed to by the
-/// `predict_dispatcher` (recorded per batch in `serve_stats` and per trace
-/// in the flight recorder).
+/// Execution path a prediction batch was routed to by `choose_path`
+/// (recorded per batch in `serve_stats` and per trace in the flight
+/// recorder).
 enum class predict_path {
     /// Serial small-batch path: the per-point scalar sweep for dense batches
     /// (also the parity baseline), the serial CSR sweep for sparse ones.
@@ -385,7 +385,7 @@ struct request_trace {
     admission_decision shed_reason{ admission_decision::admitted };
     bool deadline_missed{ false };              ///< fulfilled after its deadline
     std::uint64_t batch_size{ 0 };              ///< size of the batch that served it
-    double estimated_batch_seconds{ 0.0 };      ///< cost-model estimate for that batch
+    double estimated_batch_seconds{ 0.0 };      ///< the engine's measured-rate estimate of that batch (0 = none yet)
     std::uint64_t t_admit_ns{ 0 };              ///< admission decision
     std::uint64_t t_enqueue_ns{ 0 };            ///< entered the class FIFO
     std::uint64_t t_seal_ns{ 0 };               ///< batch sealed (popped for draining)

@@ -1,65 +1,47 @@
 #include "plssvm/serve/predict_dispatcher.hpp"
 
-#include "plssvm/serve/batch_kernels.hpp"
-
 #include <cstddef>
 
 namespace plssvm::serve {
 
-double predict_dispatcher::host_seconds(const std::size_t batch_size, const std::size_t num_sv, const std::size_t dim, const kernel_type kernel) const {
-    const sim::kernel_cost cost = sim::serve_predict_cost(batch_size, num_sv, dim, kernel, params_.real_bytes);
-    return sim::host_roofline_seconds(params_.host, cost);
+namespace {
+
+[[nodiscard]] double density(const std::size_t nnz, const std::size_t rows, const std::size_t cols) noexcept {
+    const std::size_t cells = rows * cols;
+    return cells == 0 ? 1.0 : static_cast<double>(nnz) / static_cast<double>(cells);
 }
 
-double predict_dispatcher::host_sparse_seconds(const predict_shape &shape) const {
-    const std::size_t query_nnz = shape.sparse_query ? shape.query_nnz : shape.batch_size * shape.dim;
-    const sim::kernel_cost cost = sim::serve_sparse_predict_cost(shape.batch_size, shape.num_sv, shape.dim,
-                                                                 shape.sv_nnz, query_nnz, shape.sparse_query,
-                                                                 shape.kernel, params_.real_bytes,
-                                                                 sparse_point_tile);
-    return sim::host_roofline_seconds(params_.host, cost);
+}  // namespace
+
+double sparse_density(const predict_shape &shape) noexcept {
+    const double query = density(shape.query_nnz, shape.batch_size, shape.dim);
+    if (shape.kernel == kernel_type::linear) {
+        return query;
+    }
+    const double sv = density(shape.sv_nnz, shape.num_sv, shape.dim);
+    return shape.sparse_query ? 0.5 * (query + sv) : sv;
 }
 
-predict_path predict_dispatcher::choose(const std::size_t batch_size, const std::size_t num_sv, const std::size_t dim, const kernel_type kernel) const {
-    return choose(predict_shape{ batch_size, num_sv, dim, kernel });
-}
-
-predict_path predict_dispatcher::choose(const predict_shape &shape) const {
-    return choose(shape, fault::path_mask::all());
-}
-
-predict_path predict_dispatcher::choose(const predict_shape &shape, const fault::path_mask &allowed) const {
-    if (shape.batch_size < params_.min_blocked_batch) {
+predict_path choose_path(const predict_shape &shape, const fault::path_mask &allowed) noexcept {
+    if (shape.batch_size < min_blocked_batch) {
         return predict_path::reference;
     }
     // the sparse sweep exists for non-linear kernels iff the model compiled
     // the sparse SV form, and for the linear kernel iff the queries are CSR
     // (dense linear prediction is a GEMV against w, independent of SV nnz)
-    const bool sparse_available = shape.kernel == kernel_type::linear ? shape.sparse_query : shape.sv_nnz > 0;
+    const bool linear = shape.kernel == kernel_type::linear;
+    const bool offered = linear ? shape.sparse_query : shape.sv_nnz > 0;
+    const bool blocked = allowed.allows(predict_path::host_blocked);
+    if (offered && allowed.allows(predict_path::host_sparse)) {
+        const double threshold = linear ? sparse_threshold_linear
+                                        : (shape.sparse_query ? sparse_threshold_csr_queries : sparse_threshold_dense_queries);
+        if (!blocked || sparse_density(shape) < threshold) {
+            return predict_path::host_sparse;
+        }
+    }
     // reference is the unconditional fallback when every competitive path is
     // masked out by a tripped breaker
-    predict_path best_path = predict_path::reference;
-    double best = 0.0;
-    if (allowed.allows(predict_path::host_blocked)) {
-        best_path = predict_path::host_blocked;
-        best = host_seconds(shape.batch_size, shape.num_sv, shape.dim, shape.kernel);
-    }
-    if (sparse_available && allowed.allows(predict_path::host_sparse)
-        && (best_path == predict_path::reference || host_sparse_seconds(shape) < best)) {
-        best_path = predict_path::host_sparse;
-    }
-    return best_path;
-}
-
-double predict_dispatcher::estimated_seconds(const predict_shape &shape) const {
-    return estimated_seconds(shape, choose(shape));
-}
-
-double predict_dispatcher::estimated_seconds(const predict_shape &shape, const predict_path path) const {
-    if (path == predict_path::host_sparse) {
-        return host_sparse_seconds(shape);
-    }
-    return host_seconds(shape.batch_size, shape.num_sv, shape.dim, shape.kernel);
+    return blocked ? predict_path::host_blocked : predict_path::reference;
 }
 
 }  // namespace plssvm::serve

@@ -1,20 +1,20 @@
 /**
  * @file
- * @brief Cost-model-driven routing of prediction batches across the host
- *        execution paths.
+ * @brief Routing of prediction batches across the host execution paths by
+ *        their shape.
  *
  * The serving layer has three ways to evaluate a batch (see `predict_path`):
  * the per-point scalar reference sweep, the register/cache-tiled host batch
  * kernels, and the sparse O(nnz) sweeps. Which one wins depends on the batch
- * shape: below a handful of points the blocked kernels cannot fill a
+ * shape alone: below a handful of points the blocked kernels cannot fill a
  * register tile and the reference sweep is just as fast, and the sparse
- * sweeps only pay off when queries or the SV panel are mostly zeros.
+ * sweeps only pay off when the entries they walk are mostly zeros.
  *
- * `predict_dispatcher` makes that call per batch from `sim::cost_model` host
- * rooflines (`serve_predict_cost`, `serve_sparse_predict_cost`), so the
- * choice moves correctly with batch size, #SV, feature count, sparsity, and
- * kernel type. Every parameter is injectable (`dispatch_params`) for tests
- * and for calibration against measured hardware.
+ * `choose_path` makes that call per batch from two fixed rules, with no
+ * host model, file or per-machine tuning: a batch size floor
+ * (`min_blocked_batch`), and one stored-entry density threshold per sparse
+ * form, read off the crossovers that `bench_serve_throughput`'s sparsity
+ * sweep (experiment 4) measures.
  */
 
 #ifndef PLSSVM_SERVE_PREDICT_DISPATCHER_HPP_
@@ -22,38 +22,38 @@
 
 #include "plssvm/core/kernel_types.hpp"
 #include "plssvm/serve/serve_stats.hpp"
-#include "plssvm/sim/cost_model.hpp"
 
 #include <cstddef>
 
 namespace plssvm::serve {
 
-/// Injectable knobs of the dispatch decision.
-struct dispatch_params {
-    /// Batches smaller than this always take the per-point reference path
-    /// (a register tile cannot be filled, so blocking buys nothing).
-    std::size_t min_blocked_batch{ 8 };
-    /// Host execution model of the blocked batch kernels.
-    sim::host_profile host{};
-    /// sizeof(real_type) of the served model; 0 means "auto" (the serving
-    /// engines resolve it to their `sizeof(T)`, standalone dispatchers
-    /// default to sizeof(double)).
-    std::size_t real_bytes{ 0 };
-    /// Replace a *default* host profile with measured numbers at engine
-    /// start (`serve::calibrated_host_profile`): `BENCH_serve.json` if
-    /// present, a one-time in-process micro-measurement otherwise.
-    /// Explicitly injected host profiles are never overridden.
-    bool calibrate_host{ true };
-};
+/// Batches smaller than this always take the per-point reference path (a
+/// register tile cannot be filled, so blocking buys nothing).
+inline constexpr std::size_t min_blocked_batch = 8;
+
+/// Density thresholds of the sparse sweeps: a batch whose stored-entry
+/// density (see `sparse_density`) is below its form's threshold runs
+/// sparse. Each sits between the densities where experiment 4 measures the
+/// sparse sweep winning and losing against the blocked kernels.
+/// Dense queries x sparse SV panel, by SV-panel density (against fully
+/// populated queries the sweep wins at 0.01, runs level at 0.05 and loses
+/// at 0.1).
+inline constexpr double sparse_threshold_dense_queries = 0.075;
+/// CSR queries x sparse SV panel, by the mean of the query and SV-panel
+/// densities (the merge-join wins at 0.001 and loses at 0.01).
+inline constexpr double sparse_threshold_csr_queries = 0.005;
+/// CSR queries x linear `w`, by query density (the O(nnz) gather wins at
+/// 0.25 and no longer beats the dense dot product at 0.5).
+inline constexpr double sparse_threshold_linear = 0.4;
 
 /**
  * @brief Shape of one prediction batch, including the sparsity information
- *        the nnz-aware cost terms need.
+ *        the density rule needs.
  *
  * `sv_nnz == 0` means the served model has no sparse compiled form (the
  * sparse SV sweeps are unavailable); `sparse_query` marks CSR query batches
  * with `query_nnz` total stored entries (`query_nnz` is ignored for dense
- * batches — the cost model substitutes `batch_size * dim`).
+ * batches).
  */
 struct predict_shape {
     std::size_t batch_size{ 0 };
@@ -65,71 +65,27 @@ struct predict_shape {
     std::size_t query_nnz{ 0 };    ///< stored query entries (CSR batches only)
 };
 
-class predict_dispatcher {
-  public:
-    predict_dispatcher() :
-        predict_dispatcher{ dispatch_params{} } {}
+/// Stored-entry density of the operands the sparse sweep of @p shape walks:
+/// the query density for linear CSR batches (the sweep never touches the SV
+/// panel), the SV-panel density for dense queries, and the mean of both for
+/// CSR queries (the merge-join advances through both rows of every pair).
+[[nodiscard]] double sparse_density(const predict_shape &shape) noexcept;
 
-    explicit predict_dispatcher(dispatch_params params) :
-        params_{ params } {
-        if (params_.real_bytes == 0) {
-            params_.real_bytes = sizeof(double);
-        }
-    }
-
-    [[nodiscard]] const dispatch_params &params() const noexcept { return params_; }
-
-    /// Estimated host seconds for one blocked sweep over the batch.
-    [[nodiscard]] double host_seconds(std::size_t batch_size, std::size_t num_sv, std::size_t dim, kernel_type kernel) const;
-
-    /// Estimated host seconds for one sparse sweep over the batch
-    /// (`sim::serve_sparse_predict_cost`: O(nnz) core, panel streamed once
-    /// per point tile).
-    [[nodiscard]] double host_sparse_seconds(const predict_shape &shape) const;
-
-    /// Pick the execution path for one batch of the given shape (dense-model,
-    /// dense-query convenience overload).
-    [[nodiscard]] predict_path choose(std::size_t batch_size, std::size_t num_sv, std::size_t dim, kernel_type kernel) const;
-
-    /// Estimated seconds of the path `choose(shape)` would pick — the
-    /// cost-model per-batch latency estimate the deadline batch caps feed on
-    /// (reference batches are approximated with the host roofline).
-    [[nodiscard]] double estimated_seconds(const predict_shape &shape) const;
-
-    /// Estimated seconds of @p shape along an *already-chosen* @p path —
-    /// the attribution the observability plane records per batch, so the
-    /// measured-vs-estimated comparison always charges the path the batch
-    /// actually ran, even when a caller overrode the dispatch decision.
-    [[nodiscard]] double estimated_seconds(const predict_shape &shape, predict_path path) const;
-
-    /**
-     * @brief Pick the execution path for one batch with full sparsity
-     *        information.
-     *
-     * The sparse path competes when it exists for the shape: non-linear
-     * kernels need the sparse compiled SV panel (`sv_nnz > 0`), the linear
-     * kernel needs a CSR query batch (its dense path never touches the SV
-     * panel, so SV sparsity is irrelevant there).
-     */
-    [[nodiscard]] predict_path choose(const predict_shape &shape) const;
-
-    /**
-     * @brief Pick the execution path among the paths @p allowed permits —
-     *        the fallback-ladder overload the fault plane uses.
-     *
-     * Same cost comparison as `choose(shape)`, but a path whose circuit
-     * breaker is open (masked out of @p allowed) never competes: dispatch
-     * demotes host_blocked/host_sparse -> reference as breakers trip.
-     * `reference` is the unconditional last resort — it is chosen
-     * whenever every competitive path is masked (or the batch is too small
-     * to block), regardless of the mask's reference bit. With a full mask
-     * this reduces exactly to `choose(shape)`.
-     */
-    [[nodiscard]] predict_path choose(const predict_shape &shape, const fault::path_mask &allowed) const;
-
-  private:
-    dispatch_params params_{};
-};
+/**
+ * @brief Pick the execution path of one batch among the paths @p allowed
+ *        permits.
+ *
+ * A batch below `min_blocked_batch` points takes the reference path.
+ * Otherwise the sparse sweep runs when it is offered (non-linear kernels:
+ * every head compiled the sparse SV panel, `sv_nnz > 0`; linear kernel: CSR
+ * queries), its breaker allows it, and `sparse_density` is below the
+ * form's threshold; otherwise the blocked kernels run. A path whose circuit
+ * breaker is open (masked out of @p allowed) never runs: dispatch demotes
+ * host_blocked -> host_sparse (when offered) -> reference as breakers trip.
+ * `reference` is the unconditional last resort, regardless of the mask's
+ * reference bit.
+ */
+[[nodiscard]] predict_path choose_path(const predict_shape &shape, const fault::path_mask &allowed = fault::path_mask::all()) noexcept;
 
 }  // namespace plssvm::serve
 

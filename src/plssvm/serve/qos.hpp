@@ -18,9 +18,12 @@
  *  - **natural batching with a deadline cap** (`class_batch_caps`): a batch
  *    is whatever queued while the previous one ran, up to the class's cap.
  *    The cap is the engine's `max_batch_size`; a class with a deadline
- *    budget halves it while the cost model's estimate of one capped batch
- *    would eat more than `exec_budget_fraction` of the budget. Nothing waits
- *    for a batch to fill, so a lone request runs at once.
+ *    budget halves it while the engine's estimate of one capped batch —
+ *    its size times the seconds per request the engine measured on the
+ *    batch's path — would eat more than `exec_budget_fraction` of the
+ *    budget. Until the engine has measured a batch there is no estimate and
+ *    no cap below `max_batch_size`. Nothing waits for a batch to fill, so a
+ *    lone request runs at once.
  */
 
 #ifndef PLSSVM_SERVE_QOS_HPP_
@@ -126,7 +129,7 @@ struct class_qos_config {
 struct adaptive_batch_config {
     /// Fraction of a class's deadline budget that may be spent *executing*
     /// the batch (the rest is queueing headroom). A deadline-carrying class
-    /// halves its batch cap until the cost-model estimate of one batch fits
+    /// halves its batch cap until the engine's estimate of one batch fits
     /// this fraction of the budget.
     double exec_budget_fraction{ 0.5 };
 };
@@ -140,7 +143,7 @@ struct qos_config {
 };
 
 /// Estimated seconds to execute one batch of the given size (the engine
-/// supplies its dispatcher's cost-model estimate); may be empty.
+/// supplies its measured-rate estimate, 0 while unmeasured); may be empty.
 using latency_estimator = std::function<double(std::size_t)>;
 
 /**
@@ -151,7 +154,8 @@ using latency_estimator = std::function<double(std::size_t)>;
  * budget halves its cap (never below 1) while @p estimate of one capped
  * batch overruns `exec_budget_fraction` of the budget, so a batch never
  * spends its requests' deadlines executing. Pure in its inputs: the engine
- * recomputes the caps whenever its snapshot, hence the estimate, changes.
+ * recomputes the caps whenever its estimate changes (a reload resets it, a
+ * measured batch moves it).
  */
 [[nodiscard]] per_class<std::size_t> class_batch_caps(const qos_config &config, std::size_t max_batch_size, const latency_estimator &estimate);
 

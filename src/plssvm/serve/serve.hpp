@@ -17,7 +17,6 @@
 
 #include "plssvm/serve/admission.hpp"           // IWYU pragma: export
 #include "plssvm/serve/batch_kernels.hpp"        // IWYU pragma: export
-#include "plssvm/serve/calibration.hpp"         // IWYU pragma: export
 #include "plssvm/serve/compiled_model.hpp"      // IWYU pragma: export
 #include "plssvm/serve/executor.hpp"            // IWYU pragma: export
 #include "plssvm/serve/fault.hpp"               // IWYU pragma: export

@@ -193,8 +193,8 @@ void collect_serve_stats(obs::prometheus_builder &builder, const serve_stats &st
     builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "reference"), static_cast<double>(stats.reference_batches));
     builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "host_blocked"), static_cast<double>(stats.host_blocked_batches));
     builder.add_counter("plssvm_serve_path_batches_total", "Batches per dispatch path", with("path", "host_sparse"), static_cast<double>(stats.host_sparse_batches));
-    builder.add_counter("plssvm_serve_cost_estimate_batches_total", "Batches with a cost-model estimate recorded", labels, static_cast<double>(stats.estimate_batches));
-    builder.add_gauge("plssvm_serve_cost_estimate_median_rel_error", "Median relative error of the cost-model batch latency estimate", labels, stats.estimate_median_rel_error);
+    builder.add_counter("plssvm_serve_cost_estimate_batches_total", "Batches with a measured-rate latency estimate recorded", labels, static_cast<double>(stats.estimate_batches));
+    builder.add_gauge("plssvm_serve_cost_estimate_median_rel_error", "Median relative error of the measured-rate batch latency estimate", labels, stats.estimate_median_rel_error);
     builder.add_gauge("plssvm_serve_queue_depth", "Tasks currently queued on the engine's executor lane", labels, static_cast<double>(stats.queue_depth));
     builder.add_gauge("plssvm_serve_max_queue_depth", "High-water mark of the lane queue", labels, static_cast<double>(stats.max_queue_depth));
     builder.add_counter("plssvm_serve_steals_total", "Lane tasks executed by a non-affine worker", labels, static_cast<double>(stats.steals));
@@ -258,7 +258,7 @@ void serve_metrics::collect_histograms(obs::prometheus_builder &builder, const o
         }
     }
     builder.add_histogram("plssvm_serve_latency_seconds", "End-to-end request latency", labels, latency);
-    builder.add_histogram("plssvm_serve_cost_estimate_rel_error", "Relative error of the cost-model batch latency estimate (unitless, bucketed as seconds)", labels, estimate);
+    builder.add_histogram("plssvm_serve_cost_estimate_rel_error", "Relative error of the measured-rate batch latency estimate (unitless, bucketed as seconds)", labels, estimate);
     for (const request_class cls : all_request_classes) {
         obs::label_set cl = labels;
         cl.emplace_back("class", std::string{ request_class_to_string(cls) });

@@ -117,7 +117,7 @@ struct serve_stats {
     std::size_t reference_batches{ 0 };     ///< batches routed to the per-point reference path
     std::size_t host_blocked_batches{ 0 };  ///< batches routed to the tiled host kernels
     std::size_t host_sparse_batches{ 0 };   ///< batches routed to the sparse CSR sweeps
-    // --- cost-model calibration (dispatcher estimate vs measured batch) ----
+    // --- estimate error (the engine's measured-rate estimate vs the batch) --
     std::size_t estimate_batches{ 0 };            ///< batches with an estimate recorded
     double estimate_median_rel_error{ 0.0 };      ///< median |est - measured| / measured
     double estimate_p99_rel_error{ 0.0 };         ///< tail relative estimate error
@@ -200,10 +200,12 @@ class serve_metrics {
         note_activity();
     }
 
-    /// Record the cost model's estimate against the measured execution time
-    /// of one batch (the calibration signal of the dispatcher).
+    /// Record the engine's estimate of one batch (its size times the
+    /// measured seconds per request of its path) against the batch's
+    /// measured execution time. An estimate of 0 — the path was not measured
+    /// yet — records nothing.
     void record_batch_estimate(const double estimated_seconds, const double measured_seconds) {
-        if (!(measured_seconds > 0.0) || !(estimated_seconds >= 0.0)) {
+        if (!(measured_seconds > 0.0) || !(estimated_seconds > 0.0)) {
             return;
         }
         const double rel_error = estimated_seconds > measured_seconds

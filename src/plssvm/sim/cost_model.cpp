@@ -34,17 +34,6 @@ constexpr double effective_bandwidth_fraction = 0.75;
 
 }  // namespace
 
-double host_roofline_seconds(const host_profile &host, const kernel_cost &cost) {
-    const double threads = static_cast<double>(std::max<std::size_t>(host.num_threads, 1));
-    const double thread_scale = threads > 1.0 ? threads * host.parallel_efficiency : 1.0;
-    const double flop_rate = host.effective_gflops * 1e9 * thread_scale;
-    const double compute_time = cost.flops / flop_rate;
-    // the streaming sweeps saturate the shared memory system regardless of
-    // the thread count, so bandwidth is not scaled by threads
-    const double memory_time = cost.global_bytes / (host.effective_bandwidth_gbs * 1e9);
-    return std::max(compute_time, memory_time);
-}
-
 double roofline_seconds(const device_spec &spec, const runtime_profile &profile, const kernel_cost &cost) {
     const double achieved_flops = spec.peak_flops() * spec.fp64_efficiency * profile.efficiency_factor;
     const double achieved_bandwidth = spec.bandwidth_bytes_per_s() * effective_bandwidth_fraction;
@@ -111,77 +100,6 @@ kernel_cost predict_kernel_cost(const std::size_t num_predict, const std::size_t
     } else {
         cost.flops = static_cast<double>(num_predict) * static_cast<double>(num_sv) * (2.0 * static_cast<double>(dim) + epilogue_flops(kernel));
         cost.global_bytes = (static_cast<double>(num_sv) + static_cast<double>(num_predict)) * static_cast<double>(dim) * static_cast<double>(real_bytes);
-    }
-    return cost;
-}
-
-kernel_cost serve_predict_cost(const std::size_t batch, const std::size_t num_sv, const std::size_t dim, const kernel_type kernel, const std::size_t real_bytes) {
-    kernel_cost cost;
-    if (kernel == kernel_type::linear) {
-        // w is precompiled: one dot product per prediction point
-        cost.flops = 2.0 * static_cast<double>(batch) * static_cast<double>(dim);
-        cost.global_bytes = (static_cast<double>(batch) * static_cast<double>(dim) + static_cast<double>(dim) + static_cast<double>(batch)) * static_cast<double>(real_bytes);
-    } else {
-        cost.flops = static_cast<double>(batch) * static_cast<double>(num_sv) * (2.0 * static_cast<double>(dim) + epilogue_flops(kernel));
-        cost.global_bytes = (static_cast<double>(num_sv) + static_cast<double>(batch)) * static_cast<double>(dim) * static_cast<double>(real_bytes);
-    }
-    return cost;
-}
-
-namespace {
-
-// Flop-equivalent charges of the sparse serving sweeps, calibrated against
-// the bench_serve_throughput sparsity sweep on a commodity x86-64 host: the
-// dense blocked kernels run wide FMA tiles (tens of scalar flops per cycle),
-// while every sparse step is an indexed scalar access. Charging sparse steps
-// at these multiples of a "dense flop" makes the shared host-profile roofline
-// comparison land on the empirically faster path across 95/99/99.9% zeros.
-
-/// Indexed gather step (dense-query x CSC sweep, linear w gather).
-constexpr double sparse_gather_step_flops = 16.0;
-/// Compare-and-advance step of the CSR x CSR merge-join (branchy, serial).
-constexpr double sparse_merge_step_flops = 128.0;
-/// Fixed per-(point, SV)-pair overhead of the merge-join row sweep (pointer
-/// setup, loop prologue) on top of the shared kernel epilogue.
-constexpr double sparse_merge_pair_flops = 96.0;
-
-}  // namespace
-
-kernel_cost serve_sparse_predict_cost(const std::size_t batch, const std::size_t num_sv, const std::size_t dim,
-                                      const std::size_t sv_nnz, const std::size_t query_nnz, const bool sparse_query,
-                                      const kernel_type kernel, const std::size_t real_bytes,
-                                      const std::size_t point_tile) {
-    // a CSR entry is one value plus a 4-byte column index
-    const double entry_bytes = static_cast<double>(real_bytes) + 4.0;
-    const double query_bytes = sparse_query ? static_cast<double>(query_nnz) * entry_bytes
-                                            : static_cast<double>(batch) * static_cast<double>(dim) * static_cast<double>(real_bytes);
-    kernel_cost cost;
-    if (kernel == kernel_type::linear) {
-        // one indexed gather per stored query entry against the precompiled
-        // w, plus a small per-row loop overhead
-        cost.flops = sparse_gather_step_flops * static_cast<double>(query_nnz) + 8.0 * static_cast<double>(batch);
-        cost.global_bytes = query_bytes
-                            + (static_cast<double>(dim) + static_cast<double>(batch)) * static_cast<double>(real_bytes);
-    } else {
-        const double pairs = static_cast<double>(batch) * static_cast<double>(num_sv);
-        // the kernel epilogue runs once per (point, SV) pair, exactly like
-        // the dense path; RBF adds the query-norm pass
-        cost.flops = pairs * (1.0 + epilogue_flops(kernel))
-                     + (kernel == kernel_type::rbf ? 2.0 * static_cast<double>(query_nnz) : 0.0);
-        if (sparse_query) {
-            // CSR x CSR merge-join: each pair advances through both rows
-            const double merge_steps = static_cast<double>(batch) * static_cast<double>(sv_nnz)
-                                       + static_cast<double>(num_sv) * static_cast<double>(query_nnz);
-            cost.flops += sparse_merge_step_flops * merge_steps + sparse_merge_pair_flops * pairs;
-        } else {
-            // dense-query x CSC sweep: one gather-FMA per stored SV entry per point
-            cost.flops += sparse_gather_step_flops * static_cast<double>(batch) * static_cast<double>(sv_nnz);
-        }
-        // SV panel streamed once per point tile, queries and results once
-        const double tiles = static_cast<double>((batch + point_tile - 1) / std::max<std::size_t>(point_tile, 1));
-        cost.global_bytes = tiles * static_cast<double>(sv_nnz) * entry_bytes
-                            + query_bytes
-                            + static_cast<double>(batch) * static_cast<double>(real_bytes);
     }
     return cost;
 }

@@ -15,6 +15,10 @@
  * so the *functional* launch sites and the *analytic* paper-scale projections
  * (used where a 2^15 x 2^12 problem cannot be executed numerically on this
  * host) are guaranteed to charge identical costs.
+ *
+ * The model covers the simulated devices of training only. Serving runs on
+ * the host and models nothing: it routes batches by their shape
+ * (`serve::choose_path`) and estimates them from the batches it measured.
  */
 
 #ifndef PLSSVM_SIM_COST_MODEL_HPP_
@@ -57,33 +61,6 @@ struct block_config {
     [[nodiscard]] std::size_t tile() const noexcept { return block_size * internal_size; }
 };
 
-/**
- * @brief First-order execution model of the *host* CPU running the serving
- *        layer's blocked batch kernels.
- *
- * Used by `serve::predict_dispatcher` to decide, per batch, whether a
- * prediction sweep should run on the host (no launch/transfer overhead, but
- * modest throughput) or on a device (high throughput behind a fixed
- * per-batch overhead). Same roofline shape as the device model; the
- * defaults describe a single commodity core and are meant to be calibrated
- * by the embedder (e.g. from a `bench_serve_throughput` run).
- */
-struct host_profile {
-    /// Achieved per-thread FP64 GFLOP/s on the blocked predict kernels.
-    double effective_gflops{ 4.0 };
-    /// Achieved memory bandwidth in GB/s for the streaming sweeps.
-    double effective_bandwidth_gbs{ 10.0 };
-    /// Worker threads evaluating one batch; 0 means "auto" (the serving
-    /// engines resolve it to their pool size, `host_roofline_seconds`
-    /// treats it as 1).
-    std::size_t num_threads{ 0 };
-    /// Fraction of linear speedup the thread-parallel sweep reaches.
-    double parallel_efficiency{ 0.85 };
-};
-
-/// Host seconds for one blocked-kernel sweep with cost @p cost.
-[[nodiscard]] double host_roofline_seconds(const host_profile &host, const kernel_cost &cost);
-
 /// Simulated seconds for one launch of a kernel with cost @p cost.
 [[nodiscard]] double roofline_seconds(const device_spec &spec, const runtime_profile &profile, const kernel_cost &cost);
 
@@ -118,45 +95,6 @@ struct host_profile {
 
 /// Cost of the w-vector / prediction kernels (linear prediction path).
 [[nodiscard]] kernel_cost predict_kernel_cost(std::size_t num_predict, std::size_t num_sv, std::size_t dim, kernel_type kernel, std::size_t real_bytes);
-
-/**
- * @brief Cost of one *serving* batch predict against precompiled model state.
- *
- * Unlike `predict_kernel_cost` (which models the training-time predict path,
- * where the linear normal vector `w` is collapsed per call), serving pays the
- * w collapse / SoA transform once at `compiled_model` build time: a linear
- * batch costs only the `batch x dim` GEMV, a non-linear batch the
- * `batch x num_sv` kernel sweep. Used by `serve::predict_dispatcher`.
- */
-[[nodiscard]] kernel_cost serve_predict_cost(std::size_t batch, std::size_t num_sv, std::size_t dim, kernel_type kernel, std::size_t real_bytes);
-
-/**
- * @brief Cost of one serving batch predict along the *sparse* execution
- *        paths (`serve::batch` CSR sweeps) of a model whose support-vector
- *        panel was compiled into CSR form.
- *
- * The nnz-aware counterpart of `serve_predict_cost`. The sparse sweeps touch
- * only the stored entries, but every touched entry is an indexed scalar
- * access (a gather for the dense-query x CSC sweep, a compare-and-advance
- * merge step for the CSR x CSR row pairs) while the dense kernels run wide
- * FMA tiles — so each sparse step is charged a *flop-equivalent* constant
- * calibrated against the measured blocked-kernel rate (see the constants in
- * the implementation). That keeps the host-profile comparison honest: the
- * sparse path only wins when nnz is genuinely small, not merely smaller
- * than `num_sv * dim`.
- *
- * @param sv_nnz stored SV-panel entries
- * @param query_nnz total stored query entries (pass `batch * dim` for dense
- *        query batches)
- * @param sparse_query whether the queries arrive as CSR (merge-join row
- *        pairs) or dense (feature-major gather sweep) — the two sparse
- *        kernels have very different per-step costs
- * @param point_tile queries per streaming pass over the SV panel
- */
-[[nodiscard]] kernel_cost serve_sparse_predict_cost(std::size_t batch, std::size_t num_sv, std::size_t dim,
-                                                    std::size_t sv_nnz, std::size_t query_nnz, bool sparse_query,
-                                                    kernel_type kernel, std::size_t real_bytes,
-                                                    std::size_t point_tile = 16);
 
 }  // namespace plssvm::sim
 

@@ -8,7 +8,7 @@
 
 namespace plssvm::sim::devices {
 
-// Data-sheet numbers; fp64_efficiency calibrated against Table I (DESIGN.md §1).
+// Data-sheet numbers; fp64_efficiency fitted to Table I (DESIGN.md §1).
 // The high-FP64 data-center GPUs achieve 26-39 % of peak (the paper profiles
 // 32 % on the A100); consumer cards with 1/32-1/64 FP64 ratios are so
 // FLOP-starved that the kernel runs close to their (tiny) FP64 peak.

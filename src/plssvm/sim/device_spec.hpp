@@ -9,7 +9,7 @@
  * The registry below contains every GPU of the paper's Table I and §IV-A.
  * Peak FLOPS / bandwidth / memory are the public data-sheet numbers; the
  * per-device `fp64_efficiency` (the fraction of peak the paper's style of
- * implicit-matrix kernel achieves) is calibrated once against Table I and
+ * implicit-matrix kernel achieves) is fitted once to Table I and
  * then reused unchanged for every other experiment — the validation is that
  * the *shapes* of Figures 1-4 follow without further tuning.
  */

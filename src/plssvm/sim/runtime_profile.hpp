@@ -42,7 +42,7 @@ struct runtime_profile {
     /// Per-transfer latency in seconds (on top of bytes / PCIe bandwidth).
     double transfer_latency_s{ 10e-6 };
     /// Multiplicative efficiency factor applied on top of the device's
-    /// calibrated kernel efficiency; depends on (runtime, device).
+    /// fitted kernel efficiency; depends on (runtime, device).
     double efficiency_factor{ 1.0 };
 
     /**

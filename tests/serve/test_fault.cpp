@@ -231,19 +231,17 @@ TEST(FaultDispatcher, MaskedChooseDemotesDownTheLadder) {
     no_blocked.allowed[static_cast<std::size_t>(predict_path::host_blocked)] = false;
     const plssvm::serve::predict_shape shape{ 1024, 512, 64, kernel_type::rbf };
 
-    plssvm::serve::dispatch_params params;
-    params.min_blocked_batch = 8;
-    const plssvm::serve::predict_dispatcher dispatcher{ params };
-    EXPECT_EQ(dispatcher.choose(shape, fault::path_mask::all()), dispatcher.choose(shape))
+    using plssvm::serve::choose_path;
+    EXPECT_EQ(choose_path(shape, fault::path_mask::all()), choose_path(shape))
         << "a full mask must reduce to the plain choice";
-    EXPECT_EQ(dispatcher.choose(shape), predict_path::host_blocked);
+    EXPECT_EQ(choose_path(shape), predict_path::host_blocked);
     // masking the blocked path leaves reference as the bottom rung of the
     // ladder (a dense panel offers no sparse sweep)...
-    EXPECT_EQ(dispatcher.choose(shape, no_blocked), predict_path::reference)
+    EXPECT_EQ(choose_path(shape, no_blocked), predict_path::reference)
         << "with every competitive path masked, reference is the last resort";
     // ...while a sparse-compiled panel still has the sparse sweep to fall to
     const plssvm::serve::predict_shape sparse_panel{ 1024, 512, 64, kernel_type::rbf, /*sv_nnz=*/512 * 64 / 100 };
-    EXPECT_EQ(dispatcher.choose(sparse_panel, no_blocked), predict_path::host_sparse);
+    EXPECT_EQ(choose_path(sparse_panel, no_blocked), predict_path::host_sparse);
 }
 
 // ---------------------------------------------------------------------------
@@ -512,8 +510,8 @@ TEST(FaultEngine, TrippedPathReroutesTrafficDownTheLadder) {
     auto inject = std::make_shared<fault::injector>();
     // the blocked host path persistently fails; reference stays healthy
     inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .path = predict_path::host_blocked });
-    // batch 64 deterministically picks the blocked host path (the default
-    // cost model routes 64-point batches there, see the dispatcher tests)
+    // batch 64 deterministically picks the blocked host path (`choose_path`
+    // routes dense batches of 8+ points there, see the dispatcher tests)
     engine_config config = fault_test_config(inject, 64);
     config.fault.breaker.min_samples = 2;
     config.fault.breaker.window = 8;

@@ -315,6 +315,31 @@ TEST(NetProtocol, BinaryRequestRejectsTruncationAndTrailingBytes) {
     EXPECT_TRUE(net::decode_request_binary(hostile.take(), decoded).has_value());
 }
 
+// Asserts: a binary request whose entry count exceeds what its remaining
+// payload bytes can carry (8 bytes per dense entry, 12 per sparse one) is
+// rejected before the decoder reserves anything. Strategy: hand-build a
+// dense and a sparse frame that claim the largest accepted count (2^22) but
+// carry one entry; each decode must return an error and leave the decoded
+// entry vectors at capacity 0.
+TEST(NetProtocol, EntryCountBeyondThePayloadIsRejectedBeforeAllocating) {
+    for (const bool sparse : { false, true }) {
+        net::wire_writer frame;
+        frame.u64(1);
+        frame.u8(sparse ? 0x01 : 0x00);
+        frame.u8(0);
+        frame.str16("m");
+        frame.u32(1u << 22);
+        if (sparse) {
+            frame.u32(3);
+        }
+        frame.f64(0.5);
+        net::net_request decoded;
+        EXPECT_TRUE(net::decode_request_binary(frame.take(), decoded).has_value()) << (sparse ? "sparse" : "dense");
+        EXPECT_EQ(decoded.dense.capacity(), 0u) << (sparse ? "sparse" : "dense");
+        EXPECT_EQ(decoded.sparse_entries.capacity(), 0u) << (sparse ? "sparse" : "dense");
+    }
+}
+
 TEST(NetProtocol, BinaryResponseRoundTrip) {
     for (const net::response_status status : { net::response_status::ok, net::response_status::retry_after,
                                                net::response_status::failed, net::response_status::not_found }) {
@@ -613,7 +638,7 @@ TEST(NetServer, ShedMapsToRetryAfterWithNonzeroHint) {
 TEST(NetServer, ReadinessFlipsWhenInjectedFaultsTurnCritical) {
     // the blocked host path persistently fails while reference stays
     // healthy: a 64-point batch (deterministically routed to host_blocked by
-    // the cost model) trips its breaker, the open breaker drives the engine
+    // `choose_path`) trips its breaker, the open breaker drives the engine
     // critical, and the JSON-mode readiness probe must flip — while every
     // request still completes via the fallback ladder
     auto inject = std::make_shared<fault::injector>();

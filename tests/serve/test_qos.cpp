@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <exception>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,8 +43,10 @@ using plssvm::serve::engine_config;
 using plssvm::serve::inference_engine;
 using plssvm::serve::micro_batcher;
 using plssvm::serve::per_class;
+using plssvm::serve::predict_path;
 using plssvm::serve::qos_config;
 using plssvm::serve::request_class;
+using plssvm::serve::request_class_to_string;
 using plssvm::serve::request_options;
 using plssvm::serve::request_shed_exception;
 using plssvm::serve::token_bucket;
@@ -185,8 +188,8 @@ TEST(QosBatcher, PerClassPendingCounters) {
 // deadline batch cap (deterministic: a pure function of config and estimate)
 // ---------------------------------------------------------------------------
 
-// Asserts: a class with a deadline budget caps its batches where the cost
-// model says one batch would eat its execution share of the budget, while
+// Asserts: a class with a deadline budget caps its batches where the
+// estimate says one batch would eat its execution share of the budget, while
 // classes without a deadline keep the engine's max_batch_size. Strategy: a
 // fake estimator of 1 ms per point against a 4 ms budget at the default
 // execution fraction 0.5 affords 2 points.
@@ -198,12 +201,116 @@ TEST(QosAdaptive, DeadlineBudgetCapsTargetThroughCostModel) {
     EXPECT_EQ(caps[class_index(request_class::batch)], 64u) << "no deadline: the full cap";
     EXPECT_EQ(caps[class_index(request_class::background)], 64u);
     EXPECT_EQ(caps[class_index(request_class::interactive)], 2u)
-        << "the deadline budget must cap the batch through the cost model";
+        << "the deadline budget must cap the batch through the estimate";
     // a budget no batch fits still leaves a cap of one request
     config.classes[class_index(request_class::interactive)].deadline_budget = 1us;
     EXPECT_EQ(plssvm::serve::class_batch_caps(config, 64, [](const std::size_t) { return 1.0; })[class_index(request_class::interactive)], 1u);
     // without an estimator nothing is capped
     EXPECT_EQ(plssvm::serve::class_batch_caps(config, 64, nullptr)[class_index(request_class::interactive)], 64u);
+}
+
+// ---------------------------------------------------------------------------
+// the engine's measured estimate: caps, reload reset, retried batches
+// ---------------------------------------------------------------------------
+
+/// Engine config whose interactive class carries @p budget and whose batches
+/// stay below `min_blocked_batch`, so every batch and every capped batch
+/// runs the reference path: the one path the tests measure.
+[[nodiscard]] engine_config measured_estimate_config(const std::chrono::microseconds budget, std::shared_ptr<plssvm::serve::fault::injector> inject = nullptr) {
+    engine_config config;
+    config.max_batch_size = 4;
+    config.qos.classes[class_index(request_class::interactive)].deadline_budget = budget;
+    config.fault.inject = std::move(inject);
+    return config;
+}
+
+/// One slow_batch rule: the first batch kernel call sleeps @p stall.
+[[nodiscard]] std::shared_ptr<plssvm::serve::fault::injector> slow_first_batch(const std::chrono::microseconds stall) {
+    namespace fault = plssvm::serve::fault;
+    auto inject = std::make_shared<fault::injector>();
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::slow_batch, .limit = 1, .stall = stall });
+    return inject;
+}
+
+// Asserts: a fresh engine has measured nothing, so it caps every class at
+// max_batch_size, the deadline class included, and its first batch records
+// no estimate. Strategy: start an engine whose interactive class has a
+// 1 ms budget, read the caps and rates, serve one request, then read the
+// estimate counter, the request's trace and the rate of the path it ran.
+TEST(QosMeasuredEstimate, FreshEngineCapsAtMaxBatchSizeAndRecordsNoEstimate) {
+    const engine_config config = measured_estimate_config(1ms);
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+    for (const request_class cls : all_request_classes) {
+        EXPECT_EQ(engine.stats().classes[class_index(cls)].target_batch_size, config.max_batch_size) << request_class_to_string(cls);
+    }
+    for (const predict_path path : { predict_path::reference, predict_path::host_blocked, predict_path::host_sparse }) {
+        EXPECT_EQ(engine.measured_seconds_per_request(path), 0.0) << plssvm::serve::predict_path_to_string(path);
+    }
+
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    EXPECT_EQ(engine.stats().estimate_batches, 0u) << "the first batch has nothing measured to estimate from";
+    const std::vector<plssvm::serve::obs::request_trace> traces = engine.recorder().traces(request_class::interactive);
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_EQ(traces.front().estimated_batch_seconds, 0.0);
+    EXPECT_GT(engine.measured_seconds_per_request(predict_path::reference), 0.0) << "the clean batch is measured";
+}
+
+// Asserts: after one measured slow batch, the interactive class with a
+// deadline budget caps its batches below max_batch_size, while the classes
+// without a budget keep it. Strategy: a slow_batch rule holds the first
+// batch (one request) 20 ms, so the reference path reads >= 20 ms per
+// request; against a 10 ms budget (5 ms to execute at the default
+// fraction) the cap halves from 4 to 1.
+TEST(QosMeasuredEstimate, SlowBatchCapsOnlyTheClassWithADeadlineBudget) {
+    const engine_config config = measured_estimate_config(10ms, slow_first_batch(20ms));
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    EXPECT_GE(engine.measured_seconds_per_request(predict_path::reference), 0.02);
+
+    const plssvm::serve::serve_stats stats = engine.stats();
+    EXPECT_EQ(stats.classes[class_index(request_class::interactive)].target_batch_size, 1u);
+    EXPECT_EQ(stats.classes[class_index(request_class::batch)].target_batch_size, config.max_batch_size);
+    EXPECT_EQ(stats.classes[class_index(request_class::background)].target_batch_size, config.max_batch_size);
+}
+
+// Asserts: a reload resets the measured estimate: every path reads 0 again,
+// the deadline class's cap returns to max_batch_size, and the first batch
+// after the reload records no estimate. Strategy: measure one slow batch as
+// above, check the cap fell, reload the same model, check, serve one more
+// request.
+TEST(QosMeasuredEstimate, ReloadResetsTheEstimate) {
+    const engine_config config = measured_estimate_config(10ms, slow_first_batch(20ms));
+    const model<double> trained = test::random_model(kernel_type::linear);
+    inference_engine<double> engine{ trained, config };
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    ASSERT_EQ(engine.stats().classes[class_index(request_class::interactive)].target_batch_size, 1u);
+
+    engine.reload(trained);
+    EXPECT_EQ(engine.measured_seconds_per_request(predict_path::reference), 0.0);
+    EXPECT_EQ(engine.stats().classes[class_index(request_class::interactive)].target_batch_size, config.max_batch_size);
+    const std::size_t estimated_before = engine.stats().estimate_batches;
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    EXPECT_EQ(engine.stats().estimate_batches, estimated_before) << "the new snapshot has nothing measured yet";
+    EXPECT_GT(engine.measured_seconds_per_request(predict_path::reference), 0.0);
+}
+
+// Asserts: a batch that retried does not move the estimate. Strategy: a
+// kernel_throw rule skips the first batch kernel call and fails the second,
+// so the first batch is measured cleanly and the second succeeds only on
+// its retry (after a backoff sleep that would inflate its rate); the
+// reference rate must read exactly what the first batch left.
+TEST(QosMeasuredEstimate, RetriedBatchDoesNotMoveTheEstimate) {
+    namespace fault = plssvm::serve::fault;
+    auto inject = std::make_shared<fault::injector>();
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .after = 1, .limit = 1 });
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), measured_estimate_config(0us, inject) };
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    const double measured = engine.measured_seconds_per_request(predict_path::reference);
+    ASSERT_GT(measured, 0.0);
+
+    (void) engine.submit(std::vector<double>(engine.num_features(), 0.5)).get();
+    EXPECT_EQ(engine.stats().fault.batch_retries, 1u);
+    EXPECT_EQ(engine.measured_seconds_per_request(predict_path::reference), measured);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * @brief Tests of the sparse compiled form of the support-vector panel:
  *        density-threshold form selection (including the exact boundary),
- *        nnz-aware dispatcher path choice surfacing in `serve_stats`,
+ *        density-rule path choice surfacing in `serve_stats`,
  *        zero-downtime reloads that move a model between the dense and
  *        sparse forms under load, and registry-level form switches.
  */
@@ -35,27 +35,15 @@ using plssvm::csr_matrix;
 using plssvm::kernel_type;
 using plssvm::model;
 using plssvm::serve::compile_options;
+using plssvm::serve::choose_path;
 using plssvm::serve::compiled_model;
-using plssvm::serve::dispatch_params;
 using plssvm::serve::engine_config;
 using plssvm::serve::inference_engine;
 using plssvm::serve::model_registry;
-using plssvm::serve::predict_dispatcher;
 using plssvm::serve::predict_path;
 using plssvm::serve::predict_shape;
 namespace test = plssvm::test;
 using namespace std::chrono_literals;
-
-/// Deterministic host profile so path-choice assertions never depend on the
-/// machine-measured calibration numbers.
-[[nodiscard]] dispatch_params injected_dispatch() {
-    dispatch_params params;
-    params.host.effective_gflops = 4.0;
-    params.host.effective_bandwidth_gbs = 10.0;
-    params.host.num_threads = 1;
-    params.calibrate_host = false;
-    return params;
-}
 
 // --- compile-form selection --------------------------------------------------
 
@@ -120,41 +108,36 @@ TEST(SparseSV, SparseAndDenseFormsAgreeForAllKernels) {
     }
 }
 
-// --- nnz-aware dispatcher ----------------------------------------------------
+// --- density-rule dispatch ---------------------------------------------------
 
 TEST(SparseSV, DispatcherRoutesSparseModelsToTheSparsePath) {
-    const predict_dispatcher dispatcher{ injected_dispatch() };
     // 1% dense panel: the sparse sweep does ~1% of the flops and traffic
     const predict_shape sparse_model_shape{ 256, 512, 1024, kernel_type::rbf, /*sv_nnz=*/5120 };
-    EXPECT_EQ(dispatcher.choose(sparse_model_shape), predict_path::host_sparse);
-    EXPECT_LT(dispatcher.host_sparse_seconds(sparse_model_shape),
-              dispatcher.host_seconds(256, 512, 1024, kernel_type::rbf));
+    EXPECT_EQ(choose_path(sparse_model_shape), predict_path::host_sparse);
 
     // no sparse compiled form -> the sparse path must not be offered
     const predict_shape dense_model_shape{ 256, 512, 1024, kernel_type::rbf, /*sv_nnz=*/0 };
-    EXPECT_EQ(dispatcher.choose(dense_model_shape), predict_path::host_blocked);
+    EXPECT_EQ(choose_path(dense_model_shape), predict_path::host_blocked);
 
     // tiny batches stay on the reference path regardless of sparsity
     predict_shape tiny = sparse_model_shape;
     tiny.batch_size = 2;
-    EXPECT_EQ(dispatcher.choose(tiny), predict_path::reference);
+    EXPECT_EQ(choose_path(tiny), predict_path::reference);
 }
 
 TEST(SparseSV, DispatcherRoutesSparseLinearQueriesBySparsity) {
-    const predict_dispatcher dispatcher{ injected_dispatch() };
     // CSR linear queries at 1% density: O(nnz) sweep wins
     const predict_shape sparse_queries{ 256, 512, 1024, kernel_type::linear, 0, /*sparse_query=*/true, /*query_nnz=*/2560 };
-    EXPECT_EQ(dispatcher.choose(sparse_queries), predict_path::host_sparse);
+    EXPECT_EQ(choose_path(sparse_queries), predict_path::host_sparse);
     // dense linear batches never route sparse: the GEMV against w is already
     // independent of the SV panel
     const predict_shape dense_queries{ 256, 512, 1024, kernel_type::linear, /*sv_nnz=*/5120 };
-    EXPECT_EQ(dispatcher.choose(dense_queries), predict_path::host_blocked);
+    EXPECT_EQ(choose_path(dense_queries), predict_path::host_blocked);
 }
 
 TEST(SparseSV, EngineRecordsSparsePathInServeStats) {
     engine_config config;
     config.num_threads = 2;
-    config.dispatch = injected_dispatch();
     // sparse rbf model, large dense batch -> host_sparse
     inference_engine<double> engine{ test::random_sparse_model(kernel_type::rbf, 64, 48, 0.05, 17), config };
     ASSERT_TRUE(engine.snapshot()->heads.front().sparse_sv());
@@ -184,7 +167,6 @@ TEST(SparseSV, EngineRecordsSparsePathInServeStats) {
 TEST(SparseSV, EngineRecordsSparsePathForCsrLinearBatches) {
     engine_config config;
     config.num_threads = 2;
-    config.dispatch = injected_dispatch();
     inference_engine<double> engine{ test::random_sparse_model(kernel_type::linear, 32, 64, 0.05, 23), config };
 
     const aos_matrix<double> queries = test::sparse_random_matrix(64, 64, 0.05, 24);
@@ -195,7 +177,6 @@ TEST(SparseSV, EngineRecordsSparsePathForCsrLinearBatches) {
 TEST(SparseSV, EngineKeepsDenseModelsOnTheBlockedPath) {
     engine_config config;
     config.num_threads = 2;
-    config.dispatch = injected_dispatch();
     inference_engine<double> engine{ test::random_model(kernel_type::rbf, 37, 11), config };
     ASSERT_FALSE(engine.snapshot()->heads.front().sparse_sv());
     (void) engine.decision_values(test::random_matrix(256, 11, 25));
@@ -209,7 +190,6 @@ TEST(SparseSV, EngineKeepsDenseModelsOnTheBlockedPath) {
 TEST(SparseSV, ReloadMovesAModelBetweenDenseAndSparseForms) {
     engine_config config;
     config.num_threads = 2;
-    config.dispatch = injected_dispatch();
     inference_engine<double> engine{ test::random_model(kernel_type::rbf, 37, 16, 41), config };
     EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
 
@@ -271,7 +251,6 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
 
     engine_config config;
     config.num_threads = 2;
-    config.dispatch = injected_dispatch();
     inference_engine<double> engine{ m, config };
 
     std::atomic<std::size_t> mismatches{ 0 };
