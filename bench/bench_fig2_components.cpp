@@ -5,9 +5,12 @@
  *        (a) scaling the number of data points, (b) scaling features.
  *
  * The "read" and "write" components run for real (file parsing / model
- * writing on this host); "transform" is the real AoS->SoA conversion; "cg"
- * reports simulated A100 seconds. A paper-scale projection block shows the
- * cg-dominance the paper reports (>= 92 % of total at 2^15 points).
+ * writing on the host running the bench). "read" times
+ * `data_set::from_file`: the two-pass LIBSVM parser of io/libsvm.hpp,
+ * parallel over the host's OpenMP threads. "transform" is the real AoS->SoA
+ * conversion; "cg" reports simulated A100 seconds. A paper-scale projection
+ * block shows the cg-dominance the paper reports (>= 92 % of total at 2^15
+ * points).
  *
  * Expected shape (paper): for small data sets the I/O components dominate;
  * beyond ~2^12 points "cg" takes over and reaches >= 92 % of the total;

@@ -30,7 +30,7 @@ struct arff_header {
             continue;
         }
         if (raw.front() != '@') {
-            throw invalid_file_format_exception{ "ARFF line " + std::to_string(i + 1) + ": expected a header directive before @DATA, got '" + std::string{ raw } + "'!" };
+            throw invalid_file_format_exception{ "ARFF line " + std::to_string(reader.line_number(i)) + ": expected a header directive before @DATA, got '" + std::string{ raw } + "'!" };
         }
         const std::string lower = detail::to_lower_case(raw);
         if (detail::starts_with(lower, "@relation")) {
@@ -49,7 +49,7 @@ struct arff_header {
                     throw invalid_file_format_exception{ "The ARFF class attribute must be the last attribute!" };
                 }
                 if (rest_lower.find("numeric") == std::string::npos && rest_lower.find("real") == std::string::npos) {
-                    throw invalid_file_format_exception{ "ARFF line " + std::to_string(i + 1) + ": only NUMERIC/REAL feature attributes are supported!" };
+                    throw invalid_file_format_exception{ "ARFF line " + std::to_string(reader.line_number(i)) + ": only NUMERIC/REAL feature attributes are supported!" };
                 }
                 ++header.num_features;
             }
@@ -58,7 +58,7 @@ struct arff_header {
             ++i;
             break;
         } else {
-            throw invalid_file_format_exception{ "ARFF line " + std::to_string(i + 1) + ": unknown directive '" + std::string{ raw } + "'!" };
+            throw invalid_file_format_exception{ "ARFF line " + std::to_string(reader.line_number(i)) + ": unknown directive '" + std::string{ raw } + "'!" };
         }
     }
     if (!seen_data) {
@@ -143,9 +143,9 @@ arff_parse_result<T> parse_arff(const file_reader &reader) {
         }
         T label{};
         if (line.front() == '{' && line.back() == '}') {
-            parse_sparse_row(line, i + 1, header, row, label);
+            parse_sparse_row(line, reader.line_number(i), header, row, label);
         } else {
-            parse_dense_row(line, i + 1, header, row, label);
+            parse_dense_row(line, reader.line_number(i), header, row, label);
         }
         all_features.insert(all_features.end(), row.begin(), row.end());
         if (header.has_class_attribute) {

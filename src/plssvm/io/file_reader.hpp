@@ -3,9 +3,16 @@
  * @brief Whole-file reader that exposes the contents as trimmed line views.
  *
  * Reading the training file is the "read" component of the paper's pipeline
- * (Fig. 2). The file is slurped in one I/O operation and split into
- * `std::string_view` lines without copying, so parsing cost stays linear in
- * file size.
+ * (Fig. 2). The file is read once into one buffer sized from the file (a pipe,
+ * whose size is unknown, grows the same buffer in the same read loop) and
+ * split into `std::string_view` lines without copying, so parsing cost stays
+ * linear in file size and the reader's memory is the file plus one view and
+ * one line number per kept line. The views stay valid as long as the reader,
+ * also across a move.
+ *
+ * Each kept line remembers its 1-based line number in the file, so a parser
+ * names the line an editor shows even after comments and blank lines were
+ * skipped.
  */
 
 #ifndef PLSSVM_IO_FILE_READER_HPP_
@@ -24,23 +31,29 @@ class file_reader {
      * @brief Read the whole file at @p filename into memory and split it into
      *        lines. Lines that are empty (after trimming) or start with
      *        @p comment are skipped.
-     * @throws plssvm::file_not_found_exception if the file cannot be opened.
+     * @throws plssvm::file_not_found_exception if the file cannot be opened
+     *         or read.
      */
     explicit file_reader(const std::string &filename, char comment = '#');
 
-    /// Construct from an in-memory buffer (used by tests and generators).
-    static file_reader from_string(std::string contents, char comment = '#');
+    /// Construct from a copy of an in-memory buffer (used by tests and generators).
+    static file_reader from_string(std::string_view contents, char comment = '#');
 
     [[nodiscard]] std::size_t num_lines() const noexcept { return lines_.size(); }
     [[nodiscard]] std::string_view line(const std::size_t i) const { return lines_.at(i); }
     [[nodiscard]] const std::vector<std::string_view> &lines() const noexcept { return lines_; }
+    /// The 1-based line number in the file of kept line @p i.
+    [[nodiscard]] std::size_t line_number(const std::size_t i) const { return line_numbers_.at(i); }
 
   private:
     file_reader() = default;
     void split_into_lines(char comment);
 
-    std::string buffer_;
+    // a vector, not a string: moving it keeps the bytes the views point to,
+    // where a short string would move its in-object buffer
+    std::vector<char> buffer_;
     std::vector<std::string_view> lines_;
+    std::vector<std::size_t> line_numbers_;
 };
 
 }  // namespace plssvm::io

@@ -6,6 +6,17 @@
  * PLSSVM converts it to a dense representation on read by materialising the
  * zeros (paper §III: "sparse data sets [...] are at first converted into a
  * dense representation by filling in zeros").
+ *
+ * The parser makes two passes over the lines of a `file_reader`, each in
+ * parallel over lines with OpenMP. Pass 1 reads only each line's last index:
+ * indices ascend strictly, so a valid line's last index is its largest, and
+ * the largest of them (or `min_num_features`) is the width. The dense matrix
+ * is then allocated once, and pass 2 parses every line with `from_chars`
+ * straight into its own row, in chunks of lines handed out dynamically (a
+ * file of one chunk is parsed serially). No memory is allocated per line, so
+ * a parse's peak memory is the file plus the dense matrix. Results are
+ * bit-identical at every thread count, and an error always names the first
+ * bad line in file order.
  */
 
 #ifndef PLSSVM_IO_LIBSVM_HPP_
@@ -14,7 +25,7 @@
 #include "plssvm/core/matrix.hpp"
 #include "plssvm/io/file_reader.hpp"
 
-#include <optional>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -37,12 +48,17 @@ struct libsvm_parse_result {
  * @param reader the pre-split input lines
  * @param min_num_features lower bound for the feature count (a test file may
  *        not mention trailing features that the model was trained with)
- * @throws plssvm::invalid_file_format_exception on malformed lines,
- *         non-positive or non-ascending indices, or mixed labeled/unlabeled lines
- * @throws plssvm::invalid_data_exception if the file contains no data points
+ * @param first_line the first of the reader's lines to parse; the lines
+ *        before it are not read (a model file's header)
+ * @throws plssvm::invalid_file_format_exception naming the file line number of
+ *         the first malformed line (bad label, index or value, a non-positive
+ *         or non-ascending index, or an index that makes the dense matrix too
+ *         large to size); otherwise if labeled and unlabeled lines are mixed
+ * @throws plssvm::invalid_data_exception if there are no data points, no
+ *         features, or @p min_num_features is too large to size
  */
 template <typename T>
-[[nodiscard]] libsvm_parse_result<T> parse_libsvm(const file_reader &reader, std::size_t min_num_features = 0);
+[[nodiscard]] libsvm_parse_result<T> parse_libsvm(const file_reader &reader, std::size_t min_num_features = 0, std::size_t first_line = 0);
 
 /// Convenience overload opening @p filename first.
 template <typename T>

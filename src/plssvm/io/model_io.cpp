@@ -87,12 +87,7 @@ model_file<T> read_model_file(const std::string &filename) {
     }
 
     // SV lines are LIBSVM sparse lines whose "label" token is the coefficient.
-    std::string sv_block;
-    for (std::size_t i = sv_start_line; i < reader.num_lines(); ++i) {
-        sv_block.append(reader.line(i));
-        sv_block.push_back('\n');
-    }
-    libsvm_parse_result<T> sv = parse_libsvm<T>(file_reader::from_string(std::move(sv_block)));
+    libsvm_parse_result<T> sv = parse_libsvm<T>(reader, 0, sv_start_line);
     if (!sv.has_labels) {
         throw header_error(filename, "support vector lines are missing their coefficients");
     }

@@ -90,6 +90,17 @@ TEST(ArffParser, InvalidNumericValueThrows) {
                  plssvm::invalid_file_format_exception);
 }
 
+TEST(ArffParser, ErrorNamesTheFileLineNumber) {
+    // the blank lines are skipped but still counted: the bad row is line 9
+    std::string error;
+    try {
+        (void) parse_arff<double>(make_reader(std::string{ valid_header } + "\n1.0,2.0,1\n\n1.0,x,1\n"));
+    } catch (const plssvm::invalid_file_format_exception &e) {
+        error = e.what();
+    }
+    EXPECT_NE(error.find("ARFF line 9:"), std::string::npos) << error;
+}
+
 TEST(ArffParser, SparseIndexOutOfRangeThrows) {
     EXPECT_THROW((void) parse_arff<double>(make_reader(std::string{ valid_header } + "{7 1.0}\n")),
                  plssvm::invalid_file_format_exception);

@@ -124,6 +124,21 @@ TEST(ModelIo, LoadRejectsUnsupportedSvmType) {
     std::remove(path.c_str());
 }
 
+TEST(ModelIo, BadSupportVectorNamesItsFileLine) {
+    const std::string path = "/tmp/plssvm_test_model_bad_sv.model";
+    std::ofstream{ path } << "svm_type c_svc\nkernel_type linear\nnr_class 2\ntotal_sv 2\nrho 0\nlabel 1 -1\nnr_sv 1 1\nSV\n"
+                             "0.5 1:1.0\n"
+                             "-0.5 1:abc\n";
+    std::string error;
+    try {
+        (void) model<double>::load(path);
+    } catch (const plssvm::invalid_file_format_exception &e) {
+        error = e.what();
+    }
+    std::remove(path.c_str());
+    EXPECT_NE(error.find("Line 10:"), std::string::npos) << error;
+}
+
 TEST(ModelIo, HandWrittenLibsvmModelLoads) {
     // a minimal model file as LIBSVM's svm-train would emit it
     const std::string path = "/tmp/plssvm_test_model_libsvm.model";
