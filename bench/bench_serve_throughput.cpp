@@ -50,7 +50,7 @@
  *     workload (single-point submits coalesced by the micro-batcher, RBF)
  *     with the observability plane at its default full-sampling
  *     configuration vs. `obs.enabled = false`. The lifecycle stamps, the
- *     lock-free ring publishes, and the histogram records all sit on the
+ *     trace ring publishes, and the histogram records all sit on the
  *     request hot path — the gate bounds what they may cost: traced
  *     throughput >= 0.95x untraced (best-over-repeats on both sides, so
  *     scheduler noise does not fail the gate spuriously).

@@ -3,30 +3,46 @@
 #include "plssvm/detail/string_utils.hpp"
 #include "plssvm/exceptions.hpp"
 
-#include <filesystem>
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <fstream>
-#include <system_error>
 
 namespace plssvm::io {
 
 namespace {
 
-/// First buffer size of an input that reports no size (a pipe, or a file that
-/// reports 0 such as those under /proc); a full buffer doubles.
+/// First buffer size of an input that is read rather than mapped (a pipe, or a
+/// file that reports size 0 such as those under /proc); a full buffer doubles.
 constexpr std::size_t unknown_size_buffer = std::size_t{ 1 } << 16;
 
 }  // namespace
 
 file_reader::file_reader(const std::string &filename, const char comment) {
+    // a regular file is mapped; any other input, or a file that does not map,
+    // is read below, which also reports an input that cannot be opened or read
+    if (const int fd = ::open(filename.c_str(), O_RDONLY | O_CLOEXEC); fd >= 0) {
+        struct stat info {};
+        if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode) && info.st_size > 0) {
+            const auto size = static_cast<std::size_t>(info.st_size);
+            if (void *contents = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0); contents != MAP_FAILED) {
+                mapping_ = { static_cast<const char *>(contents), unmapper{ size } };
+            }
+        }
+        ::close(fd);  // a mapping outlives its descriptor
+    }
+    if (mapping_) {
+        split_into_lines({ mapping_.get(), mapping_.get_deleter().bytes }, comment);
+        return;
+    }
+
     std::ifstream file{ filename, std::ios::binary };
     if (!file) {
         throw file_not_found_exception{ "Can't open file '" + filename + "'!" };
     }
-    // one byte more than a regular file's size, so the read that reaches the
-    // end of the file finds room and the buffer never grows
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(filename, ec);
-    buffer_.resize(ec || size == 0 ? unknown_size_buffer : static_cast<std::size_t>(size) + 1);
+    buffer_.resize(unknown_size_buffer);
     std::size_t filled = 0;
     while (file) {
         if (filled == buffer_.size()) {
@@ -39,18 +55,21 @@ file_reader::file_reader(const std::string &filename, const char comment) {
         throw file_not_found_exception{ "Can't read file '" + filename + "'!" };
     }
     buffer_.resize(filled);
-    split_into_lines(comment);
+    split_into_lines({ buffer_.data(), buffer_.size() }, comment);
 }
 
 file_reader file_reader::from_string(const std::string_view contents, const char comment) {
     file_reader reader;
     reader.buffer_.assign(contents.begin(), contents.end());
-    reader.split_into_lines(comment);
+    reader.split_into_lines({ reader.buffer_.data(), reader.buffer_.size() }, comment);
     return reader;
 }
 
-void file_reader::split_into_lines(const char comment) {
-    const std::string_view view{ buffer_.data(), buffer_.size() };
+void file_reader::unmapper::operator()(const char *contents) const noexcept {
+    ::munmap(const_cast<char *>(contents), bytes);
+}
+
+void file_reader::split_into_lines(const std::string_view view, const char comment) {
     std::size_t start = 0;
     std::size_t number = 0;
     while (start < view.size()) {

@@ -3,12 +3,19 @@
  * @brief Whole-file reader that exposes the contents as trimmed line views.
  *
  * Reading the training file is the "read" component of the paper's pipeline
- * (Fig. 2). The file is read once into one buffer sized from the file (a pipe,
- * whose size is unknown, grows the same buffer in the same read loop) and
- * split into `std::string_view` lines without copying, so parsing cost stays
- * linear in file size and the reader's memory is the file plus one view and
- * one line number per kept line. The views stay valid as long as the reader,
- * also across a move.
+ * (Fig. 2). A regular file is mapped read-only; any other input (a pipe, a
+ * file reporting size 0 such as those under /proc) is read into one buffer
+ * that doubles when full. Either is split into `std::string_view` lines
+ * without copying, so parsing cost stays linear in file size and the reader's
+ * memory is the file plus one view and one line number per kept line. The
+ * views stay valid as long as the reader, also across a move.
+ *
+ * The mapping spares the copy out of the page cache and keeps the file out
+ * of the heap: a freed file-sized heap block leaves a hole that the next
+ * file may or may not fit, so a process that parses files in turn kept a
+ * resident size that depended on the heap's layout (the length of a file
+ * name could add the size of a file). As with any mapped file, truncating
+ * the file while a reader maps it makes reading the lost part raise SIGBUS.
  *
  * Each kept line remembers its 1-based line number in the file, so a parser
  * names the line an editor shows even after comments and blank lines were
@@ -19,6 +26,7 @@
 #define PLSSVM_IO_FILE_READER_HPP_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,9 +54,17 @@ class file_reader {
     [[nodiscard]] std::size_t line_number(const std::size_t i) const { return line_numbers_.at(i); }
 
   private:
-    file_reader() = default;
-    void split_into_lines(char comment);
+    /// Unmaps a file mapping of `bytes` bytes.
+    struct unmapper {
+        std::size_t bytes;
+        void operator()(const char *contents) const noexcept;
+    };
 
+    file_reader() = default;
+    void split_into_lines(std::string_view contents, char comment);
+
+    /// The mapped regular file; null when `buffer_` holds the contents.
+    std::unique_ptr<const char, unmapper> mapping_;
     // a vector, not a string: moving it keeps the bytes the views point to,
     // where a short string would move its in-object buffer
     std::vector<char> buffer_;

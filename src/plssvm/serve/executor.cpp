@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -47,9 +48,13 @@ executor::executor(std::size_t num_threads, executor_options options) {
         domain_workers_[worker_domains_[i]].push_back(i);
     }
     workers_.reserve(num_threads);
+    // a start-up left to run after construction would compete with the
+    // first tasks, and its wake-ups would count as the idle pool's
+    std::latch started{ static_cast<std::ptrdiff_t>(num_threads) };
     for (std::size_t i = 0; i < num_threads; ++i) {
-        workers_.emplace_back([this, i]() { worker_loop(i); });
+        workers_.emplace_back([this, i, &started]() { worker_loop(i, started); });
     }
+    started.wait();
 }
 
 executor::~executor() {
@@ -169,6 +174,7 @@ executor::lane executor::create_lane(lane_options options) {
     auto state = std::make_shared<lane_state>();
     {
         const std::lock_guard lock{ mutex_ };
+        state->id = lane_counter_;  // both branches below advance the counter once
         const std::size_t num_domains = domain_workers_.size();
         const std::size_t requested = options.home_domain;
         if (requested != any_numa_domain && num_domains > 0 && !domain_workers_[requested % num_domains].empty()) {
@@ -222,7 +228,7 @@ std::vector<lane_report> executor::reports_locked() const {
     std::vector<lane_report> reports;
     reports.reserve(lanes_.size());
     for (const std::shared_ptr<lane_state> &lane : lanes_) {
-        reports.push_back(lane_report{ lane->options.name, lane->affinity, lane->home_domain, counters_of(*lane) });
+        reports.push_back(lane_report{ lane->options.name, lane->id, lane->affinity, lane->home_domain, counters_of(*lane) });
     }
     return reports;
 }
@@ -363,13 +369,16 @@ void executor::finish(lane_state &state, const std::size_t worker_index) {
     }
 }
 
-void executor::worker_loop(const std::size_t worker_index) {
+void executor::worker_loop(const std::size_t worker_index, std::latch &started) {
     current_worker_executor = this;
     const std::size_t domain = worker_domains_[worker_index];
     if (pin_active_) {
         (void) pin_current_thread(topology_.domains[domain].cpus);
     }
     std::unique_lock lock{ mutex_ };
+    // counted under the lock, which a new worker next releases by waiting
+    // for work (the executor has no lanes yet)
+    started.count_down();
     lane_state *finished = nullptr;  // lane of the task this worker just ran
     while (true) {
         lane_state *lane = next_runnable_lane(domain);

@@ -50,6 +50,7 @@
 #include <cstddef>             // std::size_t, std::max_align_t
 #include <deque>               // std::deque
 #include <future>              // std::future, std::packaged_task
+#include <latch>               // std::latch
 #include <memory>              // std::shared_ptr
 #include <mutex>               // std::mutex
 #include <new>                 // placement new
@@ -212,7 +213,8 @@ struct lane_stats {
 /// Name + counters of one registered lane (`executor::lane_reports()`), for
 /// the per-lane observability export.
 struct lane_report {
-    std::string name;                  ///< the lane's diagnostic name
+    std::string name;                  ///< the lane's diagnostic name (several lanes may share one)
+    std::size_t id{ 0 };               ///< creation ordinal, unique within the executor
     std::size_t affinity{ 0 };         ///< home worker index
     std::size_t home_domain{ 0 };      ///< NUMA domain of the home worker
     lane_stats stats;                  ///< point-in-time counters
@@ -223,6 +225,7 @@ class executor {
     /// placement fields is guarded by `executor::mutex_`.
     struct lane_state {
         lane_options options;          ///< immutable after creation
+        std::size_t id{ 0 };           ///< creation ordinal (immutable)
         std::size_t affinity{ 0 };     ///< home worker index (immutable)
         std::size_t home_domain{ 0 };  ///< resolved NUMA domain (immutable)
         std::deque<detail::task> queue;
@@ -234,6 +237,7 @@ class executor {
   public:
     /// Start @p num_threads workers; 0 means `std::thread::hardware_concurrency()`.
     /// Probes the machine's NUMA topology and pins workers when profitable.
+    /// Returns once every worker has started.
     explicit executor(std::size_t num_threads = 0);
 
     /// Start workers on an explicit topology (tests inject fake ones here).
@@ -380,7 +384,8 @@ class executor {
     [[nodiscard]] std::string stats_json() const;
 
   private:
-    void worker_loop(std::size_t worker_index);
+    /// Counts @p started down once it holds `mutex_`, then serves lanes.
+    void worker_loop(std::size_t worker_index, std::latch &started);
 
     /// The next lane a worker of @p domain may take a task from, or nullptr
     /// (requires `mutex_`). Advances the rotation cursor.
@@ -426,7 +431,7 @@ class executor {
     std::condition_variable lane_drained_;    ///< lane closers wait here
     std::vector<std::shared_ptr<lane_state>> lanes_;  ///< registration order
     std::size_t cursor_{ 0 };                         ///< lane served last (rotation start)
-    std::size_t lane_counter_{ 0 };                   ///< round-robin affinity
+    std::size_t lane_counter_{ 0 };                   ///< lanes created so far: round-robin affinity and lane ids
     std::vector<std::size_t> domain_lane_counters_;   ///< per-domain round-robin affinity
     std::size_t total_steals_{ 0 };
     bool stop_{ false };

@@ -764,8 +764,9 @@ class drain_supervisor {
     /// Drain-loop body; runs until `generation() != my_gen` or shutdown.
     using run_fn = std::function<void(std::uint64_t generation)>;
     /// Stall callback (metrics/health hook), invoked after a restart with the
-    /// running restart count and the number of requests failed by this stall.
-    using stall_fn = std::function<void(std::size_t stall_restarts, std::size_t failed_requests)>;
+    /// running restart count, the number of requests failed by this stall and
+    /// the request class of the stalled batch.
+    using stall_fn = std::function<void(std::size_t stall_restarts, std::size_t failed_requests, request_class cls)>;
 
     drain_supervisor() = default;
 
@@ -889,7 +890,7 @@ class drain_supervisor {
             drainer_ = std::move(fresh);
             lock.unlock();
             if (on_stall_) {
-                on_stall_(restarts, failed);
+                on_stall_(restarts, failed, stalled->cls());
             }
             lock.lock();
         }

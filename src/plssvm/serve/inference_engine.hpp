@@ -521,13 +521,17 @@ class inference_engine {
     }
 
     /// Current engine health (healthy / degraded / critical), as maintained
-    /// by the fault plane's health state machine.
-    [[nodiscard]] health_state health() const { return health_.state(); }
+    /// by the fault plane's health state machine. A transition is visible
+    /// here only once its flight-recorder dump is recorded.
+    [[nodiscard]] health_state health() const {
+        const std::lock_guard lock{ health_mutex_ };
+        return health_.state();
+    }
 
     /// The most recent SLO burn-rate evaluation (over the fast + slow
     /// trailing windows ending at @p now).
     [[nodiscard]] slo_report slo(const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now()) const {
-        return slo_.evaluate(metrics_.series(), now);
+        return metrics_.evaluate_slo(slo_, now);
     }
 
     /// `stats()` rendered as a machine-readable JSON snapshot string,
@@ -623,8 +627,8 @@ class inference_engine {
         supervisor_.start(
             config_.fault.watchdog,
             [this](const std::uint64_t generation) { drain_loop(generation); },
-            [this](const std::size_t, const std::size_t failed_requests) {
-                metrics_.record_stall_failures(failed_requests);
+            [this](const std::size_t, const std::size_t failed_requests, const request_class cls) {
+                metrics_.record_stall_failures(cls, failed_requests);
                 update_health();
             });
     }
@@ -823,8 +827,10 @@ class inference_engine {
                 inflight = std::make_shared<fault::inflight_batch<T>>(std::move(callbacks), batch.cls);
             } catch (...) {
                 const std::exception_ptr cause = std::current_exception();
+                std::size_t failed = 0;
                 const auto fail = [&](completion_callback<T> &done) {
                     if (done) {
+                        ++failed;
                         std::exchange(done, nullptr)(T{}, std::make_exception_ptr(request_failed_exception{
                                                               fault::classify_failure(cause), batch.cls, fault::failure_cause(cause) }));
                     }
@@ -835,6 +841,7 @@ class inference_engine {
                 for (typename micro_batcher<T>::request &req : batch.requests) {
                     fail(req.done);
                 }
+                metrics_.record_failures(batch.cls, failed);
                 continue;
             }
             try {
@@ -918,7 +925,7 @@ class inference_engine {
                     }
                     if (end - begin == 1) {
                         errors[begin] = fault::quarantine_error(error, batch.cls);
-                        metrics_.record_quarantine();
+                        metrics_.record_quarantine(batch.cls);
                         return;
                     }
                     metrics_.record_batch_bisection();
@@ -998,7 +1005,7 @@ class inference_engine {
                 // vectors): settle whatever is still pending, typed by cause
                 supervisor_.clear(generation);
                 const std::exception_ptr cause = std::current_exception();
-                inflight->fail_unsettled(fault::classify_failure(cause), fault::failure_cause(cause));
+                metrics_.record_failures(batch.cls, inflight->fail_unsettled(fault::classify_failure(cause), fault::failure_cause(cause)));
             }
             if (supervisor_.generation() != generation) {
                 return;  // abandoned by the watchdog mid-batch: a fresh lane took over
@@ -1010,8 +1017,10 @@ class inference_engine {
     /// Re-evaluate the health state machine from the live breaker states and
     /// the cumulative serving counters; record the transition (flight
     /// recorder dump) when the state changes. Called after every drained
-    /// batch and on every stall restart.
+    /// batch and on every stall restart; serialized by `health_mutex_`, so
+    /// the monitor diffs counters sampled in order.
     void update_health() {
+        const std::lock_guard lock{ health_mutex_ };
         const auto now = std::chrono::steady_clock::now();
         fault::health_inputs inputs;
         for (const predict_path path : { predict_path::host_blocked, predict_path::host_sparse }) {
@@ -1020,7 +1029,7 @@ class inference_engine {
             inputs.breaker_half_open = inputs.breaker_half_open || state == fault::breaker_state::half_open;
         }
         const std::size_t stalls = supervisor_.stall_restarts();
-        inputs.stall_restarted = stalls > last_stall_seen_.exchange(stalls, std::memory_order_relaxed);
+        inputs.stall_restarted = stalls > std::exchange(last_stall_seen_, stalls);
         const serve_metrics::fault_counter_sample sample = metrics_.fault_counters();
         inputs.admission_attempts = sample.admission_attempts;
         inputs.shed = sample.shed;
@@ -1029,7 +1038,7 @@ class inference_engine {
         inputs.quarantined = sample.quarantined;
         int slo_worst = 0;
         if (slo_.any_enabled()) {
-            const slo_report report = slo_.evaluate(metrics_.series(), now);
+            const slo_report report = metrics_.evaluate_slo(slo_, now);
             inputs.slo_degraded = report.worst == slo_alert_state::degraded;
             inputs.slo_critical = report.worst == slo_alert_state::critical;
             slo_worst = static_cast<int>(report.worst);
@@ -1038,7 +1047,7 @@ class inference_engine {
         if (transition.changed) {
             recorder_.record_health_transition(health_state_to_string(transition.from), health_state_to_string(transition.to));
         }
-        const int slo_prev = last_slo_worst_.exchange(slo_worst, std::memory_order_relaxed);
+        const int slo_prev = std::exchange(last_slo_worst_, slo_worst);
         if (slo_worst > slo_prev && !transition.changed) {
             // an SLO burn escalation always forces evidence retention, even
             // when the health state was already pinned by another signal
@@ -1093,9 +1102,10 @@ class inference_engine {
     obs::flight_recorder recorder_;             ///< lifecycle traces + violation dumps
     mutable fault::fault_plane fault_plane_;    ///< breakers/backoff (mutable: `state()` advances open -> half-open on reads)
     slo_engine slo_;                            ///< multi-window burn-rate evaluator
+    mutable std::mutex health_mutex_;           ///< held by `update_health()` and `health()`
     fault::health_monitor health_;              ///< engine health state machine
-    std::atomic<std::size_t> last_stall_seen_{ 0 };  ///< stall count at the last health observation
-    std::atomic<int> last_slo_worst_{ 0 };      ///< SLO alert severity at the last health observation
+    std::size_t last_stall_seen_{ 0 };          ///< stall count at the last health observation (guarded by `health_mutex_`)
+    int last_slo_worst_{ 0 };                   ///< SLO alert severity at the last health observation (guarded by `health_mutex_`)
     fault::drain_supervisor<T> supervisor_;     ///< declared last: its threads use every other member
 };
 

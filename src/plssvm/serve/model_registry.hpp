@@ -242,17 +242,17 @@ class model_registry {
     }
 
     /**
-     * @brief Every resident engine's metric families in the Prometheus text
-     *        exposition format, each labelled with `model="<name>"` (plus
-     *        `shard="<i>"` for a name served by several replicas), plus the
-     *        shared executor's per-lane queue-depth/steal gauges.
+     * @brief Emit every resident engine's metric families into @p builder,
+     *        each labelled with `model="<name>"` (plus `shard="<i>"` for a
+     *        name served by several replicas), plus the registry health and
+     *        the shared executor's per-lane queue-depth/steal gauges.
      *
      * Same pinning discipline as `stats_json()`: engines are pinned under
      * the registry mutex, collected outside it, and LRU ages are not
-     * refreshed (scraping must not protect idle models).
+     * refreshed (scraping must not protect idle models). Process-wide
+     * families are left to the caller (see `obs::collect_build_info`).
      */
-    [[nodiscard]] std::string metrics_text() const {
-        obs::prometheus_builder builder;
+    void collect_metrics(obs::prometheus_builder &builder) const {
         health_state worst = health_state::healthy;
         for (const auto &[name, e] : resident()) {
             for (std::size_t shard = 0; shard < e.replicas.size(); ++shard) {
@@ -266,15 +266,23 @@ class model_registry {
         }
         builder.add_gauge("plssvm_serve_registry_health", "Registry-wide health: worst engine state (0 healthy, 1 degraded, 2 critical)",
                           {}, static_cast<double>(static_cast<std::uint8_t>(worst)));
-        obs::collect_build_info(builder);
         for (const lane_report &lane : exec_->lane_reports()) {
-            const obs::label_set labels{ { "lane", lane.name } };
+            // every engine's lane is named "engine": the id keeps the series apart
+            const obs::label_set labels{ { "lane", lane.name }, { "lane_id", std::to_string(lane.id) } };
             builder.add_gauge("plssvm_serve_lane_queue_depth", "Tasks currently queued on an executor lane", labels, static_cast<double>(lane.stats.queue_depth));
             builder.add_gauge("plssvm_serve_lane_in_flight", "Tasks of an executor lane executing right now", labels, static_cast<double>(lane.stats.in_flight));
             builder.add_counter("plssvm_serve_lane_steals_total", "Lane tasks executed by a non-affine worker", labels, static_cast<double>(lane.stats.stolen));
             builder.add_counter("plssvm_serve_lane_submitted_total", "Tasks ever enqueued on an executor lane", labels, static_cast<double>(lane.stats.submitted));
             builder.add_gauge("plssvm_serve_lane_home_domain", "NUMA domain an executor lane is homed on", labels, static_cast<double>(lane.home_domain));
         }
+    }
+
+    /// `collect_metrics()` plus the process-wide build info, rendered as one
+    /// Prometheus text exposition.
+    [[nodiscard]] std::string metrics_text() const {
+        obs::prometheus_builder builder;
+        collect_metrics(builder);
+        obs::collect_build_info(builder);
         return builder.text();
     }
 

@@ -841,8 +841,6 @@ void net_server::collect_metrics(obs::prometheus_builder &builder) const {
                       draining() ? 1.0 : 0.0);
     builder.add_gauge("plssvm_serve_net_inflight_requests", "Predict requests submitted but not yet answered.", no_labels,
                       static_cast<double>(inflight()));
-    builder.add_counter("plssvm_serve_net_exposition_invalid_total", "Merged metric expositions that failed the validity check.",
-                        no_labels, static_cast<double>(exposition_invalid_.load(std::memory_order_relaxed)));
     {
         const std::lock_guard lock{ hist_mutex_ };
         builder.add_histogram("plssvm_serve_net_request_seconds", "Request decoded to response serialized.", no_labels, e2e_hist_);
@@ -881,16 +879,10 @@ void net_server::collect_metrics(obs::prometheus_builder &builder) const {
 
 std::string net_server::metrics_text() const {
     obs::prometheus_builder builder;
+    dispatcher_->collect_metrics(builder);
     collect_metrics(builder);
     obs::collect_build_info(builder);
-    // the model store renders its own exposition: merge instead of naively
-    // concatenating, so shared families (build info, window stats) keep one
-    // HELP/TYPE header and duplicate series are dropped
-    std::string merged = obs::merge_expositions({ dispatcher_->metrics_text(), builder.text() });
-    if (!obs::exposition_valid(merged)) {
-        exposition_invalid_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return merged;
+    return builder.text();
 }
 
 }  // namespace plssvm::serve::net

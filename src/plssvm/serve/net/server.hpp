@@ -126,8 +126,9 @@ class model_dispatcher {
     /// Model-store JSON stats (embedded in the `stats` op response).
     [[nodiscard]] virtual std::string stats_json() const = 0;
 
-    /// Model-store Prometheus exposition.
-    [[nodiscard]] virtual std::string metrics_text() const = 0;
+    /// Emit the model store's metric families into @p builder (the server
+    /// adds its own and the process-wide ones to the same builder).
+    virtual void collect_metrics(obs::prometheus_builder &builder) const = 0;
 
     /// Retained wire-to-wire traces of the model store (backs the `trace`
     /// wire op). Stub dispatchers inherit an empty object.
@@ -170,7 +171,7 @@ class registry_dispatcher final : public model_dispatcher {
 
     [[nodiscard]] std::string stats_json() const override { return registry_.stats_json(); }
 
-    [[nodiscard]] std::string metrics_text() const override { return registry_.metrics_text(); }
+    void collect_metrics(obs::prometheus_builder &builder) const override { registry_.collect_metrics(builder); }
 
     [[nodiscard]] std::string trace_json() const override { return registry_.trace_json(); }
 
@@ -262,7 +263,8 @@ class net_server {
     /// Append the net-plane samples (prefix `plssvm_serve_net_`).
     void collect_metrics(obs::prometheus_builder &builder) const;
 
-    /// Model-store exposition plus the net-plane samples.
+    /// One exposition of the model store's families, the net-plane samples
+    /// and the process-wide build info, all filled into one builder.
     [[nodiscard]] std::string metrics_text() const;
 
   private:
@@ -341,10 +343,6 @@ class net_server {
     // per-peer accounting (keyed by remote IP; retained past disconnects)
     mutable std::mutex peers_mutex_;
     std::map<std::string, std::shared_ptr<peer_stats>> peers_;
-
-    /// Scrapes whose merged exposition failed the validity check (bumped in
-    /// `metrics_text()`, surfaced on the next scrape).
-    mutable std::atomic<std::uint64_t> exposition_invalid_{ 0 };
 };
 
 }  // namespace plssvm::serve::net

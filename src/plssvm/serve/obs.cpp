@@ -53,63 +53,6 @@ void append_escaped(std::string &out, const std::string_view value) {
     }
 }
 
-// --- trace <-> slot-word packing -------------------------------------------
-
-constexpr std::size_t w_id = 0;
-constexpr std::size_t w_meta = 1;
-constexpr std::size_t w_batch = 2;
-constexpr std::size_t w_estimate = 3;
-constexpr std::size_t w_stamp0 = 4;  // admit, enqueue, seal, dispatch, complete
-constexpr std::size_t w_net0 = 9;    // accepted, read, decoded, dispatch, encoded, flushed
-
-[[nodiscard]] std::array<std::uint64_t, 15> encode(const request_trace &trace) {
-    std::array<std::uint64_t, 15> words{};
-    words[w_id] = trace.id;
-    words[w_meta] = static_cast<std::uint64_t>(trace.cls)
-        | (static_cast<std::uint64_t>(trace.path) << 8)
-        | (static_cast<std::uint64_t>(trace.shed_reason) << 16)
-        | (static_cast<std::uint64_t>(trace.shed ? 1 : 0) << 24)
-        | (static_cast<std::uint64_t>(trace.deadline_missed ? 1 : 0) << 25);
-    words[w_batch] = trace.batch_size;
-    words[w_estimate] = std::bit_cast<std::uint64_t>(trace.estimated_batch_seconds);
-    words[w_stamp0 + 0] = trace.t_admit_ns;
-    words[w_stamp0 + 1] = trace.t_enqueue_ns;
-    words[w_stamp0 + 2] = trace.t_seal_ns;
-    words[w_stamp0 + 3] = trace.t_dispatch_ns;
-    words[w_stamp0 + 4] = trace.t_complete_ns;
-    words[w_net0 + 0] = trace.t_net_accepted_ns;
-    words[w_net0 + 1] = trace.t_net_read_ns;
-    words[w_net0 + 2] = trace.t_net_decoded_ns;
-    words[w_net0 + 3] = trace.t_net_dispatch_ns;
-    words[w_net0 + 4] = trace.t_net_encoded_ns;
-    words[w_net0 + 5] = trace.t_net_flushed_ns;
-    return words;
-}
-
-[[nodiscard]] request_trace decode(const std::array<std::uint64_t, 15> &words) {
-    request_trace trace{};
-    trace.id = words[w_id];
-    trace.cls = static_cast<request_class>(words[w_meta] & 0xffu);
-    trace.path = static_cast<predict_path>((words[w_meta] >> 8) & 0xffu);
-    trace.shed_reason = static_cast<admission_decision>((words[w_meta] >> 16) & 0xffu);
-    trace.shed = ((words[w_meta] >> 24) & 1u) != 0;
-    trace.deadline_missed = ((words[w_meta] >> 25) & 1u) != 0;
-    trace.batch_size = words[w_batch];
-    trace.estimated_batch_seconds = std::bit_cast<double>(words[w_estimate]);
-    trace.t_admit_ns = words[w_stamp0 + 0];
-    trace.t_enqueue_ns = words[w_stamp0 + 1];
-    trace.t_seal_ns = words[w_stamp0 + 2];
-    trace.t_dispatch_ns = words[w_stamp0 + 3];
-    trace.t_complete_ns = words[w_stamp0 + 4];
-    trace.t_net_accepted_ns = words[w_net0 + 0];
-    trace.t_net_read_ns = words[w_net0 + 1];
-    trace.t_net_decoded_ns = words[w_net0 + 2];
-    trace.t_net_dispatch_ns = words[w_net0 + 3];
-    trace.t_net_encoded_ns = words[w_net0 + 4];
-    trace.t_net_flushed_ns = words[w_net0 + 5];
-    return trace;
-}
-
 void append_trace_json(std::string &out, const request_trace &trace) {
     out += "{\"id\": ";
     append_number(out, trace.id);
@@ -188,73 +131,65 @@ namespace {
 time_series_store::time_series_store(const std::size_t capacity_seconds) :
     buckets_(std::max<std::size_t>(capacity_seconds, 8)) {}
 
-time_series_store::bucket *time_series_store::acquire_bucket(const std::int64_t second) noexcept {
+time_series_store::bucket *time_series_store::bucket_for(const std::int64_t second) {
     bucket &b = buckets_[static_cast<std::size_t>(second) % buckets_.size()];
-    std::int64_t current = b.second.load(std::memory_order_acquire);
-    if (current != second) {
-        if (current > second) {
-            return nullptr;  // observation older than the bucket's new lap: drop
-        }
-        if (b.second.compare_exchange_strong(current, second, std::memory_order_acq_rel)) {
-            // we won the rotation: zero the contents before publishing `ready`
-            for (std::size_t cls = 0; cls < num_request_classes; ++cls) {
-                b.completed[cls].store(0, std::memory_order_relaxed);
-                b.shed[cls].store(0, std::memory_order_relaxed);
-                b.failed[cls].store(0, std::memory_order_relaxed);
-                b.deadline_misses[cls].store(0, std::memory_order_relaxed);
-                for (auto &word : b.hist[cls]) {
-                    word.store(0, std::memory_order_relaxed);
-                }
-            }
-            b.ready.store(second, std::memory_order_release);
-            return &b;
-        }
-        if (current != second) {
-            return current > second ? nullptr : &b;  // raced with an even newer lap
-        }
+    if (b.second > second) {
+        return nullptr;  // straggler from a second this bucket has lapped: drop
     }
-    // join: wait (briefly — zeroing is sub-microsecond) until the rotating
-    // writer published `ready`; bail if a newer second laps the bucket
-    for (int spin = 0; b.ready.load(std::memory_order_acquire) != second; ++spin) {
-        if (b.second.load(std::memory_order_relaxed) != second) {
-            return nullptr;
-        }
-        if (spin > 1024) {
-            return nullptr;  // pathological stall: drop the observation
+    if (b.second < second) {
+        // reuse the bucket for the newer second; the latency lists keep their capacity
+        b.second = second;
+        b.completed = {};
+        b.shed = {};
+        b.failed = {};
+        b.deadline_misses = {};
+        for (std::vector<latency_count> &counts : b.latency) {
+            counts.clear();
         }
     }
     return &b;
 }
 
 void time_series_store::record_complete(const request_class cls, const std::chrono::steady_clock::time_point now,
-                                        const double latency_seconds, const bool deadline_missed) noexcept {
-    bucket *b = acquire_bucket(steady_second(now));
+                                        const double latency_seconds, const bool deadline_missed) {
+    bucket *b = bucket_for(steady_second(now));
     if (b == nullptr) {
         return;
     }
     const std::size_t i = class_index(cls);
-    b->completed[i].fetch_add(1, std::memory_order_relaxed);
+    ++b->completed[i];
     if (deadline_missed) {
-        b->deadline_misses[i].fetch_add(1, std::memory_order_relaxed);
+        ++b->deadline_misses[i];
     }
     const double ns_d = latency_seconds > 0.0 ? latency_seconds * 1e9 : 0.0;
     const auto ns = ns_d < static_cast<double>(latency_histogram::max_value_ns)
         ? static_cast<std::uint64_t>(ns_d)
         : latency_histogram::max_value_ns;
-    b->hist[i][latency_histogram::bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
+    const auto index = static_cast<std::uint32_t>(latency_histogram::bucket_index(ns));
+    std::vector<latency_count> &counts = b->latency[i];
+    const auto it = std::lower_bound(counts.begin(), counts.end(), index,
+                                     [](const latency_count &entry, const std::uint32_t key) { return entry.first < key; });
+    if (it != counts.end() && it->first == index) {
+        ++it->second;
+        return;
+    }
+    const auto pos = it - counts.begin();
+    if (counts.size() == counts.capacity()) {
+        // grow geometrically, but never past one entry per histogram bucket
+        counts.reserve(std::min(latency_histogram::num_buckets, std::max<std::size_t>(8, 2 * counts.capacity())));
+    }
+    counts.insert(counts.begin() + pos, latency_count{ index, 1 });
 }
 
-void time_series_store::record_shed(const request_class cls, const std::chrono::steady_clock::time_point now) noexcept {
-    bucket *b = acquire_bucket(steady_second(now));
-    if (b != nullptr) {
-        b->shed[class_index(cls)].fetch_add(1, std::memory_order_relaxed);
+void time_series_store::record_shed(const request_class cls, const std::chrono::steady_clock::time_point now) {
+    if (bucket *b = bucket_for(steady_second(now)); b != nullptr) {
+        ++b->shed[class_index(cls)];
     }
 }
 
-void time_series_store::record_failure(const request_class cls, const std::chrono::steady_clock::time_point now) noexcept {
-    bucket *b = acquire_bucket(steady_second(now));
-    if (b != nullptr) {
-        b->failed[class_index(cls)].fetch_add(1, std::memory_order_relaxed);
+void time_series_store::record_failure(const request_class cls, const std::chrono::steady_clock::time_point now, const std::uint64_t count) {
+    if (bucket *b = bucket_for(steady_second(now)); b != nullptr) {
+        b->failed[class_index(cls)] += count;
     }
 }
 
@@ -268,40 +203,20 @@ std::vector<time_series_store::window_view> time_series_store::windows(const std
     }
     const std::int64_t now_sec = steady_second(now);
     for (const bucket &b : buckets_) {
-        const std::int64_t sec = b.ready.load(std::memory_order_acquire);
-        if (sec < 0 || sec > now_sec || now_sec - sec >= max_span) {
+        if (b.second < 0 || b.second > now_sec || now_sec - b.second >= max_span) {
             continue;  // unused, from the future (clock skew), or expired
         }
-        // copy the bucket, then re-validate it was not rotated mid-copy
-        per_class<std::uint64_t> completed{};
-        per_class<std::uint64_t> shed{};
-        per_class<std::uint64_t> failed{};
-        per_class<std::uint64_t> misses{};
-        std::array<std::array<std::uint64_t, latency_histogram::num_buckets>, num_request_classes> hist{};
-        for (std::size_t cls = 0; cls < num_request_classes; ++cls) {
-            completed[cls] = b.completed[cls].load(std::memory_order_relaxed);
-            shed[cls] = b.shed[cls].load(std::memory_order_relaxed);
-            failed[cls] = b.failed[cls].load(std::memory_order_relaxed);
-            misses[cls] = b.deadline_misses[cls].load(std::memory_order_relaxed);
-            for (std::size_t w = 0; w < latency_histogram::num_buckets; ++w) {
-                hist[cls][w] = b.hist[cls][w].load(std::memory_order_relaxed);
-            }
-        }
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (b.second.load(std::memory_order_relaxed) != sec) {
-            continue;  // rotated while copying — drop rather than tear
-        }
-        for (std::size_t v = 0; v < views.size(); ++v) {
-            if (now_sec - sec >= views[v].window.count()) {
+        for (window_view &view : views) {
+            if (now_sec - b.second >= view.window.count()) {
                 continue;
             }
             for (std::size_t cls = 0; cls < num_request_classes; ++cls) {
-                views[v].completed[cls] += completed[cls];
-                views[v].shed[cls] += shed[cls];
-                views[v].failed[cls] += failed[cls];
-                views[v].deadline_misses[cls] += misses[cls];
-                for (std::size_t w = 0; w < latency_histogram::num_buckets; ++w) {
-                    views[v].latency[cls].accumulate(w, hist[cls][w]);
+                view.completed[cls] += b.completed[cls];
+                view.shed[cls] += b.shed[cls];
+                view.failed[cls] += b.failed[cls];
+                view.deadline_misses[cls] += b.deadline_misses[cls];
+                for (const auto &[index, count] : b.latency[cls]) {
+                    view.latency[cls].accumulate(index, count);
                 }
             }
         }
@@ -314,49 +229,30 @@ std::vector<time_series_store::window_view> time_series_store::windows(const std
 // ---------------------------------------------------------------------------
 
 void trace_ring::reset(const std::size_t capacity) {
-    const std::size_t n = round_up_pow2(capacity);
-    slots_ = std::vector<slot>(n);
-    mask_ = n - 1;
-    head_.store(0, std::memory_order_relaxed);
+    slots_.assign(round_up_pow2(capacity), request_trace{});
+    head_ = 0;
 }
 
-void trace_ring::publish(const request_trace &trace) noexcept {
+void trace_ring::publish(const request_trace &trace) {
+    const std::lock_guard lock{ mutex_ };
     if (slots_.empty()) {
         return;
     }
-    const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-    slot &s = slots_[static_cast<std::size_t>(ticket) & mask_];
-    // odd sequence = write in progress; readers skip the slot
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    const std::array<std::uint64_t, 15> words = encode(trace);
-    for (std::size_t i = 0; i < words.size(); ++i) {
-        s.words[i].store(words[i], std::memory_order_relaxed);
-    }
-    s.seq.store(2 * ticket + 2, std::memory_order_release);
+    slots_[head_ % slots_.size()] = trace;
+    ++head_;
 }
 
 void trace_ring::collect(std::vector<request_trace> &out) const {
-    if (slots_.empty()) {
-        return;
-    }
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    const std::lock_guard lock{ mutex_ };
     const std::uint64_t capacity = slots_.size();
-    const std::uint64_t first = head > capacity ? head - capacity : 0;
-    for (std::uint64_t ticket = first; ticket < head; ++ticket) {
-        const slot &s = slots_[static_cast<std::size_t>(ticket) & mask_];
-        if (s.seq.load(std::memory_order_acquire) != 2 * ticket + 2) {
-            continue;  // mid-write or already overwritten by a newer lap
-        }
-        std::array<std::uint64_t, 15> words{};
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            words[i] = s.words[i].load(std::memory_order_relaxed);
-        }
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (s.seq.load(std::memory_order_relaxed) != 2 * ticket + 2) {
-            continue;  // overwritten while copying — discard the torn record
-        }
-        out.push_back(decode(words));
+    for (std::uint64_t ticket = head_ > capacity ? head_ - capacity : 0; ticket < head_; ++ticket) {
+        out.push_back(slots_[ticket % capacity]);
     }
+}
+
+std::uint64_t trace_ring::published() const {
+    const std::lock_guard lock{ mutex_ };
+    return head_;
 }
 
 // ---------------------------------------------------------------------------
@@ -602,7 +498,7 @@ void flight_recorder::maybe_violation_dump(const std::string_view reason) {
 }
 
 // ---------------------------------------------------------------------------
-// exposition merge + validity
+// exposition validity
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -639,80 +535,6 @@ namespace {
 }
 
 }  // namespace
-
-std::string merge_expositions(const std::vector<std::string> &texts) {
-    struct merged_family {
-        std::string help_line;
-        std::string type_line;
-        std::vector<std::string> samples;
-    };
-    std::vector<std::string> order;                        // family names, first-seen
-    std::unordered_map<std::string, merged_family> families;
-    std::unordered_set<std::string> seen_series;
-    std::string pending_help;                              // HELP line waiting for its TYPE
-    std::string current;                                   // family the next samples belong to
-
-    for (const std::string &text : texts) {
-        current.clear();
-        std::size_t pos = 0;
-        while (pos < text.size()) {
-            std::size_t end = text.find('\n', pos);
-            if (end == std::string::npos) {
-                end = text.size();
-            }
-            const std::string_view line{ text.data() + pos, end - pos };
-            pos = end + 1;
-            if (line.empty()) {
-                continue;
-            }
-            if (line.rfind("# HELP ", 0) == 0) {
-                pending_help = std::string{ line };
-                continue;
-            }
-            if (line.rfind("# TYPE ", 0) == 0) {
-                const std::string_view rest = line.substr(7);
-                const std::size_t space = rest.find(' ');
-                const std::string name{ space == std::string_view::npos ? rest : rest.substr(0, space) };
-                auto [it, inserted] = families.try_emplace(name);
-                if (inserted) {
-                    it->second.help_line = pending_help;
-                    it->second.type_line = std::string{ line };
-                    order.push_back(name);
-                }
-                current = name;
-                pending_help.clear();
-                continue;
-            }
-            // sample line: group under the family of the preceding TYPE
-            // header; duplicate series (same name + labels) keep the first
-            const std::string key{ series_key(line) };
-            if (!seen_series.insert(key).second) {
-                continue;
-            }
-            auto it = families.find(current);
-            if (it != families.end()) {
-                it->second.samples.emplace_back(line);
-            }
-        }
-    }
-
-    std::string out;
-    out.reserve(4096);
-    for (const std::string &name : order) {
-        const merged_family &fam = families[name];
-        if (!fam.help_line.empty()) {
-            out += fam.help_line;
-            out += '\n';
-        }
-        out += fam.type_line;
-        out += '\n';
-        for (const std::string &sample : fam.samples) {
-            out += sample;
-            out += '\n';
-        }
-    }
-    return out;
-}
 
 bool exposition_valid(const std::string_view text) {
     std::unordered_map<std::string, std::string> family_types;  // name -> type

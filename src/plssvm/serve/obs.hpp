@@ -14,8 +14,7 @@
  *  - **lifecycle traces** (`request_trace`): every request is stamped at
  *    admission, enqueue, batch-seal, dispatch-start, and completion. Sampled
  *    traces (rate configurable per request class; deadline-carrying requests
- *    are always traced) are published into lock-free ring buffers — no mutex
- *    on the hot path, bounded memory.
+ *    are always traced) are published into bounded, mutex-guarded rings.
  *  - **log-bucketed histograms** (`latency_histogram`): HDR-style log-linear
  *    buckets over nanoseconds (16 sub-buckets per octave, <= ~6% relative
  *    error). Mergeable and subtractable, so percentiles are epoch-stable:
@@ -275,17 +274,15 @@ class latency_histogram {
 // ---------------------------------------------------------------------------
 
 /**
- * @brief Lock-free rolling time series of per-second buckets: per-class
- *        counter deltas plus a mergeable `latency_histogram` per bucket,
- *        so windowed rates and percentiles (10s / 1m / 5m) are computable
- *        at any moment without a since-epoch bias.
+ * @brief Rolling time series of per-second buckets: per-class counter
+ *        deltas plus the latency observations of each bucket, so windowed
+ *        rates and percentiles (10s / 1m / 5m) are computable at any moment
+ *        without a since-epoch bias.
  *
- * Writers (engine drain lanes) claim the bucket of the observation's wall
- * second with one CAS per rotation (once per second per bucket) and record
- * with relaxed atomic adds — no mutex on the hot path, TSan-clean. Readers
- * sweep the ring (only on stats/scrape requests), re-validating each
- * bucket's second after copying so a concurrent rotation drops the bucket
- * instead of yielding torn data.
+ * A plain value like `latency_histogram`: no internal locking, callers
+ * serialize (the `serve_metrics` mutex in practice). A bucket is reused for
+ * a newer second by clearing it; an observation stamped with a second whose
+ * bucket a newer second already took is dropped.
  *
  * The clock is injected per call (`record*`/`windows` take the observation
  * time point), which makes bucket rollover, ring wraparound, and idle-gap
@@ -298,18 +295,15 @@ class time_series_store {
 
     explicit time_series_store(std::size_t capacity_seconds = default_capacity_seconds);
 
-    time_series_store(const time_series_store &) = delete;
-    time_series_store &operator=(const time_series_store &) = delete;
-
     /// Record one completed request observed at @p now.
     void record_complete(request_class cls, std::chrono::steady_clock::time_point now,
-                         double latency_seconds, bool deadline_missed) noexcept;
+                         double latency_seconds, bool deadline_missed);
 
     /// Record one shed decision observed at @p now.
-    void record_shed(request_class cls, std::chrono::steady_clock::time_point now) noexcept;
+    void record_shed(request_class cls, std::chrono::steady_clock::time_point now);
 
-    /// Record one failed (typed-error) request observed at @p now.
-    void record_failure(request_class cls, std::chrono::steady_clock::time_point now) noexcept;
+    /// Record @p count failed (typed-error) requests observed at @p now.
+    void record_failure(request_class cls, std::chrono::steady_clock::time_point now, std::uint64_t count = 1);
 
     /// Aggregates of one trailing window ending at the query instant.
     struct window_view {
@@ -340,8 +334,7 @@ class time_series_store {
     };
 
     /// One sweep over the ring producing every requested trailing window
-    /// (ending at @p now). Buckets older than the largest span are skipped;
-    /// a bucket rotated concurrently with the read is dropped, not torn.
+    /// (ending at @p now). Buckets older than the largest span are skipped.
     [[nodiscard]] std::vector<window_view> windows(std::chrono::steady_clock::time_point now,
                                                    const std::vector<std::chrono::seconds> &spans) const;
 
@@ -349,28 +342,33 @@ class time_series_store {
     [[nodiscard]] std::size_t capacity_seconds() const noexcept { return buckets_.size(); }
 
   private:
-    /// One per-second bucket. `second` is the claimed absolute steady-clock
-    /// second, `ready` flips to that second only after the claimant zeroed
-    /// the contents; writers that lose the rotation race spin briefly on
-    /// `ready`, writers lapped by a newer second drop the observation.
+    /// Observations of one second that fell into one `latency_histogram`
+    /// bucket: (bucket index, count). 32-bit counts cannot overflow — every
+    /// record takes a mutex, so a second holds far fewer than 2^32 — which
+    /// keeps a full list no larger than a dense array of 64-bit counts.
+    using latency_count = std::pair<std::uint32_t, std::uint32_t>;
+
+    /// One per-second bucket; `second` is the absolute steady-clock second
+    /// it currently holds (-1 = never used).
     struct bucket {
-        std::atomic<std::int64_t> second{ -1 };
-        std::atomic<std::int64_t> ready{ -1 };
-        per_class<std::atomic<std::uint64_t>> completed{};
-        per_class<std::atomic<std::uint64_t>> shed{};
-        per_class<std::atomic<std::uint64_t>> failed{};
-        per_class<std::atomic<std::uint64_t>> deadline_misses{};
-        std::array<std::array<std::atomic<std::uint64_t>, latency_histogram::num_buckets>, num_request_classes> hist{};
+        std::int64_t second{ -1 };
+        per_class<std::uint64_t> completed{};
+        per_class<std::uint64_t> shed{};
+        per_class<std::uint64_t> failed{};
+        per_class<std::uint64_t> deadline_misses{};
+        /// Per class, ascending by bucket index; only nonzero counts.
+        per_class<std::vector<latency_count>> latency{};
     };
 
-    /// Rotate-or-join the bucket of @p second; nullptr when lapped.
-    [[nodiscard]] bucket *acquire_bucket(std::int64_t second) noexcept;
+    /// The bucket of @p second, cleared first if it held an older second;
+    /// nullptr when a newer second already took it.
+    [[nodiscard]] bucket *bucket_for(std::int64_t second);
 
     std::vector<bucket> buckets_;
 };
 
 // ---------------------------------------------------------------------------
-// request traces + lock-free trace ring
+// request traces + trace ring
 // ---------------------------------------------------------------------------
 
 /// One request's lifecycle record. Timestamps are steady-clock nanoseconds
@@ -461,17 +459,12 @@ struct wire_trace_context {
 };
 
 /**
- * @brief Lock-free multi-producer ring buffer of `request_trace` records.
+ * @brief Mutex-guarded ring buffer of `request_trace` records: once full,
+ *        each publish overwrites the oldest record.
  *
- * Writers claim a slot with one relaxed fetch-add and publish through a
- * per-slot sequence word (odd while writing, `2*ticket + 2` when complete);
- * every slot field is an atomic written/read with relaxed ordering, so the
- * hot path takes no mutex and the ring is race-free under ThreadSanitizer.
- * Readers (`collect()` — only on dumps) re-validate the sequence after
- * copying and drop slots that were concurrently overwritten. If more than
- * `capacity` publishes are simultaneously in flight, two writers can share a
- * slot and a reader may observe a mixed record — detected in all but a
- * vanishing window; acceptable for diagnostic data.
+ * A per-class trace ring has one writer (the engine's drain thread) and
+ * readers only on dumps, so its mutex is uncontended on the request path;
+ * the shed ring is written by the submitting threads that shed.
  */
 class trace_ring {
   public:
@@ -483,30 +476,22 @@ class trace_ring {
     /// two, >= 2). Not thread-safe; call before the ring is shared.
     void reset(std::size_t capacity);
 
-    /// Publish @p trace into the next slot (wait-free, overwrites oldest).
-    void publish(const request_trace &trace) noexcept;
+    /// Publish @p trace into the next slot (overwrites the oldest).
+    void publish(const request_trace &trace);
 
-    /// Append every still-valid record to @p out, oldest first.
+    /// Append every retained record to @p out, oldest first.
     void collect(std::vector<request_trace> &out) const;
 
     /// Total records ever published.
-    [[nodiscard]] std::uint64_t published() const noexcept { return head_.load(std::memory_order_relaxed); }
+    [[nodiscard]] std::uint64_t published() const;
 
     /// Slot count.
     [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
   private:
-    /// One ring slot: the sequence word plus the trace packed into fifteen
-    /// relaxed-atomic words (id, meta, batch size, estimate bits, 5 engine
-    /// stamps, 6 net stamps).
-    struct slot {
-        std::atomic<std::uint64_t> seq{ 0 };
-        std::array<std::atomic<std::uint64_t>, 15> words{};
-    };
-
-    std::vector<slot> slots_;
-    std::size_t mask_{ 0 };
-    std::atomic<std::uint64_t> head_{ 0 };
+    mutable std::mutex mutex_;
+    std::vector<request_trace> slots_;
+    std::uint64_t head_{ 0 };  ///< records ever published; the next one goes to `head_ % capacity()`
 };
 
 // ---------------------------------------------------------------------------
@@ -552,14 +537,6 @@ class prometheus_builder {
 
     std::vector<family> families_;
 };
-
-/// Merge one or more rendered Prometheus text expositions into a single
-/// valid one: repeated `# HELP` / `# TYPE` headers of the same family are
-/// deduplicated (first declaration wins), samples regroup under their family
-/// in first-seen order, and exact duplicate series (same name + label set)
-/// keep the first sample — so component expositions that each carry e.g.
-/// `plssvm_serve_build_info` combine without double declarations.
-[[nodiscard]] std::string merge_expositions(const std::vector<std::string> &texts);
 
 /// Single-pass validity check over exposition text: every sample belongs to
 /// a previously declared family (histogram `_bucket`/`_sum`/`_count`
@@ -614,8 +591,8 @@ struct obs_config {
  *        as JSON on shed, deadline miss (rate-limited), or explicit request.
  *
  * Hot-path cost when tracing is enabled: one atomic counter per admission
- * (sampling), one ring publish per sampled completion. No mutex anywhere on
- * the request path; the dump path (rare) takes `dump_mutex_` only to swap
+ * (sampling), one ring publish per sampled completion under the ring's
+ * uncontended mutex. The dump path (rare) takes `dump_mutex_` only to swap
  * the rendered JSON string.
  */
 class flight_recorder {

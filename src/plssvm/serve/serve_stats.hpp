@@ -36,6 +36,7 @@
 #include "plssvm/serve/fault.hpp"
 #include "plssvm/serve/obs.hpp"
 #include "plssvm/serve/qos.hpp"
+#include "plssvm/serve/slo.hpp"
 
 #include <array>
 #include <chrono>
@@ -176,8 +177,8 @@ class serve_metrics {
     /// now — the drain loop passes the completion stamp it already took).
     void record_request_trace(const request_class cls, const obs::stage_seconds &stages, const double total_seconds, const bool deadline_missed,
                               const std::chrono::steady_clock::time_point completed_at = std::chrono::steady_clock::now()) {
-        series_.record_complete(cls, completed_at, total_seconds, deadline_missed);
         const std::lock_guard lock{ mutex_ };
+        series_.record_complete(cls, completed_at, total_seconds, deadline_missed);
         latency_.record(total_seconds);
         class_state &state = classes_[class_index(cls)];
         state.latency.record(total_seconds);
@@ -227,10 +228,10 @@ class serve_metrics {
 
     /// Record one admission decision of the controller.
     void record_admission(const request_class cls, const admission_decision decision) {
+        const std::lock_guard lock{ mutex_ };
         if (decision != admission_decision::admitted) {
             series_.record_shed(cls, std::chrono::steady_clock::now());
         }
-        const std::lock_guard lock{ mutex_ };
         class_state &state = classes_[class_index(cls)];
         switch (decision) {
             case admission_decision::admitted:
@@ -251,11 +252,11 @@ class serve_metrics {
         ++reloads_;
     }
 
-    /// Record one request quarantined by batch bisection (a failed request
-    /// from the time series / SLO availability point of view).
-    void record_quarantine(const request_class cls = request_class::interactive) {
-        series_.record_failure(cls, std::chrono::steady_clock::now());
+    /// Record one request of @p cls quarantined by batch bisection (a failed
+    /// request from the time series / SLO availability point of view).
+    void record_quarantine(const request_class cls) {
         const std::lock_guard lock{ mutex_ };
+        series_.record_failure(cls, std::chrono::steady_clock::now());
         ++quarantined_requests_;
     }
 
@@ -271,10 +272,19 @@ class serve_metrics {
         ++batch_bisections_;
     }
 
-    /// Record @p count requests failed by the lane watchdog (stall).
-    void record_stall_failures(const std::size_t count) {
+    /// Record @p count requests of @p cls failed by the lane watchdog (stall).
+    void record_stall_failures(const request_class cls, const std::size_t count) {
         const std::lock_guard lock{ mutex_ };
+        series_.record_failure(cls, std::chrono::steady_clock::now(), count);
         stall_failed_requests_ += count;
+    }
+
+    /// Record @p count requests of @p cls failed out of band by the drain
+    /// loop (its own bookkeeping failed): they count in the rolling windows
+    /// and the SLO availability, which have no other source for them.
+    void record_failures(const request_class cls, const std::size_t count) {
+        const std::lock_guard lock{ mutex_ };
+        series_.record_failure(cls, std::chrono::steady_clock::now(), count);
     }
 
     /// Record @p count requests failed at shutdown/teardown.
@@ -391,13 +401,17 @@ class serve_metrics {
         return latency_;
     }
 
-    /// The rolling per-second time series behind the windowed stats (the
-    /// SLO engine evaluates burn rates over it).
-    [[nodiscard]] const obs::time_series_store &series() const noexcept { return series_; }
+    /// Evaluate @p slo's burn rates over the rolling time series, with
+    /// windows ending at @p now.
+    [[nodiscard]] slo_report evaluate_slo(const slo_engine &slo, const std::chrono::steady_clock::time_point now) const {
+        const std::lock_guard lock{ mutex_ };
+        return slo.evaluate(series_, now);
+    }
 
     /// The standard trailing windows (10 s / 1 m / 5 m) ending at @p now.
     [[nodiscard]] std::vector<obs::time_series_store::window_view> windows(
         const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now()) const {
+        const std::lock_guard lock{ mutex_ };
         return series_.windows(now, serve_window_spans());
     }
 
@@ -456,7 +470,7 @@ class serve_metrics {
     }
 
     mutable std::mutex mutex_;
-    /// Rolling per-second buckets (lock-free; lives outside `mutex_`).
+    /// Rolling per-second buckets behind the windowed stats and the SLO.
     obs::time_series_store series_;
     obs::latency_histogram latency_;
     obs::latency_histogram estimate_rel_error_;

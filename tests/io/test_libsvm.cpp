@@ -234,8 +234,8 @@ TEST(FileReader, MovedReaderKeepsItsLines) {
 }
 
 TEST(FileReader, ReadsARegularFile) {
-    // larger than the first buffer of an input of unknown size (64 KiB):
-    // a regular file's buffer is sized from the file
+    // larger than the first buffer of an input that is read (64 KiB): a
+    // regular file is mapped whole
     const std::string text = numbered_lines(10000);
     const std::string path = "/tmp/plssvm_test_file_reader.txt";
     std::ofstream{ path, std::ios::binary } << text;
@@ -244,6 +244,30 @@ TEST(FileReader, ReadsARegularFile) {
     ASSERT_EQ(reader.num_lines(), 10000U);
     EXPECT_EQ(reader.line(9999), "record 9999 1:0.5");
     EXPECT_EQ(reader.line_number(9999), 10000U);
+}
+
+TEST(FileReader, MovedFileReaderKeepsItsLines) {
+    // a regular file is mapped: the views point into the mapping, which the
+    // move hands over and the move assignment over the source must not touch
+    const std::string path = "/tmp/plssvm_test_file_reader_move.txt";
+    std::ofstream{ path, std::ios::binary } << numbered_lines(3);
+    file_reader source{ path };
+    std::remove(path.c_str());
+    const file_reader moved = std::move(source);
+    source = file_reader::from_string("xy\nzw");
+    ASSERT_EQ(moved.num_lines(), 3U);
+    EXPECT_EQ(moved.line(0), "record 0 1:0.5");
+    EXPECT_EQ(moved.line(2), "record 2 1:0.5");
+    EXPECT_EQ(source.line(1), "zw");
+}
+
+TEST(FileReader, ReadsAnEmptyFile) {
+    // an empty regular file has nothing to map and is read instead
+    const std::string path = "/tmp/plssvm_test_file_reader_empty.txt";
+    std::ofstream{ path, std::ios::binary }.flush();
+    const file_reader reader{ path };
+    std::remove(path.c_str());
+    EXPECT_EQ(reader.num_lines(), 0U);
 }
 
 TEST(FileReader, ReadsAPipeOfUnknownSize) {

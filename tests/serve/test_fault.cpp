@@ -33,6 +33,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -409,6 +410,81 @@ TEST(FaultEngine, StalledBatchSettlesOneErrorObjectPerSlot) {
         }
     }
     EXPECT_TRUE(test::wait_until([&] { return engine.stats().fault.stall_failed_requests == batch_size; }));
+}
+
+// ---------------------------------------------------------------------------
+// engine: failures land in the rolling windows of their own request class
+// ---------------------------------------------------------------------------
+
+/// The `failed` count of class @p cls in the 300 s window of an engine's
+/// `stats_json()` (the widest window: a slow host cannot age a failure out).
+[[nodiscard]] std::size_t window_failures(const std::string &json, const std::string_view cls) {
+    std::size_t pos = json.find("\"windows\"");
+    pos = json.find("\"300s\"", pos);
+    pos = json.find("\"" + std::string{ cls } + "\"", pos);
+    pos = json.find("\"failed\": ", pos);
+    EXPECT_NE(pos, std::string::npos) << json;
+    return pos == std::string::npos ? 0 : std::stoul(json.substr(pos + std::string_view{ "\"failed\": " }.size()));
+}
+
+/// Submit @p count requests of class `batch` behind a held drain thread, so
+/// they leave as ONE batch; returns one future per request that reads
+/// whether it failed (the error itself is dropped on the settling thread).
+[[nodiscard]] std::vector<std::future<bool>> submit_batch_class(inference_engine<double> &engine, const std::size_t count) {
+    std::vector<std::future<bool>> failed;
+    test::drain_gate gate{ engine };
+    EXPECT_TRUE(gate.held());
+    for (std::size_t i = 0; i < count; ++i) {
+        auto outcome = std::make_shared<std::promise<bool>>();
+        failed.push_back(outcome->get_future());
+        engine.submit(std::vector<double>(11, 0.5), { request_class::batch }, nullptr,
+                      [outcome](double, std::exception_ptr error) { outcome->set_value(error != nullptr); });
+    }
+    EXPECT_TRUE(test::wait_until([&] { return engine.pending_requests() == count; }));
+    return failed;  // the gate releases the drain thread here
+}
+
+// Asserts: a request quarantined by bisection counts as one failure of its
+// own class in the rolling windows (and so in the SLO availability), not of
+// `interactive`. Strategy: poison batch-local index 0 of every batch after
+// the gate's, send 4 `batch`-class requests as one batch, wait until all 4
+// settled, then read the 300 s window of `stats_json()`: `batch` failed 1,
+// `interactive` failed 0 (the gate's request completed).
+TEST(FaultEngine, QuarantineCountsAsAFailureOfTheRequestsClass) {
+    auto inject = std::make_shared<fault::injector>();
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::kernel_throw, .after = 1, .poison_index = 0 });
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), fault_test_config(inject) };
+
+    std::size_t failures = 0;
+    for (std::future<bool> &failed : submit_batch_class(engine, 4)) {
+        failures += failed.get() ? 1 : 0;
+    }
+    ASSERT_EQ(failures, 1u) << "bisection must isolate exactly the poisoned request";
+    const std::string json = engine.stats_json();
+    EXPECT_EQ(window_failures(json, "batch"), 1u) << json;
+    EXPECT_EQ(window_failures(json, "interactive"), 0u) << json;
+}
+
+// Asserts: every request the lane watchdog fails counts as a failure of the
+// stalled batch's class in the rolling windows. Strategy: stall the first
+// batch after the gate's for 500 ms under a 50 ms watchdog, send 4
+// `batch`-class requests as one batch, wait until all 4 failed, then poll
+// the 300 s window of `stats_json()` (the watchdog records after settling)
+// until `batch` reads 4 failures; `interactive` stays at 0.
+TEST(FaultEngine, StallFailuresCountInTheStalledBatchsClass) {
+    auto inject = std::make_shared<fault::injector>();
+    inject->add_rule({ .site = fault::fault_site::batch_kernel, .kind = fault::fault_kind::worker_stall, .after = 1, .limit = 1, .stall = 500ms });
+    engine_config config = fault_test_config(inject, 4);
+    config.fault.watchdog.stall_timeout = std::chrono::microseconds{ 50ms };
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+
+    constexpr std::size_t batch_size = 4;
+    for (std::future<bool> &failed : submit_batch_class(engine, batch_size)) {
+        EXPECT_TRUE(failed.get()) << "the stalled batch must fail every request";
+    }
+    EXPECT_TRUE(test::wait_until([&] { return window_failures(engine.stats_json(), "batch") == batch_size; }))
+        << engine.stats_json();
+    EXPECT_EQ(window_failures(engine.stats_json(), "interactive"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
  *        fake clock (rollover, ring wraparound, idle gaps), multi-window
  *        SLO burn-rate determinism, SLO alerts feeding the health monitor
  *        and flight recorder, wire trace propagation parity (binary + JSON,
- *        sampled vs client-forced), merged exposition validity, and drain
+ *        sampled vs client-forced), net exposition validity, and drain
  *        readiness semantics.
  */
 
@@ -31,12 +31,14 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -133,6 +135,38 @@ TEST(ObsTimeSeries, LappedObservationIsDropped) {
     store.record_complete(request_class::interactive, fake_time(0), 0.001, false);
     const auto views = store.windows(fake_time(8), { 60s });
     EXPECT_EQ(views[0].completed[class_index(request_class::interactive)], 1U);
+}
+
+// Asserts: a window's latency histogram is exactly the histogram of the
+// values recorded in it, whatever order they arrived in. Strategy: record
+// 600 latencies spread log-uniformly over the histogram's range (1 ns to
+// 2^40 ns, hundreds of distinct buckets) into one second in shuffled order,
+// then a straggler into the previous, not yet lapped second; compare
+// count() and count_le at every bucket's upper bound with a
+// latency_histogram fed the same values.
+TEST(ObsTimeSeries, WindowLatencyMatchesAHistogramOfTheSameValues) {
+    std::vector<double> latencies;
+    for (int k = 0; k < 600; ++k) {
+        latencies.push_back(1e-9 * std::pow(2.0, 40.0 * k / 600.0));
+    }
+    std::shuffle(latencies.begin(), latencies.end(), std::mt19937{ 42 });
+    obs::time_series_store store;
+    obs::latency_histogram expected;
+    for (const double seconds : latencies) {
+        store.record_complete(request_class::batch, fake_time(5), seconds, false);
+        expected.record(seconds);
+    }
+    store.record_complete(request_class::batch, fake_time(4), 0.003, false);
+    expected.record(0.003);
+
+    const auto views = store.windows(fake_time(5), { 10s });
+    const obs::latency_histogram &window = views[0].latency[class_index(request_class::batch)];
+    ASSERT_EQ(window.count(), 601U);
+    ASSERT_EQ(window.count(), expected.count());
+    for (std::size_t i = 0; i < obs::latency_histogram::num_buckets; ++i) {
+        const double upper = static_cast<double>(obs::latency_histogram::bucket_upper_ns(i)) * 1e-9;
+        ASSERT_EQ(window.count_le(upper), expected.count_le(upper)) << "bucket " << i;
+    }
 }
 
 TEST(ObsTimeSeries, IdleGapYieldsZeroRatesAndFullAvailability) {
@@ -578,7 +612,7 @@ TEST(ObsWireTrace, DisabledWireTracingLeavesNoNetStamps) {
 }
 
 // ---------------------------------------------------------------------------
-// exposition merge, windowed families, per-peer accounting, drain readiness
+// net exposition, windowed families, per-peer accounting, drain readiness
 // ---------------------------------------------------------------------------
 
 TEST(ObsExposition, MergedNetExpositionIsValidAndCarriesNewFamilies) {
@@ -595,8 +629,7 @@ TEST(ObsExposition, MergedNetExpositionIsValidAndCarriesNewFamilies) {
                                            "plssvm_serve_net_peer_requests_total", "plssvm_serve_net_inflight_requests" }) {
         EXPECT_NE(text.find(family), std::string::npos) << "missing family " << family;
     }
-    // HELP/TYPE headers must be deduplicated by the merge, not repeated per
-    // engine exposition
+    // one builder holds every family, so no HELP/TYPE header repeats
     const std::string header = "# HELP plssvm_serve_build_info";
     const std::size_t first = text.find(header);
     ASSERT_NE(first, std::string::npos);
