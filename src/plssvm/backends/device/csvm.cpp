@@ -2,10 +2,8 @@
 
 #include "plssvm/backends/device/predict_kernels.hpp"
 #include "plssvm/backends/device/q_operator.hpp"
-#include "plssvm/core/lssvm_math.hpp"
 #include "plssvm/detail/tracker.hpp"
 #include "plssvm/exceptions.hpp"
-#include "plssvm/solver/cg.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -92,9 +90,9 @@ std::vector<T> device_csvm<T>::predict_values(const model<T> &trained, const dat
 
 template <typename T>
 auto device_csvm<T>::solve_lssvm(const aos_matrix<T> &points,
-                                 const std::vector<T> &labels,
+                                 const std::vector<std::vector<T>> &label_columns,
                                  const kernel_params<T> &kp,
-                                 const solver_control &ctrl) -> solve_result {
+                                 const solver_control &ctrl) -> std::vector<solve_result> {
     if (first_fit_) {
         // one-time backend/runtime initialisation cost (charged at device
         // construction); report it so "total" pipeline sums are complete
@@ -108,23 +106,14 @@ auto device_csvm<T>::solve_lssvm(const aos_matrix<T> &points,
 
     // operator construction performs & tracks "transform" and "h2d"
     device_q_operator<T> op{ devices_, points, kp, static_cast<T>(this->params_.cost), cfg_, this->tracker_ };
-
-    const std::vector<T> rhs = reduced_rhs(labels);
-    std::vector<T> alpha_tilde(op.size(), T{ 0 });
+    const std::vector<T> q = op.q_host();
 
     const auto cg_start = std::chrono::steady_clock::now();
     const double sim_before = op.apply_sim_seconds();
-    const solver::cg_result cg = solver::conjugate_gradients(op, rhs, alpha_tilde, ctrl);
+    std::vector<solve_result> results = this->solve_columns(op, q, op.q_mm(), label_columns, ctrl);
     const double cg_wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - cg_start).count();
     this->tracker_.add("cg", cg_wall, op.apply_sim_seconds() - sim_before);
-
-    solve_result result;
-    const std::vector<T> q = op.q_host();
-    result.bias = recover_bias(alpha_tilde, q, op.q_mm(), labels.back());
-    result.alpha = expand_alpha(std::move(alpha_tilde));
-    result.iterations = cg.iterations;
-    result.final_relative_residual = cg.final_relative_residual;
-    return result;
+    return results;
 }
 
 template class device_csvm<float>;

@@ -5,7 +5,9 @@
  *
  * Training pipeline on the device (paper §III): transform the parsed data
  * into the padded SoA layout, upload it, then run CG on the host with the
- * implicit matrix-vector product executed on the device(s). Component
+ * implicit matrix-vector product executed on the device(s). A solve over k
+ * label columns (a one-vs-all ensemble) transforms and uploads the data
+ * once; every iteration then runs one device sweep per active column. Component
  * timings land in the performance tracker: wall seconds (host reality) and
  * simulated device seconds (what the paper's hardware would take).
  */
@@ -62,10 +64,10 @@ class device_csvm : public ::plssvm::csvm<T> {
   protected:
     using typename ::plssvm::csvm<T>::solve_result;
 
-    [[nodiscard]] solve_result solve_lssvm(const aos_matrix<T> &points,
-                                           const std::vector<T> &labels,
-                                           const kernel_params<T> &kp,
-                                           const solver_control &ctrl) override;
+    [[nodiscard]] std::vector<solve_result> solve_lssvm(const aos_matrix<T> &points,
+                                                        const std::vector<std::vector<T>> &label_columns,
+                                                        const kernel_params<T> &kp,
+                                                        const solver_control &ctrl) override;
 
   private:
     sim::backend_runtime runtime_;

@@ -2,44 +2,27 @@
 
 #include "plssvm/backends/openmp/q_operator.hpp"
 #include "plssvm/backends/openmp/sparse_q_operator.hpp"
-#include "plssvm/core/lssvm_math.hpp"
 #include "plssvm/core/sparse_matrix.hpp"
 #include "plssvm/detail/tracker.hpp"
-#include "plssvm/solver/cg.hpp"
 
-#include <utility>
 #include <vector>
 
 namespace plssvm::backend::openmp {
 
 template <typename T>
 auto csvm<T>::solve_lssvm(const aos_matrix<T> &points,
-                          const std::vector<T> &labels,
+                          const std::vector<std::vector<T>> &label_columns,
                           const kernel_params<T> &kp,
-                          const solver_control &ctrl) -> solve_result {
+                          const solver_control &ctrl) -> std::vector<solve_result> {
     const detail::scoped_timer timer{ this->tracker_, "cg" };
-
-    const std::vector<T> rhs = reduced_rhs(labels);
-    solve_result result;
-
-    const auto run = [&](auto &op) {
-        std::vector<T> alpha_tilde(op.size(), T{ 0 });
-        const solver::cg_result cg = solver::conjugate_gradients(op, rhs, alpha_tilde, ctrl);
-        result.bias = recover_bias(alpha_tilde, op.q(), op.q_mm(), labels.back());
-        result.alpha = expand_alpha(std::move(alpha_tilde));
-        result.iterations = cg.iterations;
-        result.final_relative_residual = cg.final_relative_residual;
-    };
-
+    const auto cost = static_cast<T>(this->params_.cost);
     if (use_sparse_solver_) {
         const csr_matrix<T> csr{ points };
-        sparse_q_operator<T> op{ csr, kp, static_cast<T>(this->params_.cost) };
-        run(op);
-    } else {
-        q_operator<T> op{ points, kp, static_cast<T>(this->params_.cost) };
-        run(op);
+        sparse_q_operator<T> op{ csr, kp, cost };
+        return this->solve_columns(op, op.q(), op.q_mm(), label_columns, ctrl);
     }
-    return result;
+    q_operator<T> op{ points, kp, cost };
+    return this->solve_columns(op, op.q(), op.q_mm(), label_columns, ctrl);
 }
 
 template class csvm<float>;

@@ -4,7 +4,9 @@
  *
  * Runs the CG solve with the OpenMP-parallel implicit Q~ operator directly on
  * host memory — no transform/transfer stages (the paper's Fig. 4a therefore
- * has no "transform" component for the CPU backend).
+ * has no "transform" component for the CPU backend). The dense operator
+ * sweeps the kernel once per iteration for all label columns of a solve;
+ * the sparse one sweeps once per column.
  */
 
 #ifndef PLSSVM_BACKENDS_OPENMP_CSVM_HPP_
@@ -34,10 +36,10 @@ class csvm final : public ::plssvm::csvm<T> {
   protected:
     using typename ::plssvm::csvm<T>::solve_result;
 
-    [[nodiscard]] solve_result solve_lssvm(const aos_matrix<T> &points,
-                                           const std::vector<T> &labels,
-                                           const kernel_params<T> &kp,
-                                           const solver_control &ctrl) override;
+    [[nodiscard]] std::vector<solve_result> solve_lssvm(const aos_matrix<T> &points,
+                                                        const std::vector<std::vector<T>> &label_columns,
+                                                        const kernel_params<T> &kp,
+                                                        const solver_control &ctrl) override;
 
   private:
     bool use_sparse_solver_;

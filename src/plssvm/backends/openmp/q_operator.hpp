@@ -11,6 +11,13 @@
  * OpenMP-parallel variant (no triangular halving; §IV: "the CPU only OpenMP
  * implementation is currently not as well optimized as the GPU
  * implementations").
+ *
+ * `apply_block` is the one sweep: it evaluates each kernel entry k(x_i, x_j)
+ * once and multiplies it into every column of the block, so the k
+ * right-hand sides of a one-vs-all solve cost one sweep per iteration.
+ * `apply` is its one-column case. Each column sums over j in the same order
+ * whatever the block width, and sum(x) and <q, x> are `detail::chunked_sum`s,
+ * so column c of a block is bitwise `apply` on x_c at any thread count.
  */
 
 #ifndef PLSSVM_BACKENDS_OPENMP_Q_OPERATOR_HPP_
@@ -38,6 +45,8 @@ class q_operator final : public solver::linear_operator<T> {
     [[nodiscard]] std::size_t size() const noexcept override { return n_; }
 
     void apply(const std::vector<T> &x, std::vector<T> &out) override;
+
+    void apply_block(const std::vector<T> &x, std::vector<T> &out, std::size_t num_columns) override;
 
     /// Precomputed q vector (q_i = k(x_i, x_m)); reused for bias recovery.
     [[nodiscard]] const std::vector<T> &q() const noexcept { return q_; }

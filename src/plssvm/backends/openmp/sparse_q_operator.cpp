@@ -1,6 +1,7 @@
 #include "plssvm/backends/openmp/sparse_q_operator.hpp"
 
 #include "plssvm/detail/assert.hpp"
+#include "plssvm/detail/chunked_sum.hpp"
 
 #include <cstddef>
 #include <vector>
@@ -35,13 +36,8 @@ template <typename T>
 void sparse_q_operator<T>::apply(const std::vector<T> &x, std::vector<T> &out) {
     PLSSVM_ASSERT(x.size() == n_ && out.size() == n_, "Vector size does not match the operator size!");
 
-    T sum_x{ 0 };
-    T q_dot_x{ 0 };
-    #pragma omp parallel for simd reduction(+ : sum_x, q_dot_x)
-    for (std::size_t j = 0; j < n_; ++j) {
-        sum_x += x[j];
-        q_dot_x += q_[j] * x[j];
-    }
+    const T sum_x = detail::chunked_sum<T>(n_, [&x](const std::size_t j) { return x[j]; });
+    const T q_dot_x = detail::chunked_sum<T>(n_, [this, &x](const std::size_t j) { return q_[j] * x[j]; });
 
     const T inv_cost = T{ 1 } / cost_;
     #pragma omp parallel for schedule(dynamic, 16)

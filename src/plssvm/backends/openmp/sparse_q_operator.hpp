@@ -10,6 +10,8 @@
  * of the full dimension.
  *
  * Semantics are identical to the dense `q_operator`; tests enforce agreement.
+ * A block of columns runs through the default `apply_block`, one sweep per
+ * column.
  */
 
 #ifndef PLSSVM_BACKENDS_OPENMP_SPARSE_Q_OPERATOR_HPP_

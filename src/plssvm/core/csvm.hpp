@@ -19,9 +19,11 @@
 #include "plssvm/core/model.hpp"
 #include "plssvm/core/parameter.hpp"
 #include "plssvm/detail/tracker.hpp"
+#include "plssvm/solver/operator.hpp"
 
 #include <cstddef>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace plssvm {
@@ -43,6 +45,26 @@ class csvm {
      * @throws plssvm::invalid_data_exception if @p data is unlabeled or not binary
      */
     [[nodiscard]] model<T> fit(const data_set<T> &data, const solver_control &ctrl = {});
+
+    /**
+     * @brief Train one binary LS-SVM per label column on the same points, in
+     *        one solve.
+     *
+     * Q~ does not depend on the labels, so the k reduced systems share one
+     * CG whose k right-hand sides share each kernel sweep. Each column keeps
+     * its own iterations and stopping test: model c is bitwise the model
+     * `fit` returns for @p points labelled with column c. The k models share
+     * one copy of @p points.
+     * @param points the training points (at least two)
+     * @param label_columns k label columns, each with one label per point and
+     *        exactly two distinct labels; as in `fit`, a column's first label
+     *        is its model's positive label
+     * @throws plssvm::invalid_data_exception if there is no column, or a
+     *         column does not match the points or is not binary
+     */
+    [[nodiscard]] std::vector<model<T>> fit(const aos_matrix<T> &points,
+                                            const std::vector<std::vector<T>> &label_columns,
+                                            const solver_control &ctrl = {});
 
     /**
      * @brief Train an LS-SVM *regressor* (LS-SVR) on @p data.
@@ -80,7 +102,8 @@ class csvm {
     [[nodiscard]] const detail::tracker &performance_tracker() const noexcept { return tracker_; }
 
   protected:
-    /// Result of a backend solve: full weight vector (size m), bias, CG stats.
+    /// Result of a backend solve for one label column: full weight vector
+    /// (size m), bias, CG stats.
     struct solve_result {
         std::vector<T> alpha;
         T bias{ 0 };
@@ -89,23 +112,47 @@ class csvm {
     };
 
     /**
-     * @brief Backend hook: solve the reduced system Q~ alpha~ = y¯ - y_m 1 and
-     *        recover (full alpha, bias).
+     * @brief Backend hook: solve the reduced systems Q~ alpha~ = y¯ - y_m 1 of
+     *        every label column in one CG and recover each (full alpha, bias).
      * @param points the training points (row-major host layout)
-     * @param labels the +-1 labels (size m)
+     * @param label_columns k label columns of size m (+-1 labels, or the
+     *        targets of a regression)
      * @param kp kernel parameters with gamma resolved
      * @param ctrl CG controls
+     * @return one result per column, in column order
      */
-    [[nodiscard]] virtual solve_result solve_lssvm(const aos_matrix<T> &points,
-                                                   const std::vector<T> &labels,
-                                                   const kernel_params<T> &kp,
-                                                   const solver_control &ctrl) = 0;
+    [[nodiscard]] virtual std::vector<solve_result> solve_lssvm(const aos_matrix<T> &points,
+                                                                const std::vector<std::vector<T>> &label_columns,
+                                                                const kernel_params<T> &kp,
+                                                                const solver_control &ctrl) = 0;
+
+    /**
+     * @brief The solve shared by every backend: one CG over @p op for the
+     *        reduced right-hand sides of all @p label_columns, then each
+     *        column's bias (Eq. 15) and eliminated weight.
+     * @param q the operator's q vector (q_i = k(x_i, x_m))
+     * @param q_mm the operator's Q_mm = k(x_m, x_m) + 1/C
+     */
+    [[nodiscard]] static std::vector<solve_result> solve_columns(solver::linear_operator<T> &op,
+                                                                 const std::vector<T> &q,
+                                                                 T q_mm,
+                                                                 const std::vector<std::vector<T>> &label_columns,
+                                                                 const solver_control &ctrl);
 
     /// Resolve `parameter` into runtime kernel params for @p num_features.
     [[nodiscard]] kernel_params<T> make_kernel_params(std::size_t num_features) const;
 
     parameter params_;
     mutable detail::tracker tracker_;
+
+  private:
+    /// Solve every column of @p columns at once and wrap column c as a model
+    /// with the labels @p model_labels[c] (positive, negative); the models
+    /// share one copy of @p points.
+    [[nodiscard]] std::vector<model<T>> train(const aos_matrix<T> &points,
+                                              const std::vector<std::vector<T>> &columns,
+                                              const std::vector<std::pair<T, T>> &model_labels,
+                                              const solver_control &ctrl);
 };
 
 }  // namespace plssvm

@@ -7,6 +7,11 @@
  * file format so PLSSVM-trained models can be consumed by LIBSVM tooling and
  * vice versa ("drop-in replacement", paper §I).
  *
+ * The support vectors are one shared, immutable panel: a copy of a model
+ * shares it, and so do the k heads of a one-vs-all ensemble (all trained on
+ * the same points) and every copy of the ensemble. Only the weights, the
+ * bias and the labels are per model.
+ *
  * A `model` is the *training-side* representation. For repeated prediction,
  * compile it into a `plssvm::serve::compiled_model` (or register it with a
  * `plssvm::serve::model_registry`), which precomputes the collapsed linear
@@ -20,6 +25,7 @@
 #include "plssvm/core/parameter.hpp"
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,16 +53,24 @@ class model {
           T positive_label,
           T negative_label);
 
+    /// As above, sharing the panel @p support_vectors with other models.
+    model(parameter params,
+          std::shared_ptr<const aos_matrix<T>> support_vectors,
+          std::vector<T> alpha,
+          T rho,
+          T positive_label,
+          T negative_label);
+
     [[nodiscard]] const parameter &params() const noexcept { return params_; }
-    [[nodiscard]] const aos_matrix<T> &support_vectors() const noexcept { return support_vectors_; }
+    [[nodiscard]] const aos_matrix<T> &support_vectors() const noexcept { return *support_vectors_; }
     [[nodiscard]] const std::vector<T> &alpha() const noexcept { return alpha_; }
     [[nodiscard]] T rho() const noexcept { return rho_; }
     /// Bias of the decision function f(x) = sum alpha_i k(sv_i, x) + bias.
     [[nodiscard]] T bias() const noexcept { return -rho_; }
     [[nodiscard]] T positive_label() const noexcept { return positive_label_; }
     [[nodiscard]] T negative_label() const noexcept { return negative_label_; }
-    [[nodiscard]] std::size_t num_support_vectors() const noexcept { return support_vectors_.num_rows(); }
-    [[nodiscard]] std::size_t num_features() const noexcept { return support_vectors_.num_cols(); }
+    [[nodiscard]] std::size_t num_support_vectors() const noexcept { return support_vectors_->num_rows(); }
+    [[nodiscard]] std::size_t num_features() const noexcept { return support_vectors_->num_cols(); }
 
     /// Map a decision value to the original label domain.
     [[nodiscard]] T label_from_decision(const T decision) const noexcept {
@@ -78,7 +92,7 @@ class model {
 
   private:
     parameter params_{};
-    aos_matrix<T> support_vectors_{};
+    std::shared_ptr<const aos_matrix<T>> support_vectors_{ std::make_shared<const aos_matrix<T>>() };
     std::vector<T> alpha_{};
     T rho_{ 0 };
     T positive_label_{ 1 };

@@ -30,19 +30,15 @@ multiclass_model<T> one_vs_all<T>::fit(const data_set<T> &data, const solver_con
         throw invalid_data_exception{ "Multi-class training requires at least two distinct labels!" };
     }
 
-    std::vector<model<T>> models;
-    models.reserve(class_labels.size());
-    for (const T class_label : class_labels) {
-        // binary problem: this class (+1) vs. the rest (-1)
-        std::vector<T> binary(labels.size());
+    // one binary problem per class: this class (+1) vs. the rest (-1)
+    std::vector<std::vector<T>> columns(class_labels.size(), std::vector<T>(labels.size()));
+    for (std::size_t c = 0; c < class_labels.size(); ++c) {
         for (std::size_t i = 0; i < labels.size(); ++i) {
-            binary[i] = labels[i] == class_label ? T{ 1 } : T{ -1 };
+            columns[c][i] = labels[i] == class_labels[c] ? T{ 1 } : T{ -1 };
         }
-        const data_set<T> binary_data{ data.points(), std::move(binary) };
-        auto svm = make_csvm<T>(backend_, params_, devices_);
-        models.push_back(svm->fit(binary_data, ctrl));
     }
-    return multiclass_model<T>{ class_labels, std::move(models) };
+    auto svm = make_csvm<T>(backend_, params_, devices_);
+    return multiclass_model<T>{ class_labels, svm->fit(data.points(), columns, ctrl) };
 }
 
 template <typename T>

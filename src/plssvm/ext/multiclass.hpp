@@ -5,8 +5,15 @@
  * The paper supports binary classification only and lists multi-class as
  * future work (§V), citing Suykens & Vandewalle's multi-class LS-SVM. This
  * extension implements the one-vs-all (one-vs-rest) scheme on top of the
- * binary `csvm`: one binary machine per distinct label (class vs. rest),
+ * binary `csvm`: one binary head per distinct label (class vs. rest),
  * prediction by the maximum decision value.
+ *
+ * The heads differ only in their labels, and Q~ does not depend on the
+ * labels. So `fit` trains all k heads in one CG whose k right-hand sides
+ * share each kernel sweep (`csvm::fit` over k label columns); each head
+ * keeps its own iteration count and is bitwise the model a binary `fit` on
+ * its one-vs-rest labels returns. The k heads share one copy of the points,
+ * and so does every copy of the ensemble.
  */
 
 #ifndef PLSSVM_EXT_MULTICLASS_HPP_
@@ -23,7 +30,8 @@
 
 namespace plssvm::ext {
 
-/// Trained one-vs-all ensemble: one binary model per class.
+/// Trained one-vs-all ensemble: one binary model per class, all sharing one
+/// support vector panel.
 template <typename T>
 class multiclass_model {
   public:
@@ -54,7 +62,8 @@ class one_vs_all {
                         std::vector<sim::device_spec> devices = {});
 
     /**
-     * @brief Train one binary LS-SVM per distinct label (class vs. rest).
+     * @brief Train one binary LS-SVM per distinct label (class vs. rest), all
+     *        in one solve.
      * @throws plssvm::invalid_data_exception if @p data is unlabeled or has
      *         fewer than two distinct labels
      */

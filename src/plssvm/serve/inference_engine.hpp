@@ -528,6 +528,13 @@ class inference_engine {
         return health_.state();
     }
 
+    /// SLO evaluations the health monitor made so far: at most one per
+    /// steady-clock second, however many batches drain in it.
+    [[nodiscard]] std::size_t slo_evaluations() const {
+        const std::lock_guard lock{ health_mutex_ };
+        return slo_evaluations_;
+    }
+
     /// The most recent SLO burn-rate evaluation (over the fast + slow
     /// trailing windows ending at @p now).
     [[nodiscard]] slo_report slo(const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now()) const {
@@ -1018,7 +1025,8 @@ class inference_engine {
     /// the cumulative serving counters; record the transition (flight
     /// recorder dump) when the state changes. Called after every drained
     /// batch and on every stall restart; serialized by `health_mutex_`, so
-    /// the monitor diffs counters sampled in order.
+    /// the monitor diffs counters sampled in order. The SLO report is
+    /// re-evaluated at most once per second (`slo_evaluations()`).
     void update_health() {
         const std::lock_guard lock{ health_mutex_ };
         const auto now = std::chrono::steady_clock::now();
@@ -1038,10 +1046,17 @@ class inference_engine {
         inputs.quarantined = sample.quarantined;
         int slo_worst = 0;
         if (slo_.any_enabled()) {
-            const slo_report report = metrics_.evaluate_slo(slo_, now);
-            inputs.slo_degraded = report.worst == slo_alert_state::degraded;
-            inputs.slo_critical = report.worst == slo_alert_state::critical;
-            slo_worst = static_cast<int>(report.worst);
+            // the windows roll once per steady-clock second: evaluate the
+            // burn rates when `now` enters a new second, not per batch
+            const std::int64_t second = std::chrono::duration_cast<std::chrono::seconds>(now.time_since_epoch()).count();
+            if (slo_evaluations_ == 0 || second != slo_second_) {
+                slo_report_ = metrics_.evaluate_slo(slo_, now);
+                slo_second_ = second;
+                ++slo_evaluations_;
+            }
+            inputs.slo_degraded = slo_report_.worst == slo_alert_state::degraded;
+            inputs.slo_critical = slo_report_.worst == slo_alert_state::critical;
+            slo_worst = static_cast<int>(slo_report_.worst);
         }
         const fault::health_transition transition = health_.observe(inputs);
         if (transition.changed) {
@@ -1106,6 +1121,9 @@ class inference_engine {
     fault::health_monitor health_;              ///< engine health state machine
     std::size_t last_stall_seen_{ 0 };          ///< stall count at the last health observation (guarded by `health_mutex_`)
     int last_slo_worst_{ 0 };                   ///< SLO alert severity at the last health observation (guarded by `health_mutex_`)
+    slo_report slo_report_{};                   ///< SLO evaluation the health monitor reads (guarded by `health_mutex_`)
+    std::int64_t slo_second_{ 0 };              ///< steady-clock second `slo_report_` was taken in (guarded by `health_mutex_`)
+    std::size_t slo_evaluations_{ 0 };          ///< SLO evaluations `update_health()` made (guarded by `health_mutex_`)
     fault::drain_supervisor<T> supervisor_;     ///< declared last: its threads use every other member
 };
 

@@ -55,9 +55,13 @@ struct projection_result {
 /**
  * @brief Project a PLSSVM training run on @p spec via @p runtime.
  *
- * Walks the same launch sequence as `device_csvm::solve_lssvm`; devices work
- * concurrently, so multi-device time is the per-device maximum (the feature
- * split is balanced, making all devices equal).
+ * Walks the same launch sequence as `device_csvm::solve_lssvm` for one label
+ * column (a binary fit); devices work concurrently, so multi-device time is
+ * the per-device maximum (the feature split is balanced, making all devices
+ * equal). It charges one sweep per CG iteration and none for the initial
+ * guess: CG starts from zero, whose residual needs no sweep. A k-column
+ * solve (a one-vs-all ensemble) pays the upload and the q kernel once and
+ * one sweep per iteration for every column still iterating.
  */
 [[nodiscard]] projection_result project_plssvm_training(const device_spec &spec,
                                                         backend_runtime runtime,

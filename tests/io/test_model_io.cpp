@@ -44,7 +44,8 @@ TEST_P(ModelIoAllKernels, SaveLoadPreservesPredictions) {
     plssvm::backend::openmp::csvm<double> svm{ params };
     const auto trained = svm.fit(data, plssvm::solver_control{ .epsilon = 1e-8 });
 
-    const std::string path = "/tmp/plssvm_test_model_io.model";
+    // one file per kernel: ctest runs the four instances in parallel processes
+    const std::string path = "/tmp/plssvm_test_model_io_" + std::string{ plssvm::kernel_type_to_string(GetParam()) } + ".model";
     trained.save(path);
     const auto loaded = model<double>::load(path);
 

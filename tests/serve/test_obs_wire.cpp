@@ -387,6 +387,36 @@ TEST(ObsSloHealth, InjectedSloBurnEscalatesEngineHealthAndDumps) {
     }
 }
 
+// Asserts: with an SLO objective enabled, the engine evaluates the SLO
+// windows at most once per steady-clock second (the windows roll no more
+// often), however many batches drain in it; without objectives it never
+// evaluates them. Strategy: drain 40 one-request batches one after another
+// (each submit waits for its answer) on an engine with an objective and on
+// one without, then read the engines' evaluation counts; the steady-clock
+// seconds between the first submit and the read bound the first count.
+TEST(ObsSloCadence, EvaluatesTheSloAtMostOncePerSecond) {
+    engine_config config;
+    config.num_threads = 2;
+    inference_engine<double> plain{ test::random_model(kernel_type::linear), config };
+    config.slo.objectives[class_index(request_class::interactive)].enabled = true;
+    inference_engine<double> engine{ test::random_model(kernel_type::linear), config };
+
+    const auto steady_second = [] { return std::chrono::duration_cast<std::chrono::seconds>(std::chrono::steady_clock::now().time_since_epoch()).count(); };
+    const std::vector<double> point(11, 0.5);
+    constexpr std::size_t batches = 40;
+    const std::int64_t first = steady_second();
+    for (std::size_t i = 0; i < batches; ++i) {
+        (void) engine.submit(point, request_options{}).get();
+        (void) plain.submit(point, request_options{}).get();
+    }
+    const std::size_t evaluations = engine.slo_evaluations();
+    const std::int64_t last = steady_second();
+
+    EXPECT_GE(evaluations, 1U) << "a drained batch must evaluate the SLO once";
+    EXPECT_LE(evaluations, static_cast<std::size_t>(last - first + 1)) << "one evaluation per second at most";
+    EXPECT_EQ(plain.slo_evaluations(), 0U);
+}
+
 // ---------------------------------------------------------------------------
 // wire-to-wire trace propagation over real TCP
 // ---------------------------------------------------------------------------
