@@ -26,26 +26,9 @@ bool executor::on_worker_thread() const noexcept {
     return current_worker_executor == this;
 }
 
-executor::executor(std::size_t num_threads) :
-    executor{ num_threads, executor_options{} } { }
-
-executor::executor(std::size_t num_threads, executor_options options) {
+executor::executor(std::size_t num_threads) {
     if (num_threads == 0) {
         num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
-    topology_ = options.topology.domains.empty() ? probe_topology() : std::move(options.topology);
-    const std::size_t num_domains = topology_.domains.size();
-    // pinning pays off only when there is more than one memory domain, and
-    // is safe only when every worker still gets a CPU: an oversubscribed
-    // pool degrades to the unpinned behavior
-    pin_active_ = options.pin_workers && num_domains > 1 && num_threads <= topology_.num_cpus();
-
-    worker_domains_.resize(num_threads);
-    domain_workers_.assign(num_domains, {});
-    domain_lane_counters_.assign(num_domains, 0);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-        worker_domains_[i] = i % num_domains;
-        domain_workers_[worker_domains_[i]].push_back(i);
     }
     workers_.reserve(num_threads);
     // a start-up left to run after construction would compete with the
@@ -76,21 +59,6 @@ executor &executor::process_wide() {
     return instance;
 }
 
-std::size_t executor::worker_domain(const std::size_t worker_index) const {
-    return worker_index < worker_domains_.size() ? worker_domains_[worker_index] : 0;
-}
-
-std::size_t executor::workers_in_domain(const std::size_t domain) const {
-    return domain < domain_workers_.size() ? domain_workers_[domain].size() : 0;
-}
-
-bool executor::pin_current_thread_to_domain(const std::size_t domain) const {
-    if (!pin_active_ || domain >= topology_.domains.size()) {
-        return false;
-    }
-    return pin_current_thread(topology_.domains[domain].cpus);
-}
-
 // ---------------------------------------------------------------------------
 // lane handle
 // ---------------------------------------------------------------------------
@@ -102,10 +70,6 @@ std::size_t executor::lane::max_concurrency() const noexcept {
     const std::size_t workers = owner_->size();
     const std::size_t quota = state_->options.quota;  // immutable after creation
     return quota == 0 ? workers : std::min(quota, workers);
-}
-
-std::size_t executor::lane::home_domain() const noexcept {
-    return state_ != nullptr ? state_->home_domain : 0;
 }
 
 void executor::lane::enqueue_detached(detail::task job) {
@@ -174,21 +138,8 @@ executor::lane executor::create_lane(lane_options options) {
     auto state = std::make_shared<lane_state>();
     {
         const std::lock_guard lock{ mutex_ };
-        state->id = lane_counter_;  // both branches below advance the counter once
-        const std::size_t num_domains = domain_workers_.size();
-        const std::size_t requested = options.home_domain;
-        if (requested != any_numa_domain && num_domains > 0 && !domain_workers_[requested % num_domains].empty()) {
-            // home the lane inside its NUMA domain: round-robin over that
-            // domain's workers only
-            const std::size_t domain = requested % num_domains;
-            const std::vector<std::size_t> &members = domain_workers_[domain];
-            state->affinity = members[domain_lane_counters_[domain]++ % members.size()];
-            state->home_domain = domain;
-            ++lane_counter_;
-        } else {
-            state->affinity = lane_counter_++ % workers_.size();
-            state->home_domain = worker_domains_[state->affinity];
-        }
+        state->id = lane_counter_;
+        state->affinity = lane_counter_++ % workers_.size();
         state->options = std::move(options);
         lanes_.push_back(state);
     }
@@ -228,7 +179,7 @@ std::vector<lane_report> executor::reports_locked() const {
     std::vector<lane_report> reports;
     reports.reserve(lanes_.size());
     for (const std::shared_ptr<lane_state> &lane : lanes_) {
-        reports.push_back(lane_report{ lane->options.name, lane->id, lane->affinity, lane->home_domain, counters_of(*lane) });
+        reports.push_back(lane_report{ lane->options.name, lane->id, lane->affinity, counters_of(*lane) });
     }
     return reports;
 }
@@ -286,19 +237,6 @@ std::string executor::stats_json() const {
     append_count(json, "queued", totals.queued);
     append_count(json, "in_flight", totals.in_flight);
     append_count(json, "total_steals", totals.total_steals);
-    json += "\"topology\": { ";
-    append_count(json, "domains", topology_.domains.size());
-    json += "\"source\": \"";
-    append_escaped(json, topology_.source);
-    json += "\", \"pinned\": ";
-    json += pin_active_ ? "true" : "false";
-    json += ", \"workers_per_domain\": [";
-    for (std::size_t d = 0; d < domain_workers_.size(); ++d) {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%s%zu", d == 0 ? "" : ", ", domain_workers_[d].size());
-        json += buffer;
-    }
-    json += "] }, ";
     json += "\"lanes\": [ ";
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         const lane_report &lane = lanes[i];
@@ -306,7 +244,6 @@ std::string executor::stats_json() const {
         append_escaped(json, lane.name);
         json += "\", ";
         append_count(json, "affinity", lane.affinity);
-        append_count(json, "home_domain", lane.home_domain);
         append_count(json, "submitted", lane.stats.submitted);
         append_count(json, "completed", lane.stats.completed);
         append_count(json, "stolen", lane.stats.stolen);
@@ -327,18 +264,14 @@ bool executor::runnable(const lane_state &state) {
     return !state.queue.empty() && (state.options.quota == 0 || state.workers_busy < state.options.quota);
 }
 
-executor::lane_state *executor::next_runnable_lane(const std::size_t domain) {
+executor::lane_state *executor::next_runnable_lane() {
     const std::size_t num_lanes = lanes_.size();
-    // pass 0 prefers lanes homed on this worker's NUMA domain (their panels
-    // are local memory); pass 1 takes anything — throughput beats locality
-    for (int pass = domain_workers_.size() > 1 ? 0 : 1; pass < 2; ++pass) {
-        for (std::size_t i = 1; i <= num_lanes; ++i) {
-            const std::size_t idx = (cursor_ + i) % num_lanes;
-            lane_state &lane = *lanes_[idx];
-            if ((pass == 1 || lane.home_domain == domain) && runnable(lane)) {
-                cursor_ = idx;
-                return &lane;
-            }
+    for (std::size_t i = 1; i <= num_lanes; ++i) {
+        const std::size_t idx = (cursor_ + i) % num_lanes;
+        lane_state &lane = *lanes_[idx];
+        if (runnable(lane)) {
+            cursor_ = idx;
+            return &lane;
         }
     }
     return nullptr;
@@ -371,17 +304,13 @@ void executor::finish(lane_state &state, const std::size_t worker_index) {
 
 void executor::worker_loop(const std::size_t worker_index, std::latch &started) {
     current_worker_executor = this;
-    const std::size_t domain = worker_domains_[worker_index];
-    if (pin_active_) {
-        (void) pin_current_thread(topology_.domains[domain].cpus);
-    }
     std::unique_lock lock{ mutex_ };
     // counted under the lock, which a new worker next releases by waiting
     // for work (the executor has no lanes yet)
     started.count_down();
     lane_state *finished = nullptr;  // lane of the task this worker just ran
     while (true) {
-        lane_state *lane = next_runnable_lane(domain);
+        lane_state *lane = next_runnable_lane();
         if (finished != nullptr && finished != lane && runnable(*finished)) {
             // the quota slot this worker freed has queued work, but the
             // rotation moves this worker on: wake another one to take it

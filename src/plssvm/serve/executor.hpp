@@ -20,13 +20,9 @@
  * saturated lane cannot starve the others; any lane with queued work and
  * spare quota is reached within one sweep of the lane list.
  *
- * Topology: the executor probes NUMA domains (`topology.hpp`) and, when the
- * host is multi-node and not oversubscribed, pins each worker to its
- * domain's CPUs. Every lane has a home worker (round-robin at creation,
- * inside the lane's `home_domain` when one is given). On multi-node hosts a
- * worker serves the lanes of its own domain first, so an engine's batches
- * run where its snapshot's SV panels were first-touch allocated. A task run
- * by a worker other than its lane's home worker counts as *stolen*.
+ * Every lane has a home worker (round-robin at creation). A task run by a
+ * worker other than its lane's home worker counts as *stolen*; the home
+ * worker changes no scheduling decision, it only defines that counter.
  *
  * Quota semantics: `quota` caps how many workers run one lane's tasks
  * simultaneously. Capping the greedy tenants is what guarantees the quiet
@@ -43,8 +39,6 @@
 #ifndef PLSSVM_SERVE_EXECUTOR_HPP_
 #define PLSSVM_SERVE_EXECUTOR_HPP_
 #pragma once
-
-#include "plssvm/serve/topology.hpp"  // plssvm::serve::{topology_info, any_numa_domain}
 
 #include <condition_variable>  // std::condition_variable
 #include <cstddef>             // std::size_t, std::max_align_t
@@ -170,19 +164,6 @@ struct lane_options {
     std::string name{};
     /// Most workers that may service this lane concurrently; 0 = no cap.
     std::size_t quota{ 0 };
-    /// NUMA domain this lane's memory lives on: its home worker is chosen
-    /// inside the domain, so batches run local to their SV panels. Default:
-    /// no preference (round-robin over all workers).
-    std::size_t home_domain{ any_numa_domain };
-};
-
-/// Executor construction knobs beyond the thread count.
-struct executor_options {
-    /// Topology to place workers on; empty `domains` = probe the real machine.
-    topology_info topology{};
-    /// Pin workers to their domain's CPUs (only ever active on multi-node
-    /// topologies with enough CPUs; otherwise silently degrades to no-op).
-    bool pin_workers{ true };
 };
 
 /// Point-in-time aggregate counters of the whole executor (all lanes), read
@@ -216,18 +197,16 @@ struct lane_report {
     std::string name;                  ///< the lane's diagnostic name (several lanes may share one)
     std::size_t id{ 0 };               ///< creation ordinal, unique within the executor
     std::size_t affinity{ 0 };         ///< home worker index
-    std::size_t home_domain{ 0 };      ///< NUMA domain of the home worker
     lane_stats stats;                  ///< point-in-time counters
 };
 
 class executor {
     /// One lane's queue and counters. Everything but the immutable
-    /// placement fields is guarded by `executor::mutex_`.
+    /// fields is guarded by `executor::mutex_`.
     struct lane_state {
-        lane_options options;          ///< immutable after creation
-        std::size_t id{ 0 };           ///< creation ordinal (immutable)
-        std::size_t affinity{ 0 };     ///< home worker index (immutable)
-        std::size_t home_domain{ 0 };  ///< resolved NUMA domain (immutable)
+        lane_options options;       ///< immutable after creation
+        std::size_t id{ 0 };        ///< creation ordinal (immutable)
+        std::size_t affinity{ 0 };  ///< home worker index (immutable)
         std::deque<detail::task> queue;
         std::size_t workers_busy{ 0 };  ///< workers running this lane's tasks (quota check)
         bool closed{ false };           ///< no further enqueues; drain pending
@@ -236,12 +215,8 @@ class executor {
 
   public:
     /// Start @p num_threads workers; 0 means `std::thread::hardware_concurrency()`.
-    /// Probes the machine's NUMA topology and pins workers when profitable.
     /// Returns once every worker has started.
     explicit executor(std::size_t num_threads = 0);
-
-    /// Start workers on an explicit topology (tests inject fake ones here).
-    executor(std::size_t num_threads, executor_options options);
 
     executor(const executor &) = delete;
     executor &operator=(const executor &) = delete;
@@ -263,26 +238,6 @@ class executor {
     /// it — e.g. an engine torn down by the last-owner reload task draining
     /// its final batches).
     [[nodiscard]] bool on_worker_thread() const noexcept;
-
-    /// The NUMA topology the workers were placed on.
-    [[nodiscard]] const topology_info &topology() const noexcept { return topology_; }
-
-    /// Number of NUMA domains workers are spread over.
-    [[nodiscard]] std::size_t num_domains() const noexcept { return topology_.num_domains(); }
-
-    /// True iff workers are actually pinned to their domain's CPUs (multi-
-    /// node topology, pinning requested, pool not oversubscribed).
-    [[nodiscard]] bool pinning_active() const noexcept { return pin_active_; }
-
-    /// NUMA domain of worker @p worker_index.
-    [[nodiscard]] std::size_t worker_domain(std::size_t worker_index) const;
-
-    /// Number of workers placed in NUMA domain @p domain.
-    [[nodiscard]] std::size_t workers_in_domain(std::size_t domain) const;
-
-    /// Pin the *calling* thread (e.g. an engine's drain thread) onto the
-    /// CPUs of @p domain. No-op (returns false) when pinning is inactive.
-    bool pin_current_thread_to_domain(std::size_t domain) const;
 
     /**
      * @brief Move-only handle to one submission lane. Destroying the handle
@@ -316,9 +271,6 @@ class executor {
 
         /// Effective parallelism of this lane: its quota clamped to the pool.
         [[nodiscard]] std::size_t max_concurrency() const noexcept;
-
-        /// NUMA domain of this lane's home worker.
-        [[nodiscard]] std::size_t home_domain() const noexcept;
 
         /// Enqueue a fire-and-forget task (any move-only callable).
         /// @throws plssvm::exception if the lane is detached or closed
@@ -378,18 +330,17 @@ class executor {
     /// per-lane queue-depth/steal gauges of the observability export.
     [[nodiscard]] std::vector<lane_report> lane_reports() const;
 
-    /// Executor-wide counters plus every lane's per-lane gauges and the
-    /// worker placement (`topology` section), rendered as one
-    /// machine-readable JSON object from one consistent snapshot.
+    /// Executor-wide counters plus every lane's per-lane gauges, rendered
+    /// as one machine-readable JSON object from one consistent snapshot.
     [[nodiscard]] std::string stats_json() const;
 
   private:
     /// Counts @p started down once it holds `mutex_`, then serves lanes.
     void worker_loop(std::size_t worker_index, std::latch &started);
 
-    /// The next lane a worker of @p domain may take a task from, or nullptr
-    /// (requires `mutex_`). Advances the rotation cursor.
-    [[nodiscard]] lane_state *next_runnable_lane(std::size_t domain);
+    /// The next lane a worker may take a task from, or nullptr (requires
+    /// `mutex_`). Advances the rotation cursor.
+    [[nodiscard]] lane_state *next_runnable_lane();
 
     /// Pop the front task of @p state and count it in flight (requires
     /// `mutex_` and a non-empty queue).
@@ -419,10 +370,6 @@ class executor {
     static constexpr std::size_t helper_thread = static_cast<std::size_t>(-1);
 
     // --- immutable after construction ---
-    topology_info topology_{};
-    bool pin_active_{ false };
-    std::vector<std::size_t> worker_domains_;               ///< worker index -> domain index
-    std::vector<std::vector<std::size_t>> domain_workers_;  ///< domain index -> worker indices
     std::vector<std::thread> workers_;
 
     // --- guarded by mutex_ ---
@@ -432,7 +379,6 @@ class executor {
     std::vector<std::shared_ptr<lane_state>> lanes_;  ///< registration order
     std::size_t cursor_{ 0 };                         ///< lane served last (rotation start)
     std::size_t lane_counter_{ 0 };                   ///< lanes created so far: round-robin affinity and lane ids
-    std::vector<std::size_t> domain_lane_counters_;   ///< per-domain round-robin affinity
     std::size_t total_steals_{ 0 };
     bool stop_{ false };
 };

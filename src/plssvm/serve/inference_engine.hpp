@@ -39,8 +39,7 @@
  * instance) and submit through a per-engine lane whose quota
  * (`engine_config::num_threads`) bounds how many workers the engine may
  * occupy at once — eight resident engines on a four-core host run on four
- * worker threads, not thirty-two. NUMA replicas of one model are a
- * placement of `model_registry::load_sharded`: one engine per domain.
+ * worker threads, not thirty-two.
  *
  * Model state is NOT mutable in place: every batch evaluates against the
  * `engine_snapshot` current at its start, and `reload()` publishes a freshly
@@ -106,11 +105,6 @@ struct engine_config {
     compile_options compile{};
     /// Shared executor to run on; nullptr = `executor::process_wide()`.
     executor *exec{ nullptr };
-    /// NUMA domain this engine's lane (and drain thread) should live on, so
-    /// batches execute next to the snapshot's first-touch SV panels. Default:
-    /// no preference — placement behaves exactly like before. Set by
-    /// `model_registry::load_sharded` to spread per-domain replicas.
-    std::size_t home_domain{ any_numa_domain };
     /// QoS control plane: per-class admission limits (token bucket + queue
     /// depth shedding, default deadline budget) and the deadline batch cap.
     /// The defaults never shed and cap every class at `max_batch_size`.
@@ -253,10 +247,7 @@ class inference_engine {
     [[nodiscard]] std::vector<T> class_labels() const { return snapshot_.load()->class_labels; }
     /// Effective parallelism: the lane quota clamped to the executor size.
     [[nodiscard]] std::size_t num_threads() const noexcept { return lane_.max_concurrency(); }
-    /// NUMA domain the engine's lane is homed on (0 on single-node hosts).
-    [[nodiscard]] std::size_t home_domain() const noexcept { return lane_.home_domain(); }
-    /// Async requests accepted but not yet drained — the load signal the
-    /// registry balances replicas by.
+    /// Async requests accepted but not yet drained.
     [[nodiscard]] std::size_t pending_requests() const { return batcher_.pending(); }
     /// Version tag of the currently served snapshot (starts at 1).
     [[nodiscard]] std::uint64_t snapshot_version() const { return snapshot_.load()->version; }
@@ -496,7 +487,6 @@ class inference_engine {
         stats.max_queue_depth = lane.max_queue_depth;
         stats.steals = lane.stolen;
         stats.executor_threads = exec_->size();
-        stats.home_domain = lane_.home_domain();
         stats.snapshot_version = snapshot_.load()->version;
         const per_class<std::size_t> caps = batcher_.class_caps();
         for (const request_class cls : all_request_classes) {
@@ -618,7 +608,7 @@ class inference_engine {
     inference_engine(snapshot_type initial, const engine_config &config) :
         config_{ config },
         exec_{ config.exec != nullptr ? config.exec : &executor::process_wide() },
-        lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads, .home_domain = config.home_domain }) },
+        lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads }) },
         num_features_{ initial.heads.front().num_features() },
         num_heads_{ initial.heads.size() },
         ensemble_{ initial.ensemble() },
@@ -811,9 +801,6 @@ class inference_engine {
      * mutex is released.
      */
     void drain_loop(const std::uint64_t generation) {
-        // batches assembled and (for small rows) evaluated on this thread:
-        // keep it on the CPUs whose memory holds the engine's SV panels
-        (void) exec_->pin_current_thread_to_domain(lane_.home_domain());
         while (supervisor_.generation() == generation) {
             typename micro_batcher<T>::class_batch batch = batcher_.next_batch();
             if (batch.empty()) {

@@ -10,13 +10,7 @@
  * resident (compiled models pin the full SV matrix in memory, so residency
  * must be bounded).
  *
- * Placement is a registry policy: a name is served by one engine (`load`) or
- * by one replica per NUMA domain of the shared executor (`load_sharded`).
- * Each replica's lane and drain thread are homed on its domain and its
- * snapshot is compiled there, so the SV panels are first-touched and then
- * always scanned by domain-local cores. `find` hands out the less-loaded of
- * two replicas ("power of two choices" over pending requests, the first
- * candidate rotating round-robin), and `reload` swaps every replica.
+ * Every name is served by exactly one engine, which `find` hands out.
  *
  * All engines of a registry share one `serve::executor`
  * (`default_config.exec`, defaulting to the process-wide instance): eight
@@ -44,7 +38,6 @@
 #include "plssvm/serve/snapshot.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -110,47 +103,11 @@ class model_registry {
     }
 
     /**
-     * @brief Register @p name with one replica per NUMA domain of the shared
-     *        executor (exactly one on single-node hosts), replacing any
-     *        previous entry.
-     *
-     * Each replica's lane and drain thread are homed on its domain, and its
-     * snapshot is compiled on that domain so the SV panels are first-touch
-     * allocated in domain-local memory. A replica's `num_threads` defaults
-     * to the workers of its home domain, so the replicas partition the pool
-     * instead of all contending for it.
-     * @return the replicas, in domain order
-     */
-    std::vector<engine_ptr> load_sharded(const std::string &name, const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
-        return load_sharded(name, trained, default_config_, std::move(input_scaling));
-    }
-
-    std::vector<engine_ptr> load_sharded(const std::string &name, const model<T> &trained, engine_config config, scaling_ptr<T> input_scaling = nullptr) {
-        if (config.exec == nullptr) {
-            config.exec = exec_;
-        }
-        executor &exec = *config.exec;
-        const std::size_t domains = std::max<std::size_t>(std::size_t{ 1 }, exec.num_domains());
-        std::vector<engine_ptr> replicas;
-        replicas.reserve(domains);
-        for (std::size_t domain = 0; domain < domains; ++domain) {
-            engine_config replica_config = config;
-            replica_config.home_domain = domain;
-            if (replica_config.num_threads == 0 && exec.pinning_active()) {
-                replica_config.num_threads = std::max<std::size_t>(std::size_t{ 1 }, exec.workers_in_domain(domain));
-            }
-            replicas.push_back(std::make_shared<inference_engine<T>>(compile_on_domain(exec, trained, replica_config), replica_config, input_scaling));
-        }
-        insert(name, entry{ replicas });
-        return replicas;
-    }
-
-    /**
      * @brief Zero-downtime replacement of the model served under @p name.
      *
      * The replacement is compiled on the registry's background lane of the
-     * shared executor (shadow load) and atomically swapped into every
-     * resident replica when ready; requests keep flowing against the old
+     * shared executor (shadow load) and atomically swapped into the resident
+     * engine when ready; requests keep flowing against the old
      * snapshot in the meantime and the engine pointers held by clients stay
      * the same. If @p name is not resident, this degenerates to a
      * synchronous `load`.
@@ -173,8 +130,8 @@ class model_registry {
         return reload_entry(name, std::move(ensemble), std::move(input_scaling));
     }
 
-    /// The engine serving @p name — for a sharded name the less-loaded of
-    /// two replicas — or nullptr. Refreshes the LRU age only on a hit.
+    /// The engine serving @p name, or nullptr. Refreshes the LRU age only
+    /// on a hit.
     [[nodiscard]] engine_ptr find(const std::string &name) { return lookup(name, false); }
 
     /// `find` restricted to one-vs-all ensembles: nullptr for a binary
@@ -209,7 +166,7 @@ class model_registry {
     [[nodiscard]] health_state health() const {
         health_state worst = health_state::healthy;
         for (const auto &[name, e] : resident()) {
-            worst = std::max(worst, e.health());
+            worst = std::max(worst, e.engine->health());
         }
         return worst;
     }
@@ -218,10 +175,8 @@ class model_registry {
      * @brief One scrapeable JSON object over every resident name:
      *        `{"health": "<registry health>", "models":
      *        {"<name>": <serve_stats json>, ...}}`, names in registry (map)
-     *        order. A name served by several replicas renders as
-     *        `{"shards": N, "replicas": [<serve_stats json>, ...]}`. The
-     *        top-level health is the max severity over the engines' health
-     *        states.
+     *        order. The top-level health is the max severity over the
+     *        engines' health states.
      *
      * Engines are pinned under the registry mutex but their stats are
      * collected outside it, so a slow engine cannot stall loads/evictions.
@@ -231,7 +186,7 @@ class model_registry {
         const std::vector<std::pair<std::string, entry>> pinned = resident();
         health_state worst = health_state::healthy;
         for (const auto &[name, e] : pinned) {
-            worst = std::max(worst, e.health());
+            worst = std::max(worst, e.engine->health());
         }
         std::string json = "{\"health\": \"";
         json += health_state_to_string(worst);
@@ -243,11 +198,10 @@ class model_registry {
 
     /**
      * @brief Emit every resident engine's metric families into @p builder,
-     *        each labelled with `model="<name>"` (plus `shard="<i>"` for a
-     *        name served by several replicas), plus the registry health and
-     *        the shared executor's per-lane queue-depth/steal gauges.
+     *        each labelled with `model="<name>"`, plus the registry health
+     *        and the shared executor's per-lane queue-depth/steal gauges.
      *
-     * Same pinning discipline as `stats_json()`: engines are pinned under
+     * Same locking discipline as `stats_json()`: engines are pinned under
      * the registry mutex, collected outside it, and LRU ages are not
      * refreshed (scraping must not protect idle models). Process-wide
      * families are left to the caller (see `obs::collect_build_info`).
@@ -255,14 +209,8 @@ class model_registry {
     void collect_metrics(obs::prometheus_builder &builder) const {
         health_state worst = health_state::healthy;
         for (const auto &[name, e] : resident()) {
-            for (std::size_t shard = 0; shard < e.replicas.size(); ++shard) {
-                obs::label_set labels{ { "model", name } };
-                if (e.replicas.size() > 1) {
-                    labels.emplace_back("shard", std::to_string(shard));
-                }
-                e.replicas[shard]->collect_metrics(builder, labels);
-            }
-            worst = std::max(worst, e.health());
+            e.engine->collect_metrics(builder, obs::label_set{ { "model", name } });
+            worst = std::max(worst, e.engine->health());
         }
         builder.add_gauge("plssvm_serve_registry_health", "Registry-wide health: worst engine state (0 healthy, 1 degraded, 2 critical)",
                           {}, static_cast<double>(static_cast<std::uint8_t>(worst)));
@@ -273,7 +221,6 @@ class model_registry {
             builder.add_gauge("plssvm_serve_lane_in_flight", "Tasks of an executor lane executing right now", labels, static_cast<double>(lane.stats.in_flight));
             builder.add_counter("plssvm_serve_lane_steals_total", "Lane tasks executed by a non-affine worker", labels, static_cast<double>(lane.stats.stolen));
             builder.add_counter("plssvm_serve_lane_submitted_total", "Tasks ever enqueued on an executor lane", labels, static_cast<double>(lane.stats.submitted));
-            builder.add_gauge("plssvm_serve_lane_home_domain", "NUMA domain an executor lane is homed on", labels, static_cast<double>(lane.home_domain));
         }
     }
 
@@ -288,9 +235,8 @@ class model_registry {
 
     /**
      * @brief Retained wire-to-wire traces of every resident engine:
-     *        `{"models": {"<name>": <dump json>, ...}}` (the `shards` /
-     *        `replicas` form for a name served by several replicas). Backs
-     *        the `trace` wire op. Same pinning discipline as `stats_json()` —
+     *        `{"models": {"<name>": <dump json>, ...}}`. Backs the `trace`
+     *        wire op. Same locking discipline as `stats_json()` —
      *        engines are pinned under the registry mutex, dumped outside it,
      *        and LRU ages are not refreshed.
      */
@@ -320,20 +266,8 @@ class model_registry {
 
   private:
     struct entry {
-        std::vector<engine_ptr> replicas;  ///< one engine, or one per NUMA domain
+        engine_ptr engine;
         std::uint64_t last_used{ 0 };
-
-        /// Whether the name serves a one-vs-all ensemble.
-        [[nodiscard]] bool ensemble() const { return replicas.front()->ensemble(); }
-
-        /// Worst replica health (a degraded shard degrades the model).
-        [[nodiscard]] health_state health() const {
-            health_state worst = health_state::healthy;
-            for (const engine_ptr &replica : replicas) {
-                worst = std::max(worst, replica->health());
-            }
-            return worst;
-        }
     };
 
     template <typename Source>
@@ -342,81 +276,48 @@ class model_registry {
             config.exec = exec_;
         }
         auto engine = std::make_shared<inference_engine<T>>(source, config, std::move(input_scaling));
-        insert(name, entry{ { engine } });
+        insert(name, entry{ engine });
         return engine;
     }
 
     /// Shared body of both `reload` overloads: the kind check is synchronous,
-    /// the compile and swap of every replica run on the reload lane.
+    /// the compile and swap run on the reload lane.
     template <typename Source>
     std::future<void> reload_entry(const std::string &name, Source source, scaling_ptr<T> input_scaling) {
         constexpr bool ensemble = std::is_same_v<Source, ext::multiclass_model<T>>;
-        std::vector<engine_ptr> replicas;
+        engine_ptr engine;
         {
             const std::lock_guard lock{ mutex_ };
             const auto it = entries_.find(name);
             if (it != entries_.end()) {
-                if (it->second.ensemble() != ensemble) {
+                if (it->second.engine->ensemble() != ensemble) {
                     throw invalid_parameter_exception{ "reload type mismatch: '" + name + "' serves a " + (ensemble ? "binary model" : "multi-class ensemble") + "!" };
                 }
-                replicas = it->second.replicas;
+                engine = it->second.engine;
                 it->second.last_used = ++clock_;  // a reload is a use
             }
         }
-        if (replicas.empty()) {
+        if (engine == nullptr) {
             (void) load(name, source, std::move(input_scaling));
             return resolved_future();
         }
-        // shadow-compile off the serving path; the captured shared_ptrs keep
-        // the engines alive even if they get evicted mid-compile
-        return reload_lane_.enqueue([this, name, replicas = std::move(replicas), source = std::move(source), input_scaling = std::move(input_scaling)]() {
-            for (const engine_ptr &replica : replicas) {
-                replica->reload(source, input_scaling);
-            }
+        // shadow-compile off the serving path; the captured shared_ptr keeps
+        // the engine alive even if it gets evicted mid-compile
+        return reload_lane_.enqueue([this, name, engine = std::move(engine), source = std::move(source), input_scaling = std::move(input_scaling)]() {
+            engine->reload(source, input_scaling);
             touch(name);
         });
     }
 
     /// Shared body of `find` / `find_multiclass`.
     [[nodiscard]] engine_ptr lookup(const std::string &name, const bool ensembles_only) {
-        engine_ptr first;
-        engine_ptr second;
-        {
-            const std::lock_guard lock{ mutex_ };
-            const auto it = entries_.find(name);
-            if (it == entries_.end() || (ensembles_only && !it->second.ensemble())) {
-                return nullptr;
-            }
-            it->second.last_used = ++clock_;
-            const std::vector<engine_ptr> &replicas = it->second.replicas;
-            if (replicas.size() == 1) {
-                return replicas.front();
-            }
-            // the first candidate rotates round-robin so an idle service
-            // still spreads requests evenly
-            const std::size_t pick = rotation_++ % replicas.size();
-            first = replicas[pick];
-            second = replicas[(pick + 1) % replicas.size()];
+        const std::lock_guard lock{ mutex_ };
+        const auto it = entries_.find(name);
+        if (it == entries_.end() || (ensembles_only && !it->second.engine->ensemble())) {
+            return nullptr;
         }
-        return second->pending_requests() < first->pending_requests() ? second : first;
-    }
-
-    /// Compile the replica's model *on its home domain* so the SV panels are
-    /// first-touch allocated in domain-local memory. Only worth a hop when
-    /// pinning is active; single-node hosts (and callers already on a
-    /// worker, which must never block on their own pool) compile inline.
-    [[nodiscard]] static compiled_model<T> compile_on_domain(executor &exec, const model<T> &trained, const engine_config &replica_config) {
-        if (!exec.pinning_active() || exec.on_worker_thread()) {
-            return compiled_model<T>{ trained, replica_config.compile };
-        }
-        executor::lane compile_lane = exec.create_lane(lane_options{
-            .name = "shard-compile", .quota = 1, .home_domain = replica_config.home_domain });
-        std::future<compiled_model<T>> compiled = compile_lane.enqueue(
-            [&trained, &replica_config]() { return compiled_model<T>{ trained, replica_config.compile }; });
-        while (compiled.wait_for(std::chrono::milliseconds{ 1 }) != std::future_status::ready) {
-            (void) compile_lane.try_run_one();  // help while waiting, never deadlock
-        }
-        return compiled.get();
+        it->second.last_used = ++clock_;
+        return it->second.engine;
     }
 
     /// Every resident entry, pinned under the lock (scrapes then read the
@@ -426,8 +327,7 @@ class model_registry {
         return { entries_.begin(), entries_.end() };
     }
 
-    /// Append `"<name>": <render(engine)>` per entry to @p json, with the
-    /// `{"shards": N, "replicas": [...]}` form for several replicas.
+    /// Append `"<name>": <render(engine)>` per entry to @p json.
     template <typename Render>
     static void append_per_model(std::string &json, const std::vector<std::pair<std::string, entry>> &pinned, Render &&render) {
         bool first = true;
@@ -436,18 +336,7 @@ class model_registry {
                 json += ", ";
             }
             append_escaped_name(json, name);
-            if (e.replicas.size() == 1) {
-                json += render(*e.replicas.front());
-                continue;
-            }
-            json += "{\"shards\": " + std::to_string(e.replicas.size()) + ", \"replicas\": [";
-            for (std::size_t shard = 0; shard < e.replicas.size(); ++shard) {
-                if (shard != 0) {
-                    json += ", ";
-                }
-                json += render(*e.replicas[shard]);
-            }
-            json += "]}";
+            json += render(*e.engine);
         }
     }
 
@@ -518,7 +407,6 @@ class model_registry {
     mutable std::mutex mutex_;
     std::map<std::string, entry> entries_;
     std::uint64_t clock_{ 0 };
-    std::size_t rotation_{ 0 };  ///< replica round-robin of `lookup`, guarded by mutex_
     /// Background shadow-compile lane; declared last so its destructor runs
     /// first and drains pending reload tasks (which capture `this`) before
     /// any other member dies.

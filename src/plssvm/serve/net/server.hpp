@@ -145,10 +145,10 @@ class registry_dispatcher final : public model_dispatcher {
 
     using model_dispatcher::submit;
 
-    /// Dense or sparse submit into the engine `find` hands out (for a
-    /// sharded name, one replica). The engine applies its own sampling
-    /// decision to @p wire and publishes the trace itself, so nothing here
-    /// refers back to the engine once the request is queued.
+    /// Dense or sparse submit into the engine `find` hands out. The engine
+    /// applies its own sampling decision to @p wire and publishes the trace
+    /// itself, so nothing here refers back to the engine once the request
+    /// is queued.
     void submit(const net_request &req, std::shared_ptr<obs::wire_trace_context> wire, completion done) override {
         const std::shared_ptr<inference_engine<T>> engine = registry_.find(req.model);
         if (engine == nullptr) {

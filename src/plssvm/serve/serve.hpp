@@ -31,6 +31,5 @@
 #include "plssvm/serve/qos.hpp"                 // IWYU pragma: export
 #include "plssvm/serve/serve_stats.hpp"         // IWYU pragma: export
 #include "plssvm/serve/snapshot.hpp"            // IWYU pragma: export
-#include "plssvm/serve/topology.hpp"            // IWYU pragma: export
 
 #endif  // PLSSVM_SERVE_SERVE_HPP_

@@ -56,7 +56,6 @@ std::string to_json(const serve_stats &stats) {
     append_field(json, "max_queue_depth", stats.max_queue_depth);
     append_field(json, "steals", stats.steals);
     append_field(json, "executor_threads", stats.executor_threads);
-    append_field(json, "home_domain", stats.home_domain);
     append_field(json, "reloads", stats.reloads);
     append_field(json, "snapshot_version", static_cast<std::size_t>(stats.snapshot_version));
     json += "\"fault\": { ";
@@ -199,7 +198,6 @@ void collect_serve_stats(obs::prometheus_builder &builder, const serve_stats &st
     builder.add_gauge("plssvm_serve_max_queue_depth", "High-water mark of the lane queue", labels, static_cast<double>(stats.max_queue_depth));
     builder.add_counter("plssvm_serve_steals_total", "Lane tasks executed by a non-affine worker", labels, static_cast<double>(stats.steals));
     builder.add_gauge("plssvm_serve_executor_threads", "Workers of the shared executor", labels, static_cast<double>(stats.executor_threads));
-    builder.add_gauge("plssvm_serve_home_domain", "NUMA domain the engine's lane is homed on", labels, static_cast<double>(stats.home_domain));
     builder.add_counter("plssvm_serve_reloads_total", "Snapshot swaps since engine start", labels, static_cast<double>(stats.reloads));
     builder.add_gauge("plssvm_serve_snapshot_version", "Version of the currently served model snapshot", labels, static_cast<double>(stats.snapshot_version));
     builder.add_gauge("plssvm_serve_health", "Engine health state (0 = healthy, 1 = degraded, 2 = critical)", labels, static_cast<double>(static_cast<int>(stats.fault.health)));

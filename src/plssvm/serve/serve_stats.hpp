@@ -128,7 +128,6 @@ struct serve_stats {
     std::size_t max_queue_depth{ 0 };    ///< high-water mark of the lane queue
     std::size_t steals{ 0 };             ///< lane tasks executed by a non-affine worker
     std::size_t executor_threads{ 0 };   ///< workers of the shared executor
-    std::size_t home_domain{ 0 };        ///< NUMA domain the engine's lane is homed on
     std::size_t reloads{ 0 };            ///< snapshot swaps since engine start
     std::uint64_t snapshot_version{ 0 }; ///< version of the currently served snapshot
     // --- QoS control plane (admission + batch caps) ------------------------

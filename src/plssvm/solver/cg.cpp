@@ -19,9 +19,11 @@ template <typename T>
     return detail::chunked_sum<T>(n, [x, y](const std::size_t i) { return x[i] * y[i]; });
 }
 
+// axpy and xpay stay serial up to one reduction chunk, as `dot` does: a
+// team of threads costs more than a few hundred multiply-adds
 template <typename T>
 void axpy(const T a, const T *x, T *y, const std::size_t n) {
-    #pragma omp parallel for simd
+    #pragma omp parallel for simd if (n > detail::reduction_chunk)
     for (std::size_t i = 0; i < n; ++i) {
         y[i] += a * x[i];
     }
@@ -29,7 +31,7 @@ void axpy(const T a, const T *x, T *y, const std::size_t n) {
 
 template <typename T>
 void xpay(const T *x, const T a, T *y, const std::size_t n) {
-    #pragma omp parallel for simd
+    #pragma omp parallel for simd if (n > detail::reduction_chunk)
     for (std::size_t i = 0; i < n; ++i) {
         y[i] = x[i] + a * y[i];
     }
