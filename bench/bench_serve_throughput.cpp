@@ -86,6 +86,15 @@
  *     Gates: traced throughput >= 0.95x untraced, zero failed/lost, and
  *     retained traces must actually carry net stamps.
  *
+ * 11. Shared-panel head sweep: k = 4, 8 and 16 rbf heads over one 512 x 64
+ *     support-vector panel (the layout `one_vs_all::fit` produces), at
+ *     batch 64 and 256, scored serially by one k-head `compiled_model` (one
+ *     sweep adds every kernel value into k heads) vs. k binary compiled
+ *     models (k sweeps), interleaved best-of-N in one process. Gate: the
+ *     k-head model is >= 0.5 k faster at k = 8 on both batch sizes. Also
+ *     reports the compiled bytes of a six-head 512 x 256 rbf ensemble both
+ *     ways.
+ *
  * Besides the human-readable tables the benchmark writes a machine-readable
  * `BENCH_serve.json` into the working directory so the serving perf
  * trajectory can be tracked across commits. Nothing in the library reads
@@ -322,18 +331,36 @@ struct reload_result {
     std::size_t failed_requests{ 0 };
 };
 
+/// One (heads, batch) row of the shared-panel head sweep.
+struct head_sweep_row {
+    std::size_t heads{ 0 };
+    std::size_t batch{ 0 };
+    double per_head_pps{ 0.0 };  ///< k binary compiled models, one sweep each
+    double shared_pps{ 0.0 };    ///< one k-head compiled model, one sweep
+    double speedup{ 0.0 };       ///< shared / per-head
+};
+
+/// The shared-panel head sweep of the JSON report.
+struct head_sweep_result {
+    std::vector<head_sweep_row> rows;
+    double speedup_k8{ 0.0 };                    ///< smaller speedup of the two k = 8 rows (gate: >= 4)
+    std::size_t ensemble6_bytes{ 0 };            ///< six-head 512 x 256 rbf ensemble, one k-head compile
+    std::size_t ensemble6_per_head_bytes{ 0 };   ///< the same ensemble as six binary compiles
+    std::size_t repeats{ 0 };
+};
+
 void write_json(const char *file_name, const std::size_t num_sv, const std::size_t dim,
                 const std::size_t num_queries, const std::size_t engine_threads, const std::size_t repeats,
                 const bool quick, const std::vector<engine_result> &engines, const std::vector<path_result> &paths,
                 const std::vector<sparse_result> &sparse, const qos_result &qos, const obs_result &obs,
                 const fault_result &fault, const reload_result &reload, const executor_result &exec_scaling,
-                const net_result &net, const obs_wire_result &obs_wire,
+                const net_result &net, const obs_wire_result &obs_wire, const head_sweep_result &head_sweep,
                 const double rbf256_speedup, const double rbf256_target,
                 const bool blocked_beats_reference, const double worst_sync_speedup,
                 const bool reload_pass, const double sparse_linear_99_speedup, const bool sparse_dispatch_auto,
                 const double qos_p99_ratio, const double qos_shed_fraction, const double qos_batch_growth,
                 const bool qos_pass, const bool obs_pass, const bool fault_pass, const bool executor_pass,
-                const bool net_pass, const bool obs_wire_pass, const bool pass) {
+                const bool net_pass, const bool obs_wire_pass, const bool head_sweep_pass, const bool pass) {
     std::FILE *f = std::fopen(file_name, "w");
     if (f == nullptr) {
         std::fprintf(stderr, "warning: could not open %s for writing\n", file_name);
@@ -399,7 +426,15 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
     std::fprintf(f, "  \"obs_wire\": { \"traced_rps\": %.1f, \"untraced_rps\": %.1f, \"ratio\": %.3f, \"wire_traces\": %zu, \"connections\": %zu, \"requests_per_side\": %zu, \"failed\": %zu, \"lost\": %zu, \"repeats\": %zu },\n",
                  obs_wire.traced_rps, obs_wire.untraced_rps, obs_wire.ratio, obs_wire.wire_traces,
                  obs_wire.connections, obs_wire.requests_per_side, obs_wire.failed, obs_wire.lost, obs_wire.repeats);
-    std::fprintf(f, "  \"gates\": { \"rbf_batch256_blocked_speedup\": %.2f, \"rbf_batch256_target\": %.2f, \"blocked_beats_reference_at_64plus\": %s, \"worst_engine_sync_speedup\": %.2f, \"reload_p99_within_2x\": %s, \"sparse_linear_99pct_speedup\": %.2f, \"sparse_dispatcher_auto\": %s, \"qos_interactive_p99_ratio_4x\": %.2f, \"qos_shed_fraction_4x\": %.3f, \"qos_batch_growth_4x\": %.2f, \"qos_pass\": %s, \"obs_overhead_ratio\": %.3f, \"obs_pass\": %s, \"fault_throughput_ratio\": %.3f, \"fault_pass\": %s, \"executor_engines8_vs_1\": %.2f, \"executor_scaling_target\": %.2f, \"executor_pass\": %s, \"net_p99_ratio\": %.2f, \"net_pass\": %s, \"obs_wire_ratio\": %.3f, \"obs_wire_pass\": %s, \"pass\": %s }\n",
+    std::fprintf(f, "  \"head_sweep\": {\n    \"ensemble6_512x256_rbf_bytes\": %zu, \"ensemble6_512x256_rbf_per_head_bytes\": %zu, \"repeats\": %zu,\n    \"rows\": [\n",
+                 head_sweep.ensemble6_bytes, head_sweep.ensemble6_per_head_bytes, head_sweep.repeats);
+    for (std::size_t i = 0; i < head_sweep.rows.size(); ++i) {
+        const head_sweep_row &r = head_sweep.rows[i];
+        std::fprintf(f, "      { \"heads\": %zu, \"batch\": %zu, \"per_head_pps\": %.1f, \"shared_pps\": %.1f, \"speedup\": %.2f }%s\n",
+                     r.heads, r.batch, r.per_head_pps, r.shared_pps, r.speedup, i + 1 < head_sweep.rows.size() ? "," : "");
+    }
+    std::fprintf(f, "    ]\n  },\n");
+    std::fprintf(f, "  \"gates\": { \"rbf_batch256_blocked_speedup\": %.2f, \"rbf_batch256_target\": %.2f, \"blocked_beats_reference_at_64plus\": %s, \"worst_engine_sync_speedup\": %.2f, \"reload_p99_within_2x\": %s, \"sparse_linear_99pct_speedup\": %.2f, \"sparse_dispatcher_auto\": %s, \"qos_interactive_p99_ratio_4x\": %.2f, \"qos_shed_fraction_4x\": %.3f, \"qos_batch_growth_4x\": %.2f, \"qos_pass\": %s, \"obs_overhead_ratio\": %.3f, \"obs_pass\": %s, \"fault_throughput_ratio\": %.3f, \"fault_pass\": %s, \"executor_engines8_vs_1\": %.2f, \"executor_scaling_target\": %.2f, \"executor_pass\": %s, \"net_p99_ratio\": %.2f, \"net_pass\": %s, \"obs_wire_ratio\": %.3f, \"obs_wire_pass\": %s, \"ovr_shared_panel_speedup_k8\": %.2f, \"ovr_shared_panel_pass\": %s, \"pass\": %s }\n",
                  rbf256_speedup, rbf256_target, blocked_beats_reference ? "true" : "false", worst_sync_speedup,
                  reload_pass ? "true" : "false", sparse_linear_99_speedup, sparse_dispatch_auto ? "true" : "false",
                  qos_p99_ratio, qos_shed_fraction, qos_batch_growth, qos_pass ? "true" : "false",
@@ -409,6 +444,7 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
                  executor_pass ? "true" : "false",
                  net.p99_ratio, net_pass ? "true" : "false",
                  obs_wire.ratio, obs_wire_pass ? "true" : "false",
+                 head_sweep.speedup_k8, head_sweep_pass ? "true" : "false",
                  pass ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
@@ -422,6 +458,92 @@ void write_json(const char *file_name, const std::size_t num_sv, const std::size
     std::sort(samples.begin(), samples.end());
     const auto rank = static_cast<std::size_t>(q * static_cast<double>(samples.size() - 1) + 0.5);
     return samples[std::min(rank, samples.size() - 1)];
+}
+
+/**
+ * @brief Experiment 11: k rbf heads over one 512 x 64 panel, scored by one
+ *        k-head compiled model vs. k binary compiled models.
+ *
+ * Both sides run the serial blocked kernel (`decision_values_into`) over the
+ * same batch; each round times the per-head side and then the shared side,
+ * and each keeps its best round, so a host spell hits both sides alike.
+ */
+[[nodiscard]] head_sweep_result head_sweep_experiment(const std::uint64_t seed, const std::size_t repeats) {
+    constexpr std::size_t num_sv = 512;
+    constexpr std::size_t dim = 64;
+    constexpr std::size_t points_per_sample = 1024;
+    head_sweep_result result;
+    result.repeats = std::max<std::size_t>(repeats, 5);
+
+    // k heads over ONE panel object, as one_vs_all::fit leaves them
+    const auto ensemble_of = [seed](const std::size_t heads, const std::size_t features) {
+        const model<double> base = make_model(kernel_type::rbf, num_sv, features, seed);
+        const auto panel = std::make_shared<const aos_matrix<double>>(base.support_vectors());
+        std::vector<double> labels;
+        std::vector<model<double>> models;
+        for (std::size_t c = 0; c < heads; ++c) {
+            const model<double> weights = make_model(kernel_type::rbf, num_sv, 1, seed + 101 * (c + 1));
+            labels.push_back(static_cast<double>(c));
+            models.emplace_back(base.params(), panel, weights.alpha(), 0.1, 1.0, -1.0);
+        }
+        return plssvm::ext::multiclass_model<double>{ std::move(labels), std::move(models) };
+    };
+
+    std::printf("\nshared-panel head sweep (rbf, %zu SVs x %zu features, points/s, serial, best of %zu interleaved rounds):\n\n",
+                num_sv, dim, result.repeats);
+    plssvm::bench::table_printer table{ { "heads", "batch", "k binary models pts/s", "one k-head model pts/s", "speedup" } };
+    result.speedup_k8 = -1.0;
+    for (const std::size_t heads : { 4, 8, 16 }) {
+        const plssvm::ext::multiclass_model<double> ensemble = ensemble_of(heads, dim);
+        const plssvm::serve::compiled_model<double> shared{ ensemble };
+        std::vector<plssvm::serve::compiled_model<double>> per_head;
+        for (const model<double> &head : ensemble.binary_models()) {
+            per_head.emplace_back(head);
+        }
+        for (const std::size_t batch : { 64, 256 }) {
+            const aos_matrix<double> queries = random_matrix(batch, dim, seed + 13);
+            std::vector<double> out(batch * heads);
+            const std::size_t inner = std::max<std::size_t>(1, points_per_sample / batch);
+            double per_head_best = std::numeric_limits<double>::infinity();
+            double shared_best = std::numeric_limits<double>::infinity();
+            for (std::size_t round = 0; round < result.repeats; ++round) {
+                plssvm::bench::stopwatch per_head_timer;
+                for (std::size_t r = 0; r < inner; ++r) {
+                    for (std::size_t h = 0; h < heads; ++h) {
+                        per_head[h].decision_values_into(queries, 0, batch, out.data() + h * batch);
+                    }
+                }
+                per_head_best = std::min(per_head_best, per_head_timer.seconds());
+                plssvm::bench::stopwatch shared_timer;
+                for (std::size_t r = 0; r < inner; ++r) {
+                    shared.decision_values_into(queries, 0, batch, out.data());
+                }
+                shared_best = std::min(shared_best, shared_timer.seconds());
+                volatile double sink = out.front();
+                (void) sink;
+            }
+            const double points = static_cast<double>(batch * inner);
+            head_sweep_row row{ heads, batch, points / per_head_best, points / shared_best, per_head_best / shared_best };
+            if (heads == 8) {
+                result.speedup_k8 = result.speedup_k8 < 0.0 ? row.speedup : std::min(result.speedup_k8, row.speedup);
+            }
+            table.add_row({ std::to_string(heads), std::to_string(batch), plssvm::bench::format_double(row.per_head_pps, 0),
+                            plssvm::bench::format_double(row.shared_pps, 0), plssvm::bench::format_double(row.speedup, 2) + "x" });
+            result.rows.push_back(row);
+        }
+    }
+    table.print();
+
+    // compiled state of the six-head 512 x 256 rbf ensemble
+    const plssvm::ext::multiclass_model<double> six = ensemble_of(6, 256);
+    result.ensemble6_bytes = plssvm::serve::compiled_model<double>{ six }.compiled_bytes();
+    for (const model<double> &head : six.binary_models()) {
+        result.ensemble6_per_head_bytes += plssvm::serve::compiled_model<double>{ head }.compiled_bytes();
+    }
+    std::printf("six-head %zu x 256 rbf ensemble: %.2f MiB compiled as one k-head model vs %.2f MiB as six binary models\n",
+                num_sv, static_cast<double>(result.ensemble6_bytes) / (1024.0 * 1024.0),
+                static_cast<double>(result.ensemble6_per_head_bytes) / (1024.0 * 1024.0));
+    return result;
 }
 
 }  // namespace
@@ -1787,6 +1909,11 @@ int main(int argc, char **argv) {
     }
 
     // ------------------------------------------------------------------
+    // experiment 11: shared-panel head sweep
+    // ------------------------------------------------------------------
+    const head_sweep_result head_sweep = head_sweep_experiment(options.seed, repeats);
+
+    // ------------------------------------------------------------------
     // gates + JSON report
     // ------------------------------------------------------------------
     // like the executor fan-out gate below, the 2x rbf@256 blocked-kernel
@@ -1822,13 +1949,15 @@ int main(int argc, char **argv) {
     // retained) AND nearly free on the wire hot path
     const bool obs_wire_pass = obs_wire.wire_traces > 0 && obs_wire.failed == 0 && obs_wire.lost == 0
                                && obs_wire.ratio >= 0.95;
-    const bool pass = worst_sync_speedup >= 3.0 && rbf256_speedup >= rbf256_target && blocked_beats_reference && reload_pass && sparse_pass && qos_pass && obs_pass && fault_pass && executor_pass && net_pass && obs_wire_pass;
+    // one sweep of a shared panel must beat k sweeps by at least half of k
+    const bool head_sweep_pass = head_sweep.speedup_k8 >= 4.0;
+    const bool pass = worst_sync_speedup >= 3.0 && rbf256_speedup >= rbf256_target && blocked_beats_reference && reload_pass && sparse_pass && qos_pass && obs_pass && fault_pass && executor_pass && net_pass && obs_wire_pass && head_sweep_pass;
     write_json("BENCH_serve.json", num_sv, dim, num_queries, engine_threads, repeats, options.quick,
-               engine_results, path_results, sparse_results, qos, obs, fault, reload, exec_scaling, net, obs_wire,
+               engine_results, path_results, sparse_results, qos, obs, fault, reload, exec_scaling, net, obs_wire, head_sweep,
                rbf256_speedup, rbf256_target, blocked_beats_reference, worst_sync_speedup, reload_pass,
                sparse_linear_99_speedup, sparse_dispatch_auto,
                qos_p99_ratio, qos_shed_fraction_4x, qos_batch_growth, qos_pass, obs_pass, fault_pass,
-               executor_pass, net_pass, obs_wire_pass, pass);
+               executor_pass, net_pass, obs_wire_pass, head_sweep_pass, pass);
 
     std::printf("\nworst batched-sync speedup over naive loop: %.1fx (gate: >= 3x)\n", worst_sync_speedup);
     std::printf("blocked speedup over per-point reference, rbf @ batch 256: %.2fx (gate: >= %.1fx on this host)\n", rbf256_speedup, rbf256_target);
@@ -1854,6 +1983,7 @@ int main(int argc, char **argv) {
                 1e6 * net.net_p99_s, 1e6 * net.inproc_p99_s, net.p99_ratio, net.net_failed, net.net_lost);
     std::printf("wire tracing: %.0f req/s traced vs %.0f req/s untraced -> %.3fx (gate: >= 0.95x, %zu wire traces retained)\n",
                 obs_wire.traced_rps, obs_wire.untraced_rps, obs_wire.ratio, obs_wire.wire_traces);
+    std::printf("one k-head model vs k binary models, rbf, k = 8: %.2fx (gate: >= 4x at batch 64 and 256)\n", head_sweep.speedup_k8);
     std::printf("report written to BENCH_serve.json\n");
     return pass ? 0 : 1;
 }

@@ -1,11 +1,9 @@
 #include "plssvm/ext/multiclass.hpp"
 
 #include "plssvm/core/csvm_factory.hpp"
-#include "plssvm/core/predict.hpp"
 #include "plssvm/exceptions.hpp"
+#include "plssvm/serve/compiled_model.hpp"
 
-#include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,29 +41,11 @@ multiclass_model<T> one_vs_all<T>::fit(const data_set<T> &data, const solver_con
 
 template <typename T>
 std::vector<T> one_vs_all<T>::predict(const multiclass_model<T> &trained, const data_set<T> &data) const {
-    if (trained.num_classes() == 0) {
-        throw invalid_data_exception{ "The multi-class model is empty!" };
-    }
-    const std::size_t num_points = data.num_data_points();
-    std::vector<T> best_value(num_points, -std::numeric_limits<T>::infinity());
-    std::vector<T> best_label(num_points, trained.class_labels().front());
-
-    for (std::size_t c = 0; c < trained.num_classes(); ++c) {
-        const model<T> &binary = trained.binary_models()[c];
-        // orient the decision value toward "this class": the binary model maps
-        // whichever label it saw first to +1, which may be the "rest" side
-        const T orientation = binary.positive_label() > T{ 0 } ? T{ 1 } : T{ -1 };
-        const std::vector<T> values = decision_values(binary, data.points());
-        const T label = trained.class_labels()[c];
-        for (std::size_t i = 0; i < num_points; ++i) {
-            const T class_score = orientation * values[i];
-            if (class_score > best_value[i]) {
-                best_value[i] = class_score;
-                best_label[i] = label;
-            }
-        }
-    }
-    return best_label;
+    // one compile of the whole ensemble: each distinct support vector panel
+    // is stored and swept once for all heads, each head oriented toward its
+    // class (the binary model maps whichever label it saw first to +1, which
+    // may be the "rest" side); argmax over the heads, first class on ties
+    return serve::compiled_model<T>{ trained }.predict_labels(data.points());
 }
 
 template <typename T>

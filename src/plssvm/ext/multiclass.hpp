@@ -14,6 +14,12 @@
  * keeps its own iteration count and is bitwise the model a binary `fit` on
  * its one-vs-rest labels returns. The k heads share one copy of the points,
  * and so does every copy of the ensemble.
+ *
+ * `predict` compiles the ensemble once into a k-head `serve::compiled_model`:
+ * the shared panel is stored and swept once, and every kernel value is added
+ * into the k heads' sums, each head's value exactly its binary decision
+ * value, oriented toward its class. The heads must share their kernel
+ * parameters and feature count, as `fit` makes them.
  */
 
 #ifndef PLSSVM_EXT_MULTICLASS_HPP_
@@ -69,7 +75,11 @@ class one_vs_all {
      */
     [[nodiscard]] multiclass_model<T> fit(const data_set<T> &data, const solver_control &ctrl = {});
 
-    /// Predicted class labels: argmax over the per-class decision values.
+    /// Predicted class labels: argmax over the per-class decision values,
+    /// first class on ties.
+    /// @throws plssvm::invalid_data_exception if @p trained is empty or its
+    ///         heads differ in kernel parameters or feature count, or if the
+    ///         feature count of @p data differs
     [[nodiscard]] std::vector<T> predict(const multiclass_model<T> &trained, const data_set<T> &data) const;
 
     /// Multi-class accuracy in [0, 1].

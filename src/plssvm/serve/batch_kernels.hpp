@@ -19,12 +19,21 @@
  * profiling section motivates: the inner-product core of a batch is exactly
  * `points (B x d) * sv^T (d x num_sv)`.
  *
- * Numerical contract: for every point the arithmetic *order* is identical to
- * the scalar reference path (feature-ascending elementwise core accumulation,
- * support-vector-ascending epilogue sum, identical `kernels::dot` calls for
- * the linear kernel and the RBF `||x||^2` term). Tiling only changes the
- * memory access order. The non-linear kernel is ISA-multi-versioned
- * (`target_clones`): on AVX2/AVX-512 hosts the selected clone may contract
+ * Every kernel serves k heads at once (`head_block`): the epilogue computes
+ * `kernels::finish` once per (point, SV) pair and adds `alpha[i][h] * f` into
+ * each head's partial sum, SV-ascending; every execution writes rows x k
+ * decision values. The heads of a one-vs-all ensemble share one panel, so a
+ * batch of k heads costs one core sweep and one kernel evaluation per pair
+ * plus k multiply-adds, not k sweeps. For k = 1 the arithmetic is exactly
+ * that of a single-head sweep.
+ *
+ * Numerical contract: for every point and head the arithmetic *order* is
+ * identical to the scalar reference path (feature-ascending elementwise core
+ * accumulation, support-vector-ascending epilogue sum, identical
+ * `kernels::dot` calls for the linear kernel and the RBF `||x||^2` term).
+ * Tiling only changes the memory access order. The non-linear kernel is
+ * ISA-multi-versioned (`target_clones`): on AVX2/AVX-512 hosts the selected
+ * clone may contract
  * multiply+add to FMA, so blocked and reference results agree bit-for-bit on
  * baseline builds and to ~1e-15 relative where FMA contraction differs;
  * parity tests therefore compare bit-tolerantly (rel. error <= 1e-10). The
@@ -83,19 +92,39 @@ static_assert(sparse_point_tile >= 1, "sparse_point_tile must be at least 1");
 namespace batch {
 
 /**
- * @brief Blocked linear decision values: `out[p - row_begin] = <w, x_p> + bias`
- *        for rows [@p row_begin, @p row_end) of @p points.
+ * @brief The heads one sweep of a stored support-vector panel feeds.
  *
- * The linear kernel needs no SV sweep at serve time (the normal vector `w`
- * is collapsed once at compile time), so the batch shape is a GEMV
- * `X * w`: each contiguous AoS query row is dotted against the
- * register/L1-resident `w`. Uses the same `kernels::dot` as the reference
- * path for bit-identical results.
- *
- * @param w collapsed normal vector (@p dim entries)
+ * A sweep evaluates each (point, SV) kernel entry of its panel once and adds
+ * `alpha[i][g] * k(x, sv_i)` into head g's partial sum, SV-ascending, so each
+ * head's sum runs in the order of a sweep for that head alone. Point p's
+ * value of head g lands in `out[(p - row_begin) * stride + columns[g]]`.
  */
 template <typename T>
-void linear_decision_values(const T *w, T bias, std::size_t dim,
+struct head_block {
+    /// `num_sv x num_heads` SV weights, row-major: the weights of SV i for
+    /// every head are contiguous
+    const T *alpha{ nullptr };
+    std::size_t num_heads{ 1 };
+    const std::size_t *columns{ nullptr };  ///< output column of each head
+    const T *bias{ nullptr };               ///< bias per output column
+    std::size_t stride{ 1 };                ///< output row stride: the model's head count
+};
+
+/**
+ * @brief Blocked linear decision values: `out[(p - row_begin) * k + h] =
+ *        <w_h, x_p> + bias[h]` for rows [@p row_begin, @p row_end) of
+ *        @p points and the k rows `w_h` of @p w.
+ *
+ * The linear kernel needs no SV sweep at serve time (each head's normal
+ * vector is collapsed once at compile time), so the batch shape is a GEMM
+ * `X * W^T`: each contiguous AoS query row is dotted against the
+ * L1-resident rows of `W`. Uses the same `kernels::dot` as the reference
+ * path for bit-identical results.
+ *
+ * @param w collapsed normal vectors, one row per head
+ */
+template <typename T>
+void linear_decision_values(const aos_matrix<T> &w, const T *bias,
                             const aos_matrix<T> &points, std::size_t row_begin, std::size_t row_end,
                             T *out);
 
@@ -104,36 +133,38 @@ void linear_decision_values(const T *w, T bias, std::size_t dim,
  *        of @p points against the padded SoA support-vector panel @p sv.
  *
  * Core accumulation is the register-tiled inner-product GEMM described in the
- * file header; the epilogue applies the kernel function per (point, SV) pair
- * and reduces with the SV weights @p alpha.
+ * file header; the epilogue applies the kernel function once per (point, SV)
+ * pair and adds it, weighted, into every head of @p heads.
  *
  * @param sv padded feature-major support vectors
- * @param alpha SV weights (@p num_sv entries; only real SVs are read)
- * @param sv_sq_norms cached `||sv_i||^2` (@p num_sv entries); required for the
- *        RBF kernel (distance core `||sv||^2 + ||x||^2 - 2<sv, x>`), ignored
- *        (may be nullptr) for the inner-product kernels
+ * @param sv_sq_norms cached `||sv_i||^2` (`sv.num_rows()` entries); required
+ *        for the RBF kernel (distance core `||sv||^2 + ||x||^2 - 2<sv, x>`),
+ *        ignored (may be nullptr) for the inner-product kernels
  */
 template <typename T>
-void kernel_decision_values(const soa_matrix<T> &sv, const T *alpha, const T *sv_sq_norms,
-                            const kernel_params<T> &kp, T bias,
+void kernel_decision_values(const soa_matrix<T> &sv, const T *sv_sq_norms,
+                            const kernel_params<T> &kp, const head_block<T> &heads,
                             const aos_matrix<T> &points, std::size_t row_begin, std::size_t row_end,
                             T *out);
 
 /**
- * @brief Sparse linear decision values: `out[p - row_begin] = <w, x_p> + bias`
- *        for CSR rows [@p row_begin, @p row_end) of @p points, where the
- *        precompiled normal vector is itself stored sparsely.
+ * @brief Sparse linear decision values: `out[(p - row_begin) * k + h] =
+ *        <w_h, x_p> + bias[h]` for CSR rows [@p row_begin, @p row_end) of
+ *        @p points.
  *
- * Both sides are sorted by column index, so each row costs one O(nnz_row +
- * nnz_w) merge-join — the LIBSVM-style sparse dot. Terms skipped by the merge
- * are exact zero products, so the result is bit-identical to the dense
- * `kernels::dot` sweep over the densified row.
+ * Head h takes the O(nnz_row + nnz_w) merge-join against row h of
+ * @p w_sparse (both sides sorted by column index — the LIBSVM-style sparse
+ * dot) when @p w_sparse has rows and row h stores at most a quarter of the
+ * features; otherwise it gathers the row's entries from the dense row `w_h`.
+ * Both skip only exact-zero products, so the result is bit-identical to the
+ * dense `kernels::dot` sweep over the densified row.
  *
- * @param w_entries the non-zero entries of the collapsed normal vector `w`,
- *        column-ascending (@p w_nnz of them)
+ * @param w collapsed normal vectors, one row per head
+ * @param w_sparse the non-zero entries of each row of @p w, or an empty
+ *        matrix (every head gathers)
  */
 template <typename T>
-void sparse_linear_decision_values(const typename csr_matrix<T>::entry *w_entries, std::size_t w_nnz, T bias,
+void sparse_linear_decision_values(const aos_matrix<T> &w, const csr_matrix<T> &w_sparse, const T *bias,
                                    const csr_matrix<T> &points, std::size_t row_begin, std::size_t row_end,
                                    T *out);
 
@@ -148,13 +179,12 @@ void sparse_linear_decision_values(const typename csr_matrix<T>::entry *w_entrie
  * over the stored query entries (exact: dropped entries are zero).
  *
  * @param sv support vectors in CSR form (row = one SV, column-ascending)
- * @param alpha SV weights (`sv.num_rows()` entries)
  * @param sv_sq_norms cached `||sv_i||^2`; required for RBF, may be nullptr
  *        for the inner-product kernels
  */
 template <typename T>
-void sparse_kernel_decision_values(const csr_matrix<T> &sv, const T *alpha, const T *sv_sq_norms,
-                                   const kernel_params<T> &kp, T bias,
+void sparse_kernel_decision_values(const csr_matrix<T> &sv, const T *sv_sq_norms,
+                                   const kernel_params<T> &kp, const head_block<T> &heads,
                                    const csr_matrix<T> &points, std::size_t row_begin, std::size_t row_end,
                                    T *out);
 
@@ -174,20 +204,17 @@ void sparse_kernel_decision_values(const csr_matrix<T> &sv, const T *alpha, cons
  * @param num_sv number of support vectors (columns of @p sv_csc)
  */
 template <typename T>
-void dense_sparse_kernel_decision_values(const csr_matrix<T> &sv_csc, std::size_t num_sv,
-                                         const T *alpha, const T *sv_sq_norms,
-                                         const kernel_params<T> &kp, T bias,
+void dense_sparse_kernel_decision_values(const csr_matrix<T> &sv_csc, std::size_t num_sv, const T *sv_sq_norms,
+                                         const kernel_params<T> &kp, const head_block<T> &heads,
                                          const aos_matrix<T> &points, std::size_t row_begin, std::size_t row_end,
                                          T *out);
 
 // ISA-multi-versioned explicit specializations (defined in batch_kernels.cpp)
 template <>
-void kernel_decision_values<float>(const soa_matrix<float> &, const float *, const float *,
-                                   const kernel_params<float> &, float,
+void kernel_decision_values<float>(const soa_matrix<float> &, const float *, const kernel_params<float> &, const head_block<float> &,
                                    const aos_matrix<float> &, std::size_t, std::size_t, float *);
 template <>
-void kernel_decision_values<double>(const soa_matrix<double> &, const double *, const double *,
-                                    const kernel_params<double> &, double,
+void kernel_decision_values<double>(const soa_matrix<double> &, const double *, const kernel_params<double> &, const head_block<double> &,
                                     const aos_matrix<double> &, std::size_t, std::size_t, double *);
 
 }  // namespace batch

@@ -1,14 +1,16 @@
 /**
  * @file
  * @brief The serving engine: binary models and one-vs-all ensembles over an
- *        immutable snapshot of compiled heads, executing on a shared
+ *        immutable snapshot of one compiled model, executing on a shared
  *        `serve::executor` lane.
  *
- * One engine type serves both model kinds. A snapshot holds N compiled
- * heads (see `snapshot.hpp`): a binary model is one head labelled by
- * `label_from_decision`, a one-vs-all ensemble is k oriented heads scored by
- * argmax, first class on ties — exactly `ext::one_vs_all::predict`. Every
- * batch evaluates all heads along one dispatched execution path.
+ * One engine type serves both model kinds. A snapshot holds one
+ * `compiled_model` (see `snapshot.hpp`): a binary model is its one-head case
+ * labelled by `label_from_decision`, a one-vs-all ensemble has k oriented
+ * heads scored by argmax, first class on ties — exactly
+ * `ext::one_vs_all::predict`. Every batch is one call of the dispatched
+ * execution path, which sweeps each stored support-vector panel once for all
+ * heads: a pooled batch fans out to the executor once, whatever k is.
  *
  * The engine exposes the two serving entry points:
  *  - `predict(points)` / `decision_values(points)` / `decision_matrix(points)`:
@@ -127,12 +129,13 @@ struct engine_config {
 /// per request of a path.
 inline constexpr double measured_rate_weight = 0.125;
 
-/// Partition @p num_rows of @p points across @p lane and run the serial range
-/// kernel @p serial (`serial(points, begin, end, out + begin)`) per chunk,
-/// for dense (`aos_matrix`) and sparse (`csr_matrix`) batches along every
-/// host execution path.
+/// Partition the rows of @p points across @p lane and run the serial range
+/// kernel @p serial (`serial(points, begin, end, out + begin * row_stride)`)
+/// per chunk, for dense (`aos_matrix`) and sparse (`csr_matrix`) batches
+/// along every host execution path; @p out holds @p row_stride values per
+/// row.
 template <typename T, typename Matrix, typename Serial>
-void pooled_evaluate(executor::lane &lane, const Matrix &points, T *out, Serial &&serial) {
+void pooled_evaluate(executor::lane &lane, const Matrix &points, const std::size_t row_stride, T *out, Serial &&serial) {
     const std::size_t num_rows = points.num_rows();
     if (num_rows == 0) {
         return;
@@ -150,9 +153,9 @@ void pooled_evaluate(executor::lane &lane, const Matrix &points, T *out, Serial 
     pending.reserve(num_chunks);
     for (std::size_t begin = 0; begin < num_rows; begin += chunk) {
         const std::size_t end = std::min(begin + chunk, num_rows);
-        pending.push_back(lane.enqueue([&serial, &points, out, begin, end]() {
+        pending.push_back(lane.enqueue([&serial, &points, out, begin, end, row_stride]() {
             fault::hook_executor_task();  // no-op without a global injector
-            serial(points, begin, end, out + begin);
+            serial(points, begin, end, out + begin * row_stride);
         }));
     }
     for (std::future<void> &f : pending) {
@@ -165,18 +168,20 @@ void pooled_evaluate(executor::lane &lane, const Matrix &points, T *out, Serial 
     }
 }
 
-/// Partition @p points across @p lane and evaluate @p cm into @p out through
-/// the canonical (blocked dense / CSR) serial kernels.
+/// Partition @p points across @p lane and evaluate every head of @p cm into
+/// @p out (rows x heads) through the canonical (blocked dense / CSR) serial
+/// kernels.
 template <typename T, typename Matrix>
 void pooled_decision_values(const compiled_model<T> &cm, executor::lane &lane, const Matrix &points, T *out) {
-    pooled_evaluate(lane, points, out, [&cm](const Matrix &pts, const std::size_t begin, const std::size_t end, T *o) {
+    pooled_evaluate(lane, points, cm.num_heads(), out, [&cm](const Matrix &pts, const std::size_t begin, const std::size_t end, T *o) {
         cm.decision_values_into(pts, begin, end, o);
     });
 }
 
-/// Evaluate one dense batch along an already-chosen execution path:
-/// reference batches run serially (they are tiny by construction), the
-/// blocked and sparse host sweeps are partitioned across @p lane.
+/// Evaluate every head of @p cm over one dense batch into @p out (rows x
+/// heads) along an already-chosen execution path: reference batches run
+/// serially (they are tiny by construction), the blocked and sparse host
+/// sweeps are partitioned across @p lane — one fan-out per batch.
 template <typename T>
 void decision_values_via_path(const compiled_model<T> &cm, const predict_path path, executor::lane &lane,
                               const aos_matrix<T> &points, T *out) {
@@ -188,7 +193,7 @@ void decision_values_via_path(const compiled_model<T> &cm, const predict_path pa
             pooled_decision_values(cm, lane, points, out);
             break;
         case predict_path::host_sparse:
-            pooled_evaluate(lane, points, out, [&cm](const aos_matrix<T> &pts, const std::size_t begin, const std::size_t end, T *o) {
+            pooled_evaluate(lane, points, cm.num_heads(), out, [&cm](const aos_matrix<T> &pts, const std::size_t begin, const std::size_t end, T *o) {
                 cm.decision_values_sparse_into(pts, begin, end, o);
             });
             break;
@@ -209,14 +214,15 @@ class inference_engine {
     explicit inference_engine(const model<T> &trained, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
         inference_engine{ compiled_model<T>{ trained, config.compile }, config, std::move(input_scaling) } {}
 
-    /// Take ownership of an already-compiled binary model and start the engine.
+    /// Take ownership of an already-compiled model (binary or ensemble) and
+    /// start the engine.
     explicit inference_engine(compiled_model<T> compiled, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
         inference_engine{ snapshot_type{ std::move(compiled), std::move(input_scaling) }, config } {}
 
-    /// Compile every binary head of the one-vs-all @p ensemble and start the
-    /// engine.
+    /// Compile the one-vs-all @p ensemble (one head per class, each distinct
+    /// SV panel stored once) and start the engine.
     explicit inference_engine(const ext::multiclass_model<T> &ensemble, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
-        inference_engine{ snapshot_type{ ensemble, config.compile, std::move(input_scaling) }, config } {}
+        inference_engine{ compiled_model<T>{ ensemble, config.compile }, config, std::move(input_scaling) } {}
 
     inference_engine(const inference_engine &) = delete;
     inference_engine &operator=(const inference_engine &) = delete;
@@ -241,10 +247,10 @@ class inference_engine {
     [[nodiscard]] std::size_t num_features() const noexcept { return num_features_; }
     /// Whether the engine serves a one-vs-all ensemble (fixed for its lifetime).
     [[nodiscard]] bool ensemble() const noexcept { return ensemble_; }
-    /// Compiled heads per snapshot: 1 for a binary model, k for a k-class ensemble.
+    /// Heads of the served model: 1 for a binary model, k for a k-class ensemble.
     [[nodiscard]] std::size_t num_heads() const noexcept { return num_heads_; }
     /// The ensemble's class labels in head order (empty for a binary model).
-    [[nodiscard]] std::vector<T> class_labels() const { return snapshot_.load()->class_labels; }
+    [[nodiscard]] std::vector<T> class_labels() const { return snapshot_.load()->compiled.class_labels(); }
     /// Effective parallelism: the lane quota clamped to the executor size.
     [[nodiscard]] std::size_t num_threads() const noexcept { return lane_.max_concurrency(); }
     /// Async requests accepted but not yet drained.
@@ -277,7 +283,7 @@ class inference_engine {
      */
     void reload(const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
         check_replacement(false, 1, trained.num_features());
-        publish(snapshot_type{ compiled_model<T>{ trained, config_.compile }, std::move(input_scaling) });
+        install(compiled_model<T>{ trained, config_.compile }, std::move(input_scaling));
     }
 
     /// Zero-downtime ensemble replacement (same contract as the binary
@@ -287,12 +293,13 @@ class inference_engine {
     void reload(const ext::multiclass_model<T> &ensemble, scaling_ptr<T> input_scaling = nullptr) {
         const std::vector<model<T>> &heads = ensemble.binary_models();
         check_replacement(true, ensemble.num_classes(), heads.empty() ? 0 : heads.front().num_features());
-        publish(snapshot_type{ ensemble, config_.compile, std::move(input_scaling) });
+        install(compiled_model<T>{ ensemble, config_.compile }, std::move(input_scaling));
     }
 
-    /// Swap in an already-compiled binary replacement (same feature count).
+    /// Swap in an already-compiled replacement of the same kind, head count
+    /// and feature count.
     void install(compiled_model<T> fresh, scaling_ptr<T> input_scaling = nullptr) {
-        check_replacement(false, 1, fresh.num_features());
+        check_replacement(fresh.ensemble(), fresh.num_heads(), fresh.num_features());
         publish(snapshot_type{ std::move(fresh), std::move(input_scaling) });
     }
 
@@ -326,7 +333,7 @@ class inference_engine {
     [[nodiscard]] std::vector<T> decision_values(const csr_matrix<T> &points) {
         require_binary();
         const snapshot_ptr snap = snapshot_.load();
-        const compiled_model<T> &compiled = snap->heads.front();
+        const compiled_model<T> &compiled = snap->compiled;
         compiled.validate_features(points.num_cols());
         if (snap->input_scaling != nullptr) {
             // min-max scaling maps explicit zeros to non-zero values, so the
@@ -355,7 +362,7 @@ class inference_engine {
             // model has no sparse form): densify per fixed-size tile — never
             // the whole batch — and run the tiled kernels
             path = predict_path::host_blocked;
-            pooled_evaluate(lane_, points, values.data(),
+            pooled_evaluate(lane_, points, 1, values.data(),
                             [&compiled](const csr_matrix<T> &pts, const std::size_t begin, const std::size_t end, T *o) {
                                 compiled.decision_values_densified_into(pts, begin, end, o);
                             });
@@ -366,8 +373,8 @@ class inference_engine {
 
     /// Per-head scores: entry (point, head) is head `head`'s decision value,
     /// oriented toward its class for an ensemble (one column for a binary
-    /// model). @p points are raw client features; a snapshot-attached
-    /// scaling is applied here.
+    /// model), all heads from one sweep. @p points are raw client features;
+    /// a snapshot-attached scaling is applied here.
     [[nodiscard]] aos_matrix<T> decision_matrix(const aos_matrix<T> &points) {
         return scores_on(*snapshot_.load(), points);
     }
@@ -609,9 +616,9 @@ class inference_engine {
         config_{ config },
         exec_{ config.exec != nullptr ? config.exec : &executor::process_wide() },
         lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads }) },
-        num_features_{ initial.heads.front().num_features() },
-        num_heads_{ initial.heads.size() },
-        ensemble_{ initial.ensemble() },
+        num_features_{ initial.compiled.num_features() },
+        num_heads_{ initial.compiled.num_heads() },
+        ensemble_{ initial.compiled.ensemble() },
         snapshot_{ versioned(std::move(initial), 1) },
         deadline_budgets_{ std::any_of(config.qos.classes.begin(), config.qos.classes.end(),
                                        [](const class_qos_config &c) { return c.deadline_budget.count() > 0; }) },
@@ -679,41 +686,26 @@ class inference_engine {
         }
     }
 
-    /// The dispatch shape of one dense batch. Every head shares (batch,
-    /// num_sv, dim, kernel), but the sparse compiled form is decided *per
-    /// head* by its own density — so the sparse path is only on offer when
-    /// EVERY head has it, and the density rule reads the densest head's
-    /// panel (all heads run the same chosen path).
+    /// The dispatch shape of one dense batch: the stored panels' size and
+    /// stored entries (the sparse path is on offer when the model compiled
+    /// the sparse form).
     [[nodiscard]] static predict_shape batch_shape(const snapshot_type &snap, const std::size_t batch_size) {
-        const compiled_model<T> &front = snap.heads.front();
-        predict_shape shape{ batch_size, front.num_support_vectors(), front.num_features(), front.params().kernel };
-        if (snap.sparse_sv()) {
-            for (const compiled_model<T> &head : snap.heads) {
-                shape.sv_nnz = std::max(shape.sv_nnz, head.sv_nnz());
-            }
-        }
-        return shape;
+        const compiled_model<T> &cm = snap.compiled;
+        return predict_shape{ batch_size, cm.num_support_vectors(), cm.num_features(), cm.params().kernel, cm.sparse_sv() ? cm.sv_nnz() : 0 };
     }
 
     /// Oriented per-head scores of @p points along @p path into @p scores
-    /// (one column per head). Every head runs the same path, which the
-    /// caller chose for this very snapshot.
+    /// (one column per head): one call of the path, which the caller chose
+    /// for this very snapshot.
     void score_along(const snapshot_type &snap, const predict_path path, const aos_matrix<T> &points, aos_matrix<T> &scores) {
-        const std::size_t num_points = points.num_rows();
-        std::vector<T> values(num_points);
-        for (std::size_t h = 0; h < snap.heads.size(); ++h) {
-            decision_values_via_path(snap.heads[h], path, lane_, points, values.data());
-            for (std::size_t p = 0; p < num_points; ++p) {
-                scores(p, h) = snap.orientation[h] * values[p];
-            }
-        }
+        decision_values_via_path(snap.compiled, path, lane_, points, scores.data().data());
     }
 
     /// Labels of every row of @p scores.
     [[nodiscard]] static std::vector<T> labels_of(const snapshot_type &snap, const aos_matrix<T> &scores) {
         std::vector<T> labels(scores.num_rows());
         for (std::size_t p = 0; p < labels.size(); ++p) {
-            labels[p] = snap.label(scores.row_data(p));
+            labels[p] = snap.compiled.label(scores.row_data(p));
         }
         return labels;
     }
@@ -722,8 +714,8 @@ class inference_engine {
     /// batch against the one snapshot the caller loaded, along the
     /// dispatched path.
     [[nodiscard]] aos_matrix<T> scores_on(const snapshot_type &snap, const aos_matrix<T> &points) {
-        snap.heads.front().validate_features(points.num_cols());
-        aos_matrix<T> scores{ points.num_rows(), snap.heads.size() };
+        snap.compiled.validate_features(points.num_cols());
+        aos_matrix<T> scores{ points.num_rows(), snap.compiled.num_heads() };
         if (points.num_rows() == 0) {
             return scores;
         }
@@ -865,9 +857,8 @@ class inference_engine {
                         bool chosen = false;
                         try {
                             fault::hook_dispatch(fault_plane_.inject());
-                            // one snapshot for the whole attempt: heads,
-                            // orientation, labels and scaling always belong
-                            // together
+                            // one snapshot for the whole attempt: model,
+                            // labels and scaling always belong together
                             const snapshot_ptr snap = snapshot_.load();
                             path = choose_path(batch_shape(*snap, end - begin), fault_plane_.ladder().allowed(std::chrono::steady_clock::now()));
                             chosen = true;
@@ -883,7 +874,7 @@ class inference_engine {
                             if (snap->input_scaling != nullptr) {
                                 snap->input_scaling->transform(points);
                             }
-                            aos_matrix<T> scores{ end - begin, snap->heads.size() };
+                            aos_matrix<T> scores{ end - begin, snap->compiled.num_heads() };
                             score_along(*snap, path, points, scores);
                             std::vector<T> values = labels_of(*snap, scores);
                             if (injected.wrong_result && !values.empty()) {

@@ -12,7 +12,7 @@ void wire_writer::f64(const double v) {
 }
 
 void wire_writer::str16(const std::string &s) {
-    const std::size_t n = s.size() < 65535 ? s.size() : 65535;
+    const std::size_t n = str16_bytes(s) - 2;
     u16(static_cast<std::uint16_t>(n));
     bytes(s.data(), n);
 }
@@ -72,6 +72,7 @@ std::string wire_reader::str16() {
 
 std::string encode_frame(const frame_type type, const std::string &payload) {
     wire_writer w;
+    w.reserve(frame_header_bytes + payload.size());
     w.u8(frame_magic);
     w.u8(static_cast<std::uint8_t>(type));
     w.u32(static_cast<std::uint32_t>(payload.size()));

@@ -47,6 +47,10 @@ enum class frame_type : std::uint8_t {
 /// Little-endian append-only serializer used by both wire directions.
 class wire_writer {
   public:
+    /// Reserve room for @p bytes in total, so a writer told its message's
+    /// exact size allocates once and carries no spare capacity.
+    void reserve(const std::size_t bytes) { buf_.reserve(bytes); }
+
     void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
     void u16(std::uint16_t v) {
@@ -71,6 +75,9 @@ class wire_writer {
     /// Length-prefixed string: u16 length + raw bytes (length is truncated
     /// to 65535 — model names and error strings are short).
     void str16(const std::string &s);
+
+    /// Bytes `str16(s)` appends.
+    [[nodiscard]] static std::size_t str16_bytes(const std::string &s) noexcept { return 2 + (s.size() < 65535 ? s.size() : 65535); }
 
     [[nodiscard]] const std::string &data() const noexcept { return buf_; }
     [[nodiscard]] std::string take() noexcept { return std::move(buf_); }

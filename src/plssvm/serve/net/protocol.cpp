@@ -63,8 +63,6 @@ std::string json_escape(const std::string_view s) {
 }
 
 std::string encode_request_binary(const net_request &req) {
-    wire_writer w;
-    w.u64(req.id);
     std::uint8_t flags = 0;
     if (req.sparse) {
         flags |= flag_sparse;
@@ -75,6 +73,13 @@ std::string encode_request_binary(const net_request &req) {
     if (req.trace_id != 0) {
         flags |= flag_trace;
     }
+    // id, flags, class, model, [deadline], [trace id], entry count, entries
+    const std::size_t entries = req.sparse ? req.sparse_entries.size() * (sizeof(std::uint32_t) + sizeof(double))
+                                           : req.dense.size() * sizeof(double);
+    wire_writer w;
+    w.reserve(sizeof(std::uint64_t) + 2 + wire_writer::str16_bytes(req.model) + ((flags & flag_deadline) ? sizeof(std::uint32_t) : 0)
+              + ((flags & flag_trace) ? sizeof(std::uint64_t) : 0) + sizeof(std::uint32_t) + entries);
+    w.u64(req.id);
     w.u8(flags);
     w.u8(static_cast<std::uint8_t>(req.cls));
     w.str16(req.model);
@@ -156,6 +161,11 @@ std::optional<std::string> decode_request_binary(const std::string &payload, net
 
 std::string encode_response_binary(const net_response &resp) {
     wire_writer w;
+    // id, status, then the value, the retry-after hint or the error string
+    const std::size_t body = resp.status == response_status::ok || resp.status == response_status::retry_after
+                                 ? sizeof(std::uint64_t)
+                                 : wire_writer::str16_bytes(resp.error);
+    w.reserve(sizeof(std::uint64_t) + 1 + body);
     w.u64(resp.id);
     w.u8(static_cast<std::uint8_t>(resp.status));
     switch (resp.status) {

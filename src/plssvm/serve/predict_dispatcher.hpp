@@ -77,11 +77,12 @@ struct predict_shape {
  *
  * A batch below `min_blocked_batch` points takes the reference path.
  * Otherwise the sparse sweep runs when it is offered (non-linear kernels:
- * every head compiled the sparse SV panel, `sv_nnz > 0`; linear kernel: CSR
- * queries), its breaker allows it, and `sparse_density` is below the
- * form's threshold; otherwise the blocked kernels run. A path whose circuit
- * breaker is open (masked out of @p allowed) never runs: dispatch demotes
- * host_blocked -> host_sparse (when offered) -> reference as breakers trip.
+ * the model compiled the sparse form of its SV panels, `sv_nnz > 0`;
+ * linear kernel: CSR queries), its breaker allows it, and `sparse_density`
+ * is below the form's threshold; otherwise the blocked kernels run. A path
+ * whose circuit breaker is open (masked out of @p allowed) never runs:
+ * dispatch demotes host_blocked -> host_sparse (when offered) -> reference
+ * as breakers trip.
  * `reference` is the unconditional last resort, regardless of the mask's
  * reference bit.
  */

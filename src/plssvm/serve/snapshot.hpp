@@ -5,8 +5,9 @@
  *
  * A serving engine must be able to replace its model without stopping: the
  * old serving iteration recompiled in place while requests queued. Instead,
- * everything a batch evaluation needs — the compiled heads (one for a binary
- * model, one per class for a one-vs-all ensemble), the optional server-side
+ * everything a batch evaluation needs — the compiled model (one head for a
+ * binary model, one per class for a one-vs-all ensemble, over one stored
+ * copy of each distinct support-vector panel), the optional server-side
  * input scaling, and a version tag — is frozen into one immutable snapshot
  * object. Engines hold the current snapshot behind `snapshot_handle`:
  *
@@ -35,21 +36,13 @@
 #ifndef PLSSVM_SERVE_SNAPSHOT_HPP_
 #define PLSSVM_SERVE_SNAPSHOT_HPP_
 
-#include "plssvm/core/model.hpp"
-#include "plssvm/exceptions.hpp"
-#include "plssvm/ext/multiclass.hpp"
 #include "plssvm/io/scaling.hpp"
 #include "plssvm/serve/compiled_model.hpp"
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
-#include <vector>
 
 namespace plssvm::serve {
 
@@ -60,71 +53,21 @@ using scaling_ptr = std::shared_ptr<const io::scaling<T>>;
 /**
  * @brief Everything one engine batch evaluation depends on, frozen.
  *
- * A binary model is one head whose decision value maps to a label through
- * `compiled_model::label_from_decision`. A one-vs-all ensemble is k heads,
- * each oriented toward "its" class (the binary trainer may have mapped the
- * rest side to +1); the label is the argmax over the oriented scores, first
- * class on ties — exactly `ext::one_vs_all::predict`.
+ * The compiled model is a binary model (one head, labelled by
+ * `compiled_model::label_from_decision`) or a one-vs-all ensemble (one head
+ * per class, each oriented toward its class, labelled by the argmax over the
+ * heads, first class on ties — exactly `ext::one_vs_all::predict`); either
+ * way one sweep of its stored panels scores every head.
  */
 template <typename T>
 struct engine_snapshot {
-    std::vector<compiled_model<T>> heads;  ///< one head, or one per ensemble class
-    std::vector<T> orientation;            ///< +-1 per head, toward "this class" (+1 for a binary model)
-    std::vector<T> class_labels;           ///< ensemble label domain in head order; empty for a binary model
-    scaling_ptr<T> input_scaling{};        ///< optional server-side preprocessing
-    std::uint64_t version{ 0 };            ///< monotonically increasing per engine
+    compiled_model<T> compiled;      ///< the served model: one head, or one per ensemble class
+    scaling_ptr<T> input_scaling{};  ///< optional server-side preprocessing
+    std::uint64_t version{ 0 };      ///< monotonically increasing per engine
 
-    /// A binary model: one head, labelled by `label_from_decision`.
-    explicit engine_snapshot(compiled_model<T> binary, scaling_ptr<T> scaling = nullptr) :
-        heads{ std::move(binary) },
-        orientation{ T{ 1 } },
+    explicit engine_snapshot(compiled_model<T> served, scaling_ptr<T> scaling = nullptr) :
+        compiled{ std::move(served) },
         input_scaling{ std::move(scaling) } {}
-
-    /// A one-vs-all ensemble: every binary head compiled with @p opts.
-    /// @throws plssvm::invalid_data_exception if the ensemble is empty or its
-    ///         label and head counts differ
-    engine_snapshot(const ext::multiclass_model<T> &ensemble, const compile_options opts, scaling_ptr<T> scaling = nullptr) :
-        class_labels{ ensemble.class_labels() },
-        input_scaling{ std::move(scaling) } {
-        if (class_labels.empty() || ensemble.binary_models().empty()) {
-            throw invalid_data_exception{ "The multi-class model is empty!" };
-        }
-        if (ensemble.binary_models().size() != class_labels.size()) {
-            throw invalid_data_exception{ "The multi-class model has " + std::to_string(class_labels.size()) + " class labels but " + std::to_string(ensemble.binary_models().size()) + " binary heads!" };
-        }
-        heads.reserve(class_labels.size());
-        orientation.reserve(class_labels.size());
-        for (const model<T> &binary : ensemble.binary_models()) {
-            // orient toward "this class"; see ext::one_vs_all::predict
-            orientation.push_back(binary.positive_label() > T{ 0 } ? T{ 1 } : T{ -1 });
-            heads.emplace_back(binary, opts);
-        }
-    }
-
-    /// Whether this is a one-vs-all ensemble (rather than a binary model).
-    [[nodiscard]] bool ensemble() const noexcept { return !class_labels.empty(); }
-
-    /// Whether every head compiled the sparse SV form: all heads run the same
-    /// dispatched path, so the sparse sweeps are on offer only then.
-    [[nodiscard]] bool sparse_sv() const noexcept {
-        return std::all_of(heads.begin(), heads.end(), [](const compiled_model<T> &head) { return head.sparse_sv(); });
-    }
-
-    /// The label of one row of oriented scores (one entry per head).
-    [[nodiscard]] T label(const T *scores) const {
-        if (!ensemble()) {
-            return heads.front().label_from_decision(scores[0]);
-        }
-        T best = -std::numeric_limits<T>::infinity();
-        T label = class_labels.front();
-        for (std::size_t c = 0; c < heads.size(); ++c) {
-            if (scores[c] > best) {
-                best = scores[c];
-                label = class_labels[c];
-            }
-        }
-        return label;
-    }
 };
 
 /**

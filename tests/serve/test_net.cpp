@@ -364,6 +364,53 @@ TEST(NetProtocol, BinaryResponseRoundTrip) {
     }
 }
 
+// Asserts: the binary encoders allocate a 256-feature request's exact size:
+// its payload and its frame carry at most a few bytes of spare capacity (a
+// byte-by-byte append grew a 2,069-byte payload to 3,840 bytes of
+// capacity, and every query a client keeps encoded kept that slack), and
+// the bytes still decode to the request. Strategy: encode a dense request
+// with every optional field and a sparse one, compare capacity() with
+// size(), and round-trip both frames through the decoders.
+TEST(NetProtocol, RequestEncodersAllocateTheirExactSize) {
+    constexpr std::size_t slack = 8;
+    net::net_request dense;
+    dense.id = 41;
+    dense.model = "ovr";
+    dense.deadline = std::chrono::microseconds{ 2500 };
+    dense.trace_id = 77;
+    for (std::size_t f = 0; f < 256; ++f) {
+        dense.dense.push_back(0.25 * static_cast<double>(f) - 3.0);
+    }
+    net::net_request sparse;
+    sparse.id = 42;
+    sparse.model = "ovr";
+    sparse.sparse = true;
+    for (std::uint32_t f = 0; f < 256; f += 3) {
+        sparse.sparse_entries.emplace_back(f, 1.0 + static_cast<double>(f));
+    }
+    for (const net::net_request &req : { dense, sparse }) {
+        const std::string payload = net::encode_request_binary(req);
+        EXPECT_LE(payload.capacity() - payload.size(), slack) << "payload of " << payload.size() << " bytes";
+        const std::string frame = net::encode_frame(net::frame_type::request, payload);
+        EXPECT_EQ(frame.size(), net::frame_header_bytes + payload.size());
+        EXPECT_LE(frame.capacity() - frame.size(), slack) << "frame of " << frame.size() << " bytes";
+
+        net::frame_decoder decoder;
+        decoder.append(frame.data(), frame.size());
+        std::string received;
+        ASSERT_EQ(decoder.next(received), net::frame_decoder::status::frame);
+        net::net_request decoded;
+        const auto error = net::decode_request_binary(received, decoded);
+        ASSERT_FALSE(error.has_value()) << *error;
+        EXPECT_EQ(decoded.id, req.id);
+        EXPECT_EQ(decoded.model, req.model);
+        EXPECT_EQ(decoded.deadline, req.deadline);
+        EXPECT_EQ(decoded.trace_id, req.trace_id);
+        EXPECT_EQ(decoded.dense, req.dense);
+        EXPECT_EQ(decoded.sparse_entries, req.sparse_entries);
+    }
+}
+
 TEST(NetProtocol, JsonRequestParsesAllFields) {
     net::net_request req;
     const auto error = net::parse_request_json(

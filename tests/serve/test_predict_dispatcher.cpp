@@ -105,7 +105,7 @@ TEST(PredictDispatcher, EngineRecordsChosenPathInServeStats) {
     EXPECT_EQ(stats.total_batches, 2u);
 
     // the dispatched path must agree with the compiled model's own sweep
-    const std::vector<double> expected = engine.snapshot()->heads.front().decision_values(big);
+    const std::vector<double> expected = engine.snapshot()->compiled.decision_values(big);
     for (std::size_t p = 0; p < expected.size(); ++p) {
         EXPECT_NEAR(via_engine[p], expected[p], 1e-9 * (1.0 + std::abs(expected[p])));
     }

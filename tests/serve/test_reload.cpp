@@ -79,7 +79,7 @@ TEST(SnapshotLifecycle, OldSnapshotStaysAliveForHolders) {
 
     // the held snapshot still evaluates as v1 even though v2 is live
     const aos_matrix<double> points = test::random_matrix(8, 11, 5);
-    const std::vector<double> via_held = held->heads.front().decision_values(points);
+    const std::vector<double> via_held = held->compiled.decision_values(points);
     const std::vector<double> expected = compiled_model<double>{ v1 }.decision_values(points);
     for (std::size_t p = 0; p < expected.size(); ++p) {
         EXPECT_DOUBLE_EQ(via_held[p], expected[p]);

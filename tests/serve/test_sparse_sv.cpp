@@ -12,6 +12,7 @@
 #include "plssvm/core/matrix.hpp"
 #include "plssvm/core/model.hpp"
 #include "plssvm/core/sparse_matrix.hpp"
+#include "plssvm/ext/multiclass.hpp"
 #include "plssvm/serve/compiled_model.hpp"
 #include "plssvm/serve/inference_engine.hpp"
 #include "plssvm/serve/model_registry.hpp"
@@ -140,7 +141,7 @@ TEST(SparseSV, EngineRecordsSparsePathInServeStats) {
     config.num_threads = 2;
     // sparse rbf model, large dense batch -> host_sparse
     inference_engine<double> engine{ test::random_sparse_model(kernel_type::rbf, 64, 48, 0.05, 17), config };
-    ASSERT_TRUE(engine.snapshot()->heads.front().sparse_sv());
+    ASSERT_TRUE(engine.snapshot()->compiled.sparse_sv());
 
     const aos_matrix<double> big = test::sparse_random_matrix(256, 48, 0.05, 18);
     const std::vector<double> via_engine = engine.decision_values(big);
@@ -154,7 +155,7 @@ TEST(SparseSV, EngineRecordsSparsePathInServeStats) {
 
     // and the sparse path agrees with the reference evaluation
     std::vector<double> reference(big.num_rows());
-    engine.snapshot()->heads.front().decision_values_reference_into(big, 0, big.num_rows(), reference.data());
+    engine.snapshot()->compiled.decision_values_reference_into(big, 0, big.num_rows(), reference.data());
     for (std::size_t p = 0; p < reference.size(); ++p) {
         EXPECT_NEAR(via_engine[p], reference[p], 1e-10 * (1.0 + std::abs(reference[p]))) << "point=" << p;
     }
@@ -178,7 +179,7 @@ TEST(SparseSV, EngineKeepsDenseModelsOnTheBlockedPath) {
     engine_config config;
     config.num_threads = 2;
     inference_engine<double> engine{ test::random_model(kernel_type::rbf, 37, 11), config };
-    ASSERT_FALSE(engine.snapshot()->heads.front().sparse_sv());
+    ASSERT_FALSE(engine.snapshot()->compiled.sparse_sv());
     (void) engine.decision_values(test::random_matrix(256, 11, 25));
     const plssvm::serve::serve_stats stats = engine.stats();
     EXPECT_EQ(stats.host_blocked_batches, 1u);
@@ -191,17 +192,17 @@ TEST(SparseSV, ReloadMovesAModelBetweenDenseAndSparseForms) {
     engine_config config;
     config.num_threads = 2;
     inference_engine<double> engine{ test::random_model(kernel_type::rbf, 37, 16, 41), config };
-    EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
+    EXPECT_FALSE(engine.snapshot()->compiled.sparse_sv());
 
     const model<double> sparse_replacement = test::random_sparse_model(kernel_type::rbf, 21, 16, 0.08, 43);
     engine.reload(sparse_replacement);
     EXPECT_EQ(engine.snapshot_version(), 2u);
-    EXPECT_TRUE(engine.snapshot()->heads.front().sparse_sv()) << "the engine's compile options must apply on reload";
+    EXPECT_TRUE(engine.snapshot()->compiled.sparse_sv()) << "the engine's compile options must apply on reload";
 
     // back to a dense replacement -> dense form again
     engine.reload(test::random_model(kernel_type::rbf, 19, 16, 44));
     EXPECT_EQ(engine.snapshot_version(), 3u);
-    EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
+    EXPECT_FALSE(engine.snapshot()->compiled.sparse_sv());
 }
 
 TEST(SparseSV, RegistryReloadSwitchesFormsBehindAStableEnginePointer) {
@@ -209,11 +210,11 @@ TEST(SparseSV, RegistryReloadSwitchesFormsBehindAStableEnginePointer) {
     const model<double> dense_v1 = test::random_model(kernel_type::rbf, 37, 16, 51);
     const model<double> sparse_v2 = test::random_sparse_model(kernel_type::rbf, 29, 16, 0.06, 52);
     auto engine = registry.load("tenant", dense_v1);
-    EXPECT_FALSE(engine->snapshot()->heads.front().sparse_sv());
+    EXPECT_FALSE(engine->snapshot()->compiled.sparse_sv());
 
     registry.reload("tenant", sparse_v2).get();
     EXPECT_EQ(registry.find("tenant"), engine) << "form switch must keep the resident engine";
-    EXPECT_TRUE(engine->snapshot()->heads.front().sparse_sv());
+    EXPECT_TRUE(engine->snapshot()->compiled.sparse_sv());
 
     const aos_matrix<double> points = test::sparse_random_matrix(16, 16, 0.06, 53);
     const std::vector<double> expected = compiled_model<double>{ sparse_v2 }.decision_values(points);
@@ -227,7 +228,10 @@ TEST(SparseSV, RegistryReloadSwitchesFormsBehindAStableEnginePointer) {
 // AND CSR batches while a reloader flips the SAME model between its dense and
 // sparse compiled forms (install with opposite thresholds). Every response
 // must match the model's values at all times — a form switch must be
-// numerically invisible (within cross-form tolerance) and lose nothing.
+// numerically invisible (within cross-form tolerance) and lose nothing. A
+// three-head ensemble over the same panel (each head its own copy of it,
+// stored once) is scored and flipped alongside: its one stored panel
+// crosses the sparse threshold on every install.
 TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
     constexpr std::size_t dim = 24;
     constexpr std::size_t num_sv = 32;
@@ -249,9 +253,25 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
         return std::abs(a - b) <= 1e-10 * (1.0 + std::abs(b));
     };
 
+    std::vector<model<double>> heads;
+    for (std::size_t c = 0; c < 3; ++c) {
+        std::vector<double> alpha = m.alpha();
+        for (std::size_t i = 0; i < alpha.size(); ++i) {
+            alpha[i] *= 1.0 + 0.25 * static_cast<double>((c + i) % 3);
+        }
+        heads.emplace_back(m.params(), m.support_vectors(), std::move(alpha), m.rho() + 0.1 * static_cast<double>(c),
+                           c == 1 ? -1.0 : 1.0, c == 1 ? 1.0 : -1.0);
+    }
+    const plssvm::ext::multiclass_model<double> ensemble{ { 0.0, 1.0, 2.0 }, std::move(heads) };
+    const compiled_model<double> ensemble_baseline{ ensemble, compile_options{ .sparse_density_threshold = 0.0 } };
+    ASSERT_EQ(ensemble_baseline.num_support_vectors(), num_sv) << "the heads' equal panels are stored once";
+    aos_matrix<double> ensemble_truth{ queries.num_rows(), 3 };
+    ensemble_baseline.decision_values_reference_into(queries, 0, queries.num_rows(), ensemble_truth.data().data());
+
     engine_config config;
     config.num_threads = 2;
     inference_engine<double> engine{ m, config };
+    inference_engine<double> ensemble_engine{ ensemble, config };
 
     std::atomic<std::size_t> mismatches{ 0 };
     std::atomic<bool> start{ false };
@@ -281,6 +301,15 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
                         ++mismatches;
                     }
                 }
+                // every head of the ensemble through the dispatched path
+                const aos_matrix<double> scores = ensemble_engine.decision_matrix(batch);
+                for (std::size_t r = 0; r < batch_rows; ++r) {
+                    for (std::size_t h = 0; h < 3; ++h) {
+                        if (!matches(scores(r, h), ensemble_truth(offset + r, h))) {
+                            ++mismatches;
+                        }
+                    }
+                }
             }
         });
     }
@@ -291,6 +320,7 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
         for (std::size_t flip = 0; flip < form_flips; ++flip) {
             const double threshold = flip % 2 == 0 ? 1.5 : 0.0;  // sparse, dense, sparse, ...
             engine.install(compiled_model<double>{ m, compile_options{ .sparse_density_threshold = threshold } });
+            ensemble_engine.install(compiled_model<double>{ ensemble, compile_options{ .sparse_density_threshold = threshold } });
         }
     });
     start.store(true);
@@ -303,7 +333,10 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
     EXPECT_EQ(engine.snapshot_version(), 1u + form_flips);
     // flips alternate sparse, dense, ...: the final (even-count) flip used
     // threshold 0.0, so the engine ends on the dense form
-    EXPECT_FALSE(engine.snapshot()->heads.front().sparse_sv());
+    EXPECT_FALSE(engine.snapshot()->compiled.sparse_sv());
+    EXPECT_EQ(ensemble_engine.stats().reloads, form_flips);
+    EXPECT_EQ(ensemble_engine.snapshot_version(), 1u + form_flips);
+    EXPECT_FALSE(ensemble_engine.snapshot()->compiled.sparse_sv());
 }
 
 }  // namespace
