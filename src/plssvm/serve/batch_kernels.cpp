@@ -130,7 +130,6 @@ template <typename T>
     const T *sv_data = sv.data().data();
     const bool rbf = !kernels::uses_inner_product_core(kp.kernel);
     const std::size_t k = heads.num_heads;
-    const T *alpha = heads.alpha;
     T *partial = partial_scratch<T>(B * k);
 
     for (std::size_t p0 = row_begin; p0 < row_end; p0 += B) {
@@ -158,35 +157,17 @@ template <typename T>
                 accumulate_tile_partial(sv_data + i0, padded, dim, x_rows, pb, jw, acc);
             }
             // one kernel evaluation per (point, SV), shared by every head
-            if (k == 1) {
-                // one head: its running sum stays in a register
-                for (std::size_t p = 0; p < pb; ++p) {
-                    T sum = partial[p];
-                    if (rbf) {
-                        for (std::size_t j = 0; j < jw; ++j) {
-                            // clamp tiny negative rounding residue like the reference
-                            const T core = std::max(sv_sq_norms[i0 + j] + x_sq[p] - T{ 2 } * acc[p][j], T{ 0 });
-                            sum += alpha[i0 + j] * kernels::finish(kp, core);
-                        }
-                    } else {
-                        for (std::size_t j = 0; j < jw; ++j) {
-                            sum += alpha[i0 + j] * kernels::finish(kp, acc[p][j]);
-                        }
+            for (std::size_t p = 0; p < pb; ++p) {
+                T *part = partial + p * k;
+                if (rbf) {
+                    for (std::size_t j = 0; j < jw; ++j) {
+                        // clamp tiny negative rounding residue like the reference
+                        const T core = std::max(sv_sq_norms[i0 + j] + x_sq[p] - T{ 2 } * acc[p][j], T{ 0 });
+                        add_heads(heads, i0 + j, kernels::finish(kp, core), part);
                     }
-                    partial[p] = sum;
-                }
-            } else {
-                for (std::size_t p = 0; p < pb; ++p) {
-                    T *part = partial + p * k;
-                    if (rbf) {
-                        for (std::size_t j = 0; j < jw; ++j) {
-                            const T core = std::max(sv_sq_norms[i0 + j] + x_sq[p] - T{ 2 } * acc[p][j], T{ 0 });
-                            add_heads(heads, i0 + j, kernels::finish(kp, core), part);
-                        }
-                    } else {
-                        for (std::size_t j = 0; j < jw; ++j) {
-                            add_heads(heads, i0 + j, kernels::finish(kp, acc[p][j]), part);
-                        }
+                } else {
+                    for (std::size_t j = 0; j < jw; ++j) {
+                        add_heads(heads, i0 + j, kernels::finish(kp, acc[p][j]), part);
                     }
                 }
             }

@@ -18,11 +18,9 @@
  * its heads, first class on ties — exactly `ext::one_vs_all::predict`.
  *
  * In an LS-SVM every training point is a support vector, so the heads of an
- * ensemble trained by `ext::one_vs_all::fit` share one support-vector panel,
- * and an ensemble assembled from per-head model files carries panels equal
- * in shape and content. The compile stores each distinct panel once (the
- * same object, or the same bytes), records which heads sum over it, and
- * makes one pass over it:
+ * ensemble trained by `ext::one_vs_all::fit` share one support-vector panel
+ * object. The compile stores each distinct panel object once, records which
+ * heads sum over it, and makes one pass over it:
  *
  *  - linear kernel: the pass collapses every head into its row of the
  *    k x d normal-vector matrix `W`, turning each prediction into one dot
@@ -80,7 +78,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -386,18 +383,6 @@ class compiled_model {
         return pointers;
     }
 
-    /// Whether two panels give bitwise-identical sweeps: the same object, or
-    /// the same shape and bytes.
-    [[nodiscard]] static bool same_panel(const aos_matrix<T> &a, const aos_matrix<T> &b) noexcept {
-        if (&a == &b) {
-            return true;
-        }
-        if (a.num_rows() != b.num_rows() || a.num_cols() != b.num_cols()) {
-            return false;
-        }
-        return a.data().empty() || std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(T)) == 0;
-    }
-
     [[nodiscard]] static std::size_t csr_bytes(const csr_matrix<T> &m) noexcept {
         return m.num_nonzeros() * sizeof(typename csr_matrix<T>::entry) + (m.num_rows() + 1) * sizeof(std::size_t);
     }
@@ -425,7 +410,7 @@ class compiled_model {
             orientation.push_back(!orient || head.positive_label() > T{ 0 } ? T{ 1 } : T{ -1 });
             biases_.push_back(orientation[h] * head.bias());
             std::size_t s = 0;
-            while (s < sources.size() && !same_panel(*sources[s], head.support_vectors())) {
+            while (s < sources.size() && sources[s] != &head.support_vectors()) {
                 ++s;
             }
             if (s == sources.size()) {

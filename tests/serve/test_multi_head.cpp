@@ -23,11 +23,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -44,16 +41,9 @@ using plssvm::serve::compile_options;
 using plssvm::serve::compiled_model;
 namespace test = plssvm::test;
 
-/// Random SV weights for one head; signs follow @p signs when given.
-[[nodiscard]] std::vector<double> head_alpha(const std::size_t num_sv, const std::uint64_t seed, const std::vector<double> *signs = nullptr) {
-    const aos_matrix<double> draw = test::random_matrix(1, num_sv, seed);
-    std::vector<double> alpha(draw.data());
-    if (signs != nullptr) {
-        for (std::size_t i = 0; i < num_sv; ++i) {
-            alpha[i] = (*signs)[i] * std::abs(alpha[i]);
-        }
-    }
-    return alpha;
+/// Random SV weights for one head.
+[[nodiscard]] std::vector<double> head_alpha(const std::size_t num_sv, const std::uint64_t seed) {
+    return test::random_matrix(1, num_sv, seed).data();
 }
 
 /**
@@ -276,60 +266,25 @@ TEST(KHeadPanels, FitEnsembleStoresItsSharedPanelOnce) {
 }
 
 // Asserts: heads over distinct panels store every panel, and a mixed
-// layout (heads 0 and 2 over one panel, head 1 over another) stores two,
-// with each head still exactly its binary compile. Strategy: the
+// layout (heads 0 and 2 over one panel object, head 1 over another) stores
+// two, with each head still exactly its binary compile. Strategy: the
 // `random_ensemble` of the test utilities draws one panel per head; the
-// mixed ensemble gives head 2 a copy of head 0's panel and other weights,
-// so the two heads' columns are not adjacent.
+// mixed ensemble puts head 0 and a head 2 with other weights over one
+// shared panel object, so the two heads' columns are not adjacent.
 TEST(KHeadPanels, DistinctPanelsAreEachStored) {
     const multiclass_model<double> distinct = test::random_ensemble(kernel_type::rbf, 3);
     const compiled_model<double> joint{ distinct };
     EXPECT_EQ(joint.num_support_vectors(), 3u * 37u);
 
     const std::vector<model<double>> &heads = distinct.binary_models();
-    const model<double> &h0 = heads[0];
-    const model<double> h2{ h0.params(), h0.support_vectors(), head_alpha(h0.num_support_vectors(), 3), 0.5, -1.0, 1.0 };
-    const multiclass_model<double> mixed{ { 0.0, 1.0, 2.0 }, { h0, heads[1], h2 } };
+    const model<double> &h1 = heads[1];
+    const auto panel = std::make_shared<const aos_matrix<double>>(heads[0].support_vectors());
+    const model<double> h0{ heads[0].params(), panel, heads[0].alpha(), heads[0].rho(), heads[0].positive_label(), heads[0].negative_label() };
+    const model<double> h2{ h0.params(), panel, head_alpha(h0.num_support_vectors(), 3), 0.5, -1.0, 1.0 };
+    const multiclass_model<double> mixed{ { 0.0, 1.0, 2.0 }, { h0, h1, h2 } };
     EXPECT_EQ((compiled_model<double>{ mixed }.num_support_vectors()), 2u * 37u);
     expect_heads_match_binary_compiles(mixed, compile_options{}, test::random_matrix(21, 11, 4), "mixed layout");
     expect_heads_match_binary_compiles(mixed, compile_options{ .sparse_density_threshold = 1.5 }, test::random_matrix(21, 11, 4), "mixed layout, forced sparse");
-}
-
-// Asserts: heads loaded from per-head model files, whose panels are equal
-// in shape and content but distinct objects, share one stored panel.
-// Strategy: give every head of a shared-panel ensemble the same alpha
-// signs (the model file orders the support vectors by alpha sign, so equal
-// signs keep every head's row order), save and load each head, check the
-// loaded panels are distinct objects, then compile and compare each head
-// with its loaded binary compile.
-TEST(KHeadPanels, EqualContentPanelsFromModelFilesShareOneStoredPanel) {
-    const std::size_t n = 41;
-    const multiclass_model<double> original = shared_panel_ensemble(kernel_type::polynomial, 4, n, 6, 1.0, 17);
-    const std::vector<double> signs = [&] {
-        std::vector<double> s(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            s[i] = i % 3 == 0 ? -1.0 : 1.0;
-        }
-        return s;
-    }();
-    std::vector<model<double>> loaded;
-    for (std::size_t c = 0; c < original.num_classes(); ++c) {
-        const model<double> &head = original.binary_models()[c];
-        const model<double> signed_head{ head.params(), head.support_vectors(), head_alpha(n, 23 + c, &signs), head.rho(),
-                                         head.positive_label(), head.negative_label() };
-        const std::string path = (std::filesystem::temp_directory_path() / ("plssvm_test_k_head_" + std::to_string(c) + ".model")).string();
-        signed_head.save(path);
-        loaded.push_back(model<double>::load(path));
-        std::remove(path.c_str());
-    }
-    for (std::size_t c = 1; c < loaded.size(); ++c) {
-        ASSERT_NE(&loaded[c].support_vectors(), &loaded[0].support_vectors());
-        ASSERT_EQ(loaded[c].support_vectors(), loaded[0].support_vectors()) << "head " << c;
-    }
-    const multiclass_model<double> from_files{ original.class_labels(), loaded };
-    const compiled_model<double> joint{ from_files };
-    EXPECT_EQ(joint.num_support_vectors(), n);
-    expect_heads_match_binary_compiles(from_files, compile_options{}, test::random_matrix(19, 6, 29), "heads from model files");
 }
 
 // Asserts: an ensemble whose heads differ in their kernel parameters or

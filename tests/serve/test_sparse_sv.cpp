@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,9 +230,9 @@ TEST(SparseSV, RegistryReloadSwitchesFormsBehindAStableEnginePointer) {
 // sparse compiled forms (install with opposite thresholds). Every response
 // must match the model's values at all times — a form switch must be
 // numerically invisible (within cross-form tolerance) and lose nothing. A
-// three-head ensemble over the same panel (each head its own copy of it,
-// stored once) is scored and flipped alongside: its one stored panel
-// crosses the sparse threshold on every install.
+// three-head ensemble over one shared copy of the model's panel (stored
+// once) is scored and flipped alongside: its one stored panel crosses the
+// sparse threshold on every install.
 TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
     constexpr std::size_t dim = 24;
     constexpr std::size_t num_sv = 32;
@@ -253,18 +254,19 @@ TEST(SparseSV, ReloadFormFlipStressKeepsEveryResponseConsistent) {
         return std::abs(a - b) <= 1e-10 * (1.0 + std::abs(b));
     };
 
+    const auto panel = std::make_shared<const aos_matrix<double>>(m.support_vectors());
     std::vector<model<double>> heads;
     for (std::size_t c = 0; c < 3; ++c) {
         std::vector<double> alpha = m.alpha();
         for (std::size_t i = 0; i < alpha.size(); ++i) {
             alpha[i] *= 1.0 + 0.25 * static_cast<double>((c + i) % 3);
         }
-        heads.emplace_back(m.params(), m.support_vectors(), std::move(alpha), m.rho() + 0.1 * static_cast<double>(c),
+        heads.emplace_back(m.params(), panel, std::move(alpha), m.rho() + 0.1 * static_cast<double>(c),
                            c == 1 ? -1.0 : 1.0, c == 1 ? 1.0 : -1.0);
     }
     const plssvm::ext::multiclass_model<double> ensemble{ { 0.0, 1.0, 2.0 }, std::move(heads) };
     const compiled_model<double> ensemble_baseline{ ensemble, compile_options{ .sparse_density_threshold = 0.0 } };
-    ASSERT_EQ(ensemble_baseline.num_support_vectors(), num_sv) << "the heads' equal panels are stored once";
+    ASSERT_EQ(ensemble_baseline.num_support_vectors(), num_sv) << "the heads' shared panel is stored once";
     aos_matrix<double> ensemble_truth{ queries.num_rows(), 3 };
     ensemble_baseline.decision_values_reference_into(queries, 0, queries.num_rows(), ensemble_truth.data().data());
 
