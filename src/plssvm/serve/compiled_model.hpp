@@ -39,6 +39,16 @@
  * compile gives (times its orientation). Heads over distinct panels cost what
  * separate compiles cost; no head multiplies another head's kernel values.
  *
+ * The linear collapse (and its stored-entry count) runs in ranges of
+ * features: each range sums its columns of `W` over the SVs in ascending
+ * order, in register tiles chosen from the head count, so `W` is bitwise the
+ * same however the features are split. A compile given a `compile_runner`
+ * runs a large collapse's ranges through it — the inference engine passes
+ * one over its executor lane, so a model load fans out like a batch — and a
+ * standalone compile (`plssvm::decision_values`, `one_vs_all::predict`) runs
+ * them on the calling thread. The non-linear passes (norms, SoA copy) are
+ * serial.
+ *
  * Very sparse models (text/categorical workloads — the dominant libsvm use
  * case) additionally compile the stored panels into a *sparse* form: when
  * the density of the stored panels falls below `compile_options::
@@ -78,6 +88,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
@@ -100,6 +111,32 @@ struct compile_options {
     double sparse_density_threshold{ 0.25 };
 };
 
+/**
+ * @brief How a compile runs its independent ranges: `run(n, range)` calls
+ *        `range(r)` once for every r < n, possibly on other threads, and
+ *        returns once every call returned, rethrowing the first error.
+ *
+ * `width` is how many ranges it runs at once. The default has no `run`: the
+ * compile runs on the calling thread alone. The inference engine passes a
+ * runner over its executor lane (`serve/inference_engine.hpp`).
+ */
+struct compile_runner {
+    std::size_t width{ 1 };
+    std::function<void(std::size_t, const std::function<void(std::size_t)> &)> run{};
+};
+
+/// Multiply-adds (support vectors x heads x features over the stored panels)
+/// from which a linear collapse splits into ranges for a `compile_runner`:
+/// the smallest measured row at which four ranges on an idle four-worker
+/// executor beat the serial compile, 6 heads x 256 SVs x 256 features (4-vCPU
+/// x86-64 host, 0.3 ms between compiles, two runs: 0.88-0.91 of the serial
+/// time, against 1.05-1.61 at 192 SVs). A fan-out costs the calling thread
+/// its enqueues and the workers their start-up: an idle worker started a task
+/// 24-51 us after its enqueue (p50). One head over 64 features gains less,
+/// its ranges being 16 features wide: 4096 SVs (262,144) read 1.13-1.19 and
+/// stay serial.
+inline constexpr std::size_t min_fan_out_collapse = std::size_t{ 6 } * 256 * 256;
+
 template <typename T>
 class compiled_model {
   public:
@@ -110,9 +147,10 @@ class compiled_model {
     /// Precompute all prediction state of the binary model @p trained (one
     /// head; the model itself is not referenced afterwards). @p opts
     /// controls whether the support-vector panel is additionally compiled
-    /// into the sparse (CSR + transposed CSR) form.
-    explicit compiled_model(const model<T> &trained, const compile_options opts = {}) :
-        compiled_model{ opts, std::vector<const model<T> *>{ &trained }, false } {
+    /// into the sparse (CSR + transposed CSR) form; @p runner may run a large
+    /// linear collapse in feature ranges (the result is bitwise the same).
+    explicit compiled_model(const model<T> &trained, const compile_options opts = {}, const compile_runner &runner = {}) :
+        compiled_model{ opts, std::vector<const model<T> *>{ &trained }, false, runner } {
         positive_label_ = trained.positive_label();
         negative_label_ = trained.negative_label();
     }
@@ -123,8 +161,8 @@ class compiled_model {
     /// @throws plssvm::invalid_data_exception if the ensemble is empty, its
     ///         label and head counts differ, or its heads differ in kernel
     ///         parameters or feature count
-    explicit compiled_model(const ext::multiclass_model<T> &ensemble, const compile_options opts = {}) :
-        compiled_model{ opts, ensemble_heads(ensemble), true } {
+    explicit compiled_model(const ext::multiclass_model<T> &ensemble, const compile_options opts = {}, const compile_runner &runner = {}) :
+        compiled_model{ opts, ensemble_heads(ensemble), true, runner } {
         class_labels_ = ensemble.class_labels();
     }
 
@@ -153,6 +191,12 @@ class compiled_model {
     /// Stored support vectors: the rows of each distinct panel, counted once.
     [[nodiscard]] std::size_t num_support_vectors() const noexcept { return num_sv_; }
     [[nodiscard]] bool empty() const noexcept { return dim_ == 0; }
+    /// The collapsed normal vectors `W`, one row per head (linear kernel
+    /// only; empty otherwise).
+    [[nodiscard]] const aos_matrix<T> &normal_vectors() const noexcept { return w_; }
+    /// The non-zeros of each row of `W` (the sparse form of a linear model
+    /// only; empty otherwise).
+    [[nodiscard]] const csr_matrix<T> &sparse_normal_vectors() const noexcept { return w_sparse_; }
 
     /// Bytes of compiled prediction state: `W` and its sparse rows, or the
     /// SoA copies, weight matrices, norms and sparse forms of the stored
@@ -356,6 +400,12 @@ class compiled_model {
     }
 
   private:
+    /// Linear collapse tiles: a tile of at most `collapse_head_tile` heads of
+    /// `W` sums a block of `collapse_sv_block` SVs in registers; the block's
+    /// rows stay in L1 while every head tile passes over them.
+    static constexpr std::size_t collapse_head_tile = 6;
+    static constexpr std::size_t collapse_sv_block = 32;
+
     /// One stored SV panel and the heads that sum over it.
     struct panel {
         std::size_t num_sv{ 0 };
@@ -389,8 +439,9 @@ class compiled_model {
 
     /// Compile the @p heads; with @p orient, each head of a one-vs-all
     /// ensemble is oriented toward "its" class (negated when its binary
-    /// trainer mapped the rest side to +1).
-    compiled_model(const compile_options opts, const std::vector<const model<T> *> &heads, const bool orient) :
+    /// trainer mapped the rest side to +1). A linear collapse large enough
+    /// runs its feature ranges through @p runner.
+    compiled_model(const compile_options opts, const std::vector<const model<T> *> &heads, const bool orient, const compile_runner &runner) :
         options_{ opts } {
         const model<T> &front = *heads.front();
         params_ = kernel_params<T>{ front.params().kernel, front.params().degree, front.effective_gamma(), static_cast<T>(front.params().coef0) };
@@ -420,50 +471,40 @@ class compiled_model {
             panels_[s].heads.push_back(h);
         }
 
-        // one pass over each stored panel: count its stored entries, collapse
-        // every linear head into its row of W (in the order a compile of that
-        // head alone adds), cache the rbf squared norms
-        if (linear) {
-            w_ = aos_matrix<T>{ heads.size(), dim_ };
-        }
+        // one pass over each stored panel: the oriented weights of its heads
+        // (num_sv x heads of the panel), then either the linear collapse into
+        // W or the stored-entry count, the rbf squared norms and the SoA copy
+        std::vector<std::vector<T>> weights(panels_.size());
         for (std::size_t s = 0; s < panels_.size(); ++s) {
             panel &pn = panels_[s];
-            const aos_matrix<T> &sv = *sources[s];
-            pn.num_sv = sv.num_rows();
+            pn.num_sv = sources[s]->num_rows();
             num_sv_ += pn.num_sv;
             const std::size_t kp = pn.heads.size();
-            if (!linear) {
-                pn.alpha.resize(pn.num_sv * kp);
-                for (std::size_t g = 0; g < kp; ++g) {
-                    const std::size_t h = pn.heads[g];
-                    for (std::size_t i = 0; i < pn.num_sv; ++i) {
-                        pn.alpha[i * kp + g] = orientation[h] * heads[h]->alpha()[i];
-                    }
+            weights[s].resize(pn.num_sv * kp);
+            for (std::size_t g = 0; g < kp; ++g) {
+                const std::size_t h = pn.heads[g];
+                for (std::size_t i = 0; i < pn.num_sv; ++i) {
+                    weights[s][i * kp + g] = orientation[h] * heads[h]->alpha()[i];
                 }
             }
-            if (rbf) {
-                pn.sq_norms.resize(pn.num_sv);
-            }
-            std::size_t nnz = 0;
-            for (std::size_t i = 0; i < pn.num_sv; ++i) {
-                const T *row = sv.row_data(i);
-                nnz += static_cast<std::size_t>(std::count_if(row, row + dim_, [](const T v) { return v != T{ 0 }; }));
-                if (linear) {
-                    for (std::size_t g = 0; g < kp; ++g) {
-                        const std::size_t h = pn.heads[g];
-                        const T a = orientation[h] * heads[h]->alpha()[i];
-                        T *w = w_.row_data(h);
-                        #pragma omp simd
-                        for (std::size_t f = 0; f < dim_; ++f) {
-                            w[f] += a * row[f];
-                        }
-                    }
-                } else if (rbf) {
-                    pn.sq_norms[i] = kernels::dot(row, row, dim_);
+        }
+        if (linear) {
+            collapse_linear(sources, weights, runner);
+        } else {
+            for (std::size_t s = 0; s < panels_.size(); ++s) {
+                panel &pn = panels_[s];
+                const aos_matrix<T> &sv = *sources[s];
+                pn.alpha = std::move(weights[s]);
+                if (rbf) {
+                    pn.sq_norms.resize(pn.num_sv);
                 }
-            }
-            sv_nnz_ += nnz;
-            if (!linear) {
+                for (std::size_t i = 0; i < pn.num_sv; ++i) {
+                    const T *row = sv.row_data(i);
+                    sv_nnz_ += count_stored(row, row + dim_);
+                    if (rbf) {
+                        pn.sq_norms[i] = kernels::dot(row, row, dim_);
+                    }
+                }
                 pn.soa = transform_to_soa(sv, compiled_model_row_padding);
             }
         }
@@ -483,6 +524,182 @@ class compiled_model {
         for (std::size_t s = 0; s < panels_.size(); ++s) {
             panels_[s].csr = csr_matrix<T>{ *sources[s] };
             panels_[s].csc = panels_[s].csr.transposed();
+        }
+    }
+
+    /// Stored (non-zero) entries of [@p first, @p last).
+    [[nodiscard]] static std::size_t count_stored(const T *first, const T *last) noexcept {
+        return static_cast<std::size_t>(std::count_if(first, last, [](const T v) { return v != T{ 0 }; }));
+    }
+
+    /**
+     * @brief Collapse every linear head into its row of `W` and count the
+     *        stored entries of the panels, one range of features at a time.
+     *
+     * Each range owns its columns of `W` and adds the SVs of each panel in
+     * ascending order, each entry starting from zero: the order a compile of
+     * one head alone adds in, so `W` is bitwise the same however the
+     * features are split. A collapse of at least `min_fan_out_collapse`
+     * multiply-adds splits into up to `runner.width` ranges of whole cache
+     * lines and runs them through @p runner; each such range sums into its
+     * own tile of `W`'s columns and stores it once at the end, so no two
+     * threads write one cache line while they sum. Any other collapse runs
+     * as one range on the calling thread, straight into `W`. @p weights
+     * holds each panel's oriented weights (num_sv x heads of the panel).
+     */
+    void collapse_linear(const std::vector<const aos_matrix<T> *> &sources, const std::vector<std::vector<T>> &weights, const compile_runner &runner) {
+        w_ = aos_matrix<T>{ num_heads(), dim_ };
+        std::size_t work = 0;
+        for (const panel &pn : panels_) {
+            work += pn.num_sv * pn.heads.size() * dim_;
+        }
+        constexpr std::size_t line = 64 / sizeof(T);  // entries of one cache line
+        std::size_t width = dim_;                     // features per range
+        if (runner.run && runner.width > 1 && work >= min_fan_out_collapse) {
+            const std::size_t lines = (dim_ + line - 1) / line;
+            width = (lines + runner.width - 1) / runner.width * line;
+        }
+        const std::size_t num_ranges = width == 0 ? 0 : (dim_ + width - 1) / width;
+        std::vector<std::size_t> stored(num_ranges, 0);
+        const auto range = [&](const std::size_t r) {
+            const std::size_t begin = r * width;
+            const std::size_t columns = std::min(dim_, begin + width) - begin;
+            std::vector<T> tile;
+            T *dest = w_.data().data() + begin;
+            std::size_t stride = dim_;
+            if (num_ranges > 1) {
+                tile.resize(num_heads() * columns);
+                dest = tile.data();
+                stride = columns;
+            }
+            std::size_t count = 0;
+            for (std::size_t s = 0; s < panels_.size(); ++s) {
+                count += collapse_range(*sources[s], panels_[s], weights[s].data(), begin, columns, dest, stride);
+            }
+            if (num_ranges > 1) {
+                for (std::size_t h = 0; h < num_heads(); ++h) {
+                    std::copy(tile.begin() + static_cast<std::ptrdiff_t>(h * columns), tile.begin() + static_cast<std::ptrdiff_t>((h + 1) * columns), w_.row_data(h) + begin);
+                }
+            }
+            stored[r] = count;
+        };
+        if (num_ranges > 1) {
+            runner.run(num_ranges, range);
+        } else if (num_ranges == 1) {
+            range(0);
+        }
+        for (const std::size_t count : stored) {
+            sv_nnz_ += count;
+        }
+    }
+
+    /// SVs [i0, i1) of one panel, the heads a tile sums them into, and where
+    /// their sums go: head h's entry of column c (counted from the range's
+    /// first feature) is `dest[h * stride + c]`.
+    struct collapse_block {
+        const aos_matrix<T> *sv;
+        const T *weights;           ///< the tile's first weight column
+        std::size_t weight_stride;  ///< weights per SV: the heads of the panel
+        const std::size_t *heads;   ///< the tile's heads
+        std::size_t i0;
+        std::size_t i1;
+        T *dest;
+        std::size_t stride;
+    };
+
+    /**
+     * @brief One range of `collapse_linear` over one panel @p pn: add its SVs
+     *        @p sv, weighted by @p weights, into the @p columns features from
+     *        @p begin of its heads' sums (`collapse_block::dest`), in
+     *        ascending SV order; returns the panel's stored entries there.
+     *
+     * The heads split into tiles of near-equal size, at most
+     * `collapse_head_tile` each. A tile of H heads sums a block of
+     * `collapse_sv_block` SVs into H x F entries held in registers, so each
+     * SV entry loaded feeds every head of the tile; the tile is chosen from
+     * H so that it holds 16-24 independent sums, since a narrower one chains
+     * each add on the one before.
+     */
+    std::size_t collapse_range(const aos_matrix<T> &sv, const panel &pn, const T *weights, const std::size_t begin, const std::size_t columns,
+                               T *dest, const std::size_t stride) {
+        const std::size_t kp = pn.heads.size();
+        const std::size_t num_tiles = (kp + collapse_head_tile - 1) / collapse_head_tile;
+        std::size_t stored = 0;
+        for (std::size_t i0 = 0; i0 < pn.num_sv; i0 += collapse_sv_block) {
+            const std::size_t i1 = std::min(pn.num_sv, i0 + collapse_sv_block);
+            for (std::size_t i = i0; i < i1; ++i) {
+                stored += count_stored(sv.row_data(i) + begin, sv.row_data(i) + begin + columns);
+            }
+            for (std::size_t t = 0, g = 0; t < num_tiles; ++t) {
+                const std::size_t heads = kp / num_tiles + (t < kp % num_tiles ? 1 : 0);
+                const collapse_block block{ &sv, weights + g, kp, pn.heads.data() + g, i0, i1, dest, stride };
+                switch (heads) {
+                    case 1:
+                        collapse_heads<1, 16>(block, begin, columns);
+                        break;
+                    case 2:
+                        collapse_heads<2, 8>(block, begin, columns);
+                        break;
+                    case 3:
+                        collapse_heads<3, 8>(block, begin, columns);
+                        break;
+                    case 4:
+                        collapse_heads<4, 4>(block, begin, columns);
+                        break;
+                    case 5:
+                        collapse_heads<5, 4>(block, begin, columns);
+                        break;
+                    default:
+                        collapse_heads<collapse_head_tile, 4>(block, begin, columns);
+                        break;
+                }
+                g += heads;
+            }
+        }
+        return stored;
+    }
+
+    /// Add @p block into @p columns features from @p begin of H heads' sums:
+    /// H x F register tiles, then H x 1 tiles for the last columns.
+    template <std::size_t H, std::size_t F>
+    static void collapse_heads(const collapse_block &block, const std::size_t begin, const std::size_t columns) {
+        T *sums[H];
+        for (std::size_t h = 0; h < H; ++h) {
+            sums[h] = block.dest + block.heads[h] * block.stride;
+        }
+        std::size_t c = 0;
+        for (; c + F <= columns; c += F) {
+            collapse_tile<H, F>(block, sums, begin + c, c);
+        }
+        for (; c < columns; ++c) {
+            collapse_tile<H, 1>(block, sums, begin + c, c);
+        }
+    }
+
+    /// Column @p c of H heads' @p sums (feature @p f, F entries each) plus
+    /// the SVs of @p block, summed in registers in ascending SV order.
+    template <std::size_t H, std::size_t F>
+    static void collapse_tile(const collapse_block &block, T *const *sums, const std::size_t f, const std::size_t c) {
+        T acc[H][F];
+        for (std::size_t h = 0; h < H; ++h) {
+            for (std::size_t j = 0; j < F; ++j) {
+                acc[h][j] = sums[h][c + j];
+            }
+        }
+        for (std::size_t i = block.i0; i < block.i1; ++i) {
+            const T *x = block.sv->row_data(i) + f;
+            const T *a = block.weights + i * block.weight_stride;
+            for (std::size_t h = 0; h < H; ++h) {
+                #pragma omp simd
+                for (std::size_t j = 0; j < F; ++j) {
+                    acc[h][j] += a[h] * x[j];
+                }
+            }
+        }
+        for (std::size_t h = 0; h < H; ++h) {
+            for (std::size_t j = 0; j < F; ++j) {
+                sums[h][c + j] = acc[h][j];
+            }
         }
     }
 

@@ -43,6 +43,15 @@
  * occupy at once — eight resident engines on a four-core host run on four
  * worker threads, not thirty-two.
  *
+ * The engine compiles on that lane too. Its lane exists before its first
+ * compile, and one helper (`fan_out`) fans out both a batch's row chunks
+ * and a compile's feature ranges: the calling thread runs one task itself
+ * and helps drain the lane while it waits. So a load — the engine
+ * constructor, and every `registry.load` — splits a large linear collapse
+ * over the lane's workers. A compile that already runs on an executor
+ * worker stays inline: every `registry.reload` compiles on the registry's
+ * quota-1 reload lane, one task at a time.
+ *
  * Model state is NOT mutable in place: every batch evaluates against the
  * `engine_snapshot` current at its start, and `reload()` publishes a freshly
  * compiled snapshot with one atomic swap — in-flight batches finish on the
@@ -84,6 +93,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -129,43 +139,86 @@ struct engine_config {
 /// per request of a path.
 inline constexpr double measured_rate_weight = 0.125;
 
+/// How many tasks a fan-out over @p lane runs at once from the calling
+/// thread: the lane's concurrency, or 1 where fanning out could deadlock —
+/// without an executor, or on one of its workers (e.g. an engine torn down
+/// by the last-owner reload task drains its final batches there, and every
+/// registry reload compiles there).
+[[nodiscard]] inline std::size_t fan_out_width(const executor::lane &lane) {
+    if (lane.owner() == nullptr || lane.owner()->on_worker_thread()) {
+        return 1;
+    }
+    return std::max<std::size_t>(1, lane.max_concurrency());
+}
+
+/**
+ * @brief Run `task(c)` for every c < @p num_tasks: tasks 1.. on @p lane,
+ *        task 0 on the calling thread, which then helps drain the lane
+ *        while it waits.
+ *
+ * Returns only once every task returned — the tasks hold the caller's
+ * frame — and then rethrows the first error: task 0's (or a failed
+ * enqueue's), else the lowest failed lane task's. Where `fan_out_width` is
+ * 1, the tasks run in order on the calling thread. The one fan-out path of
+ * the engine: its batches and its compiles use it.
+ */
+template <typename Task>
+void fan_out(executor::lane &lane, const std::size_t num_tasks, Task &&task) {
+    if (num_tasks <= 1 || fan_out_width(lane) == 1) {
+        for (std::size_t c = 0; c < num_tasks; ++c) {
+            task(c);
+        }
+        return;
+    }
+    std::vector<std::future<void>> pending;
+    std::exception_ptr error;
+    try {
+        pending.reserve(num_tasks - 1);
+        for (std::size_t c = 1; c < num_tasks; ++c) {
+            pending.push_back(lane.enqueue([&task, c]() { task(c); }));
+        }
+        task(0);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    for (std::future<void> &f : pending) {
+        // help while waiting: drain our own lane instead of blocking, so the
+        // fan-out completes even if every worker is busy (or busy tearing
+        // this very engine down — the deadlock the executor tests pin down)
+        while (f.wait_for(std::chrono::seconds{ 0 }) != std::future_status::ready && lane.try_run_one()) {
+        }
+        try {
+            f.get();
+        } catch (...) {
+            if (error == nullptr) {
+                error = std::current_exception();
+            }
+        }
+    }
+    if (error != nullptr) {
+        std::rethrow_exception(error);
+    }
+}
+
 /// Partition the rows of @p points across @p lane and run the serial range
 /// kernel @p serial (`serial(points, begin, end, out + begin * row_stride)`)
 /// per chunk, for dense (`aos_matrix`) and sparse (`csr_matrix`) batches
 /// along every host execution path; @p out holds @p row_stride values per
-/// row.
+/// row. Evaluation errors (e.g. a feature-count mismatch) surface once
+/// every chunk returned.
 template <typename T, typename Matrix, typename Serial>
 void pooled_evaluate(executor::lane &lane, const Matrix &points, const std::size_t row_stride, T *out, Serial &&serial) {
     const std::size_t num_rows = points.num_rows();
     if (num_rows == 0) {
         return;
     }
-    if (lane.owner() == nullptr || lane.owner()->on_worker_thread()) {
-        // already on a worker of this executor (e.g. an engine torn down by
-        // the last-owner reload task drains its final batches here): fanning
-        // out and blocking on our own pool could deadlock it — run inline
-        serial(points, std::size_t{ 0 }, num_rows, out);
-        return;
-    }
-    const std::size_t num_chunks = std::min(num_rows, std::max<std::size_t>(1, lane.max_concurrency()));
+    const std::size_t num_chunks = std::min(num_rows, fan_out_width(lane));
     const std::size_t chunk = (num_rows + num_chunks - 1) / num_chunks;
-    std::vector<std::future<void>> pending;
-    pending.reserve(num_chunks);
-    for (std::size_t begin = 0; begin < num_rows; begin += chunk) {
-        const std::size_t end = std::min(begin + chunk, num_rows);
-        pending.push_back(lane.enqueue([&serial, &points, out, begin, end, row_stride]() {
-            fault::hook_executor_task();  // no-op without a global injector
-            serial(points, begin, end, out + begin * row_stride);
-        }));
-    }
-    for (std::future<void> &f : pending) {
-        // help while waiting: drain our own lane instead of blocking, so the
-        // batch completes even if every worker is busy (or busy tearing this
-        // very engine down — the deadlock the executor tests pin down)
-        while (f.wait_for(std::chrono::seconds{ 0 }) != std::future_status::ready && lane.try_run_one()) {
-        }
-        f.get();  // rethrows evaluation errors (e.g. feature-count mismatch)
-    }
+    fan_out(lane, (num_rows + chunk - 1) / chunk, [&serial, &points, out, chunk, num_rows, row_stride](const std::size_t c) {
+        fault::hook_executor_task();  // no-op without a global injector
+        const std::size_t begin = c * chunk;
+        serial(points, begin, std::min(begin + chunk, num_rows), out + begin * row_stride);
+    });
 }
 
 /// Partition @p points across @p lane and evaluate every head of @p cm into
@@ -212,17 +265,17 @@ class inference_engine {
     /// optional @p input_scaling is applied server-side to every batch
     /// (raw-feature client contract).
     explicit inference_engine(const model<T> &trained, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
-        inference_engine{ compiled_model<T>{ trained, config.compile }, config, std::move(input_scaling) } {}
+        inference_engine{ config, std::move(input_scaling), [&](const compile_runner &runner) { return compiled_model<T>{ trained, config.compile, runner }; } } {}
 
     /// Take ownership of an already-compiled model (binary or ensemble) and
     /// start the engine.
     explicit inference_engine(compiled_model<T> compiled, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
-        inference_engine{ snapshot_type{ std::move(compiled), std::move(input_scaling) }, config } {}
+        inference_engine{ config, std::move(input_scaling), [&](const compile_runner &) { return std::move(compiled); } } {}
 
     /// Compile the one-vs-all @p ensemble (one head per class, each distinct
     /// SV panel stored once) and start the engine.
     explicit inference_engine(const ext::multiclass_model<T> &ensemble, engine_config config = {}, scaling_ptr<T> input_scaling = nullptr) :
-        inference_engine{ compiled_model<T>{ ensemble, config.compile }, config, std::move(input_scaling) } {}
+        inference_engine{ config, std::move(input_scaling), [&](const compile_runner &runner) { return compiled_model<T>{ ensemble, config.compile, runner }; } } {}
 
     inference_engine(const inference_engine &) = delete;
     inference_engine &operator=(const inference_engine &) = delete;
@@ -283,7 +336,7 @@ class inference_engine {
      */
     void reload(const model<T> &trained, scaling_ptr<T> input_scaling = nullptr) {
         check_replacement(false, 1, trained.num_features());
-        install(compiled_model<T>{ trained, config_.compile }, std::move(input_scaling));
+        install(compiled_model<T>{ trained, config_.compile, lane_runner() }, std::move(input_scaling));
     }
 
     /// Zero-downtime ensemble replacement (same contract as the binary
@@ -293,7 +346,7 @@ class inference_engine {
     void reload(const ext::multiclass_model<T> &ensemble, scaling_ptr<T> input_scaling = nullptr) {
         const std::vector<model<T>> &heads = ensemble.binary_models();
         check_replacement(true, ensemble.num_classes(), heads.empty() ? 0 : heads.front().num_features());
-        install(compiled_model<T>{ ensemble, config_.compile }, std::move(input_scaling));
+        install(compiled_model<T>{ ensemble, config_.compile, lane_runner() }, std::move(input_scaling));
     }
 
     /// Swap in an already-compiled replacement of the same kind, head count
@@ -507,8 +560,13 @@ class inference_engine {
         }
         // the counter fields of `stats.fault` come from the metrics snapshot
         const auto now = std::chrono::steady_clock::now();
-        stats.fault.health = health_.state();
-        stats.fault.health_transitions = health_.transitions();
+        {
+            // `update_health()` records a transition and its dump under this
+            // lock, so a scrape sees a transition only with its dump counted
+            const std::lock_guard lock{ health_mutex_ };
+            stats.fault.health = health_.state();
+            stats.fault.health_transitions = health_.transitions();
+        }
         stats.fault.stall_restarts = supervisor_.stall_restarts();
         stats.fault.breaker_trips = fault_plane_.ladder().trips();
         for (const predict_path path : { predict_path::reference, predict_path::host_blocked, predict_path::host_sparse }) {
@@ -611,15 +669,17 @@ class inference_engine {
     }
 
   private:
-    /// Start serving @p initial (published as version 1).
-    inference_engine(snapshot_type initial, const engine_config &config) :
+    /// Start serving the model @p compile builds with the engine's lane
+    /// runner (published as version 1): the lane exists before the compile.
+    template <typename Compile>
+    inference_engine(const engine_config &config, scaling_ptr<T> input_scaling, Compile &&compile) :
         config_{ config },
         exec_{ config.exec != nullptr ? config.exec : &executor::process_wide() },
         lane_{ exec_->create_lane(lane_options{ .name = "engine", .quota = config.num_threads }) },
-        num_features_{ initial.compiled.num_features() },
-        num_heads_{ initial.compiled.num_heads() },
-        ensemble_{ initial.compiled.ensemble() },
-        snapshot_{ versioned(std::move(initial), 1) },
+        snapshot_{ versioned(snapshot_type{ compile(lane_runner()), std::move(input_scaling) }, 1) },
+        num_features_{ snapshot_.load()->compiled.num_features() },
+        num_heads_{ snapshot_.load()->compiled.num_heads() },
+        ensemble_{ snapshot_.load()->compiled.ensemble() },
         deadline_budgets_{ std::any_of(config.qos.classes.begin(), config.qos.classes.end(),
                                        [](const class_qos_config &c) { return c.deadline_budget.count() > 0; }) },
         admission_{ config.qos },
@@ -635,6 +695,13 @@ class inference_engine {
                 metrics_.record_stall_failures(cls, failed_requests);
                 update_health();
             });
+    }
+
+    /// The runner of this engine's compiles: feature ranges fan out over its
+    /// lane (`fan_out`), except where `fan_out_width` is 1 — a reload on an
+    /// executor worker, which every registry reload is, compiles inline.
+    [[nodiscard]] compile_runner lane_runner() {
+        return compile_runner{ fan_out_width(lane_), [this](const std::size_t n, const std::function<void(std::size_t)> &range) { fan_out(lane_, n, range); } };
     }
 
     [[nodiscard]] static snapshot_ptr versioned(snapshot_type snap, const std::uint64_t version) {
@@ -1079,10 +1146,10 @@ class inference_engine {
     engine_config config_;
     executor *exec_;
     executor::lane lane_;
+    snapshot_handle<snapshot_type> snapshot_;
     std::size_t num_features_;
     std::size_t num_heads_;
     bool ensemble_;
-    snapshot_handle<snapshot_type> snapshot_;
     std::mutex install_mutex_;         ///< serializes version bump + publication
     std::uint64_t last_version_{ 1 };  ///< guarded by install_mutex_
     /// Measured seconds per request of each path on the current snapshot,
